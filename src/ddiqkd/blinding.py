@@ -24,16 +24,18 @@ from .channel import EveInterceptConfig, intercept_resend
 from .devices import BrightPulse, DetectionResult, DetectorSpec, bsm_respond_bright, classify
 from .errors import NoViablePlanError, ValidationError
 from .states import (
+    PREPARATIONS,
+    XOR_TABLE,
     Basis,
-    BellOutcome,
     PolarizationQubit,
     SpatialQubit,
     prepare_polarization,
     prepare_spatial,
-    xor_from_outcome,
 )
 
-_SETTINGS = tuple((basis, bit) for basis in Basis for bit in (0, 1))
+# [interceptor preparation, receiver preparation] pairs with matching bases
+_BASES = np.array([basis for basis, _ in PREPARATIONS])
+_SAME_BASIS = np.equal.outer(_BASES, _BASES)
 
 
 @dataclass(frozen=True)
@@ -64,30 +66,43 @@ class BlindingPlan:
             )
 
 
+def click_table(
+    detectors: Sequence[DetectorSpec], wavelength: float, peak_power: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blinded response of the unit to every (interceptor eigenstate x
+    receiver spatial setting) pair, indexed by their preparation indices.
+
+    Returns the announced outcome (-1 unless exactly one detector clicks)
+    and the double-click flag, each a 4x4 table. Deterministic.
+    """
+    outcome = np.full((4, 4), -1, dtype=np.int8)
+    double = np.zeros((4, 4), dtype=bool)
+    for i, eve_setting in enumerate(PREPARATIONS):
+        pulse = BrightPulse(peak_power, wavelength, prepare_polarization(*eve_setting))
+        for j, bob_setting in enumerate(PREPARATIONS):
+            result = classify(bsm_respond_bright(pulse, prepare_spatial(*bob_setting), detectors))
+            if result.is_single:
+                outcome[i, j] = result.outcome
+            double[i, j] = result.is_double
+    return outcome, double
+
+
 def evaluate_pulse(
     detectors: Sequence[DetectorSpec], wavelength: float, peak_power: float
 ) -> tuple[float, float, float]:
     """Deterministic click census of one (wavelength, power) candidate.
 
-    Enumerates all 16 (interceptor eigenstate x receiver spatial setting)
-    combinations and returns (single-click fraction among the 8 basis-matched
-    ones, double-click fraction among those, any-click fraction among the 8
-    basis-mismatched ones).
+    Counts the 16 cells of its click_table and returns (single-click fraction
+    among the 8 basis-matched ones, double-click fraction among those,
+    any-click fraction among the 8 basis-mismatched ones).
     """
-    same_single = 0
-    same_double = 0
-    cross_any = 0
-    for eve_basis, eve_bit in _SETTINGS:
-        pulse = BrightPulse(peak_power, wavelength, prepare_polarization(eve_basis, eve_bit))
-        for bob_basis, bob_bit in _SETTINGS:
-            spatial = prepare_spatial(bob_basis, bob_bit)
-            result = classify(bsm_respond_bright(pulse, spatial, detectors))
-            if eve_basis == bob_basis:
-                same_single += result.is_single
-                same_double += result.is_double
-            else:
-                cross_any += not result.is_no_click
-    return same_single / 8.0, same_double / 8.0, cross_any / 8.0
+    outcome, double = click_table(detectors, wavelength, peak_power)
+    single = outcome >= 0
+    return (
+        np.count_nonzero(single & _SAME_BASIS) / 8.0,
+        np.count_nonzero(double & _SAME_BASIS) / 8.0,
+        np.count_nonzero((single | double) & ~_SAME_BASIS) / 8.0,
+    )
 
 
 def optimize_pulse(
@@ -162,12 +177,8 @@ def eve_recovered_bits(transcript) -> np.ndarray:
     round clicks. Returns an array aligned with transcript.reported_slots().
     """
     slots = transcript.reported_slots()
-    bits = np.empty(len(slots), dtype=np.int8)
-    for i, s in enumerate(slots):
-        basis = Basis(int(transcript.eve_basis[s]))
-        outcome = BellOutcome(int(transcript.reported[s]))
-        bits[i] = int(transcript.eve_bit[s]) ^ xor_from_outcome(outcome, basis)
-    return bits
+    bases, outcomes = transcript.eve_basis[slots], transcript.reported[slots]
+    return transcript.eve_bit[slots] ^ XOR_TABLE[bases, outcomes]
 
 
 def blinding_session_stats(transcript) -> BlindingStats:
@@ -184,8 +195,6 @@ def blinding_session_stats(transcript) -> BlindingStats:
     if len(sifted) == 0:
         eve_fraction = 0.0
     else:
-        recovered = eve_recovered_bits(transcript)
-        at_sifted = {int(s): int(b) for s, b in zip(singles, recovered)}
-        hits = sum(at_sifted[int(s)] == int(transcript.bob_bit[s]) for s in sifted)
-        eve_fraction = hits / len(sifted)
+        recovered = eve_recovered_bits(transcript)[np.isin(singles, sifted)]
+        eve_fraction = float(np.mean(recovered == transcript.bob_bit[sifted]))
     return BlindingStats(detection_rate, qber, doubles / n, eve_fraction)

@@ -41,7 +41,7 @@ PUBLIC_COLUMNS = ("slot", "bob_basis", "reported_outcome", "double_click")
 
 def _transcript_meta(config: SessionConfig) -> dict[str, Any]:
     return {
-        "format": "ddiqkd-transcript-1",
+        "format": "ddiqkd-transcript-2",
         "version": __version__,
         "seed": config.seed,
         "config_sha256": config_digest(config),

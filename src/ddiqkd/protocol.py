@@ -8,9 +8,14 @@ transcript records ground truth per slot; the public view is the subset an
 outside observer sees. Sifting keeps announced single clicks where the bases
 matched, double clicks are discarded from key material but counted.
 
+Every mode runs on two small tables instead of per-slot state algebra: the
+Bell probabilities of the 16 (source, receiver) preparation pairs, and for
+blinding the unit's deterministic response to the 16 (pulse, receiver)
+pairs. A preparation's index is 2*basis + bit.
+
 Determinism contract: a session is fully determined by (config, seed). Party
-settings and arrivals are drawn in bulk in a fixed order, then the
-mode-specific loop consumes scalar draws slot by slot.
+settings and arrivals are drawn in bulk in a fixed order, then each mode's
+draws follow, also in bulk and in a fixed order (see run_session).
 """
 
 from __future__ import annotations
@@ -22,27 +27,14 @@ from typing import ClassVar, Iterator, Union
 import numpy as np
 
 from .analysis import DetectabilityReport, PublicView, detectability_report
-from .blinding import BlindingPlan, blinding_session_stats, blinding_round, optimize_pulse
-from .channel import ChannelSpec, EveInterceptConfig, TrojanProbe, eve_measure_resend, trojan_readout
+# blinding_session_stats is not called here; the traced benchmark run
+# rebinds it on this module
+from .blinding import BlindingPlan, blinding_session_stats, click_table, optimize_pulse  # noqa: F401
+from .channel import ChannelSpec, TrojanProbe
 from .covert import CovertReporter, NullKeyStream, ParityKeyStream, eve_decode
-from .devices import (
-    DEFAULT_WAVELENGTH_NM,
-    DetectorSpec,
-    classify,
-    make_detectors,
-    sample_clicks,
-    sample_outcome,
-)
+from .devices import DEFAULT_WAVELENGTH_NM, DetectorSpec, make_detectors
 from .errors import ConfigError, InfeasibleRateError, ValidationError
-from .states import (
-    Basis,
-    BellOutcome,
-    bell_probabilities,
-    prepare_polarization,
-    prepare_spatial,
-    tensor,
-    xor_from_outcome,
-)
+from .states import BELL_TABLE, XOR_TABLE, Basis, BellOutcome
 
 DOUBLE_CLICK_POLICY = "discard_and_count"
 
@@ -262,24 +254,8 @@ class SessionReport:
     plan: BlindingPlan | None = None
 
 
-# bit-relation lookup derived from the single authoritative rule
-_XOR_TABLE = np.array(
-    [[xor_from_outcome(o, b) for o in BellOutcome] for b in Basis], dtype=np.int8
-)
-
-_JOINT_PROBS: dict[tuple[int, int, int, int], tuple[float, ...]] = {}
-
-
-def _joint_probs(ab: int, abit: int, bb: int, bbit: int) -> tuple[float, ...]:
-    """Bell outcome probabilities for a (sender setting, receiver setting)
-    pair, cached: only 16 distinct preparations exist."""
-    key = (ab, abit, bb, bbit)
-    probs = _JOINT_PROBS.get(key)
-    if probs is None:
-        state = tensor(prepare_polarization(Basis(ab), abit), prepare_spatial(Basis(bb), bbit))
-        probs = bell_probabilities(state)
-        _JOINT_PROBS[key] = probs
-    return probs
+# running sums of BELL_TABLE over outcomes, one row per preparation pair
+_BELL_CDF = np.cumsum(BELL_TABLE, axis=2).reshape(16, 4)
 
 
 def binary_entropy(q: float) -> float:
@@ -315,7 +291,7 @@ def compute_qber(transcript: Transcript, sifted_slots: np.ndarray) -> float | No
         return None
     outcomes = transcript.reported[sifted_slots]
     bases = transcript.bob_basis[sifted_slots]
-    inferred = transcript.bob_bit[sifted_slots] ^ _XOR_TABLE[bases, outcomes]
+    inferred = transcript.bob_bit[sifted_slots] ^ XOR_TABLE[bases, outcomes]
     return float(np.mean(inferred != transcript.alice_bit[sifted_slots]))
 
 
@@ -337,35 +313,56 @@ def _draw_settings(config: SessionConfig, rng) -> Transcript:
     )
 
 
-def _record_clicks(t: Transcript, slot: int, result) -> None:
-    if result.is_single:
-        t.detected[slot] = True
-        t.reported[slot] = int(result.outcome)
-    elif result.is_double:
-        t.detected[slot] = True
-        t.double_click[slot] = True
+def _prep(basis: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    return 2 * basis + bit
 
 
-def _dark_only_pattern(darks, rng):
-    return tuple(p > 0.0 and rng.random() < p for p in darks)
+def _bell_outcomes(src: np.ndarray, rcv: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sample_outcome over the Bell table, one uniform per slot: the first
+    outcome whose running sum exceeds u, for source preparation src and
+    receiver preparation rcv."""
+    pair = 4 * src + rcv
+    k = np.zeros(len(u), dtype=np.int8)
+    for j in range(3):
+        k += u >= _BELL_CDF[pair, j]
+    return k
 
 
-def _run_honest(config: SessionConfig, t: Transcript, rng) -> None:
-    wl = config.signal_wavelength_nm
-    effs = [d.efficiency_at(wl) for d in config.detectors]
-    darks = [d.dark_count_prob for d in config.detectors]
-    any_dark = any(p > 0.0 for p in darks)
-    slots = range(t.n_slots) if any_dark else np.nonzero(t.arrived)[0]
-    for slot in slots:
-        if t.arrived[slot]:
-            probs = _joint_probs(
-                int(t.alice_basis[slot]), int(t.alice_bit[slot]),
-                int(t.bob_basis[slot]), int(t.bob_bit[slot]),
-            )
-            pattern = sample_clicks(probs, effs, darks, rng)
-        else:
-            pattern = _dark_only_pattern(darks, rng)
-        _record_clicks(t, slot, classify(pattern))
+def _detect(config: SessionConfig, t: Transcript, src: np.ndarray, rng) -> None:
+    """Honest detection of the arrived photons, prepared by src (one entry
+    per arrived slot): a Bell outcome, then that detector's efficiency
+    trial; a photon that fails it is absorbed silently. Then each detector
+    with a dark-count probability fires independently over all slots."""
+    arr = t.arrived
+    eff = np.array([d.efficiency_at(config.signal_wavelength_nm) for d in config.detectors])
+    k = _bell_outcomes(src, _prep(t.bob_basis[arr], t.bob_bit[arr]), rng.random(len(src)))
+    photon = np.full(t.n_slots, -1, dtype=np.int8)
+    photon[arr] = np.where(rng.random(len(k)) < eff[k], k, -1)
+    clicks = (photon >= 0).astype(np.int8)
+    which = photon.copy()  # the clicked detector, read only where clicks == 1
+    for i, d in enumerate(config.detectors):
+        if d.dark_count_prob > 0.0:
+            dark = (rng.random(t.n_slots) < d.dark_count_prob) & (photon != i)
+            clicks += dark
+            which[dark] = i
+    t.detected[:] = clicks > 0
+    t.double_click[:] = clicks > 1
+    t.reported[:] = np.where(clicks == 1, which, -1)
+
+
+def _intercept(t: Transcript, rng) -> np.ndarray:
+    """The interceptor measures every arrived photon in a uniformly drawn
+    basis: she gets the sender's bit when the bases match (an eigenstate),
+    a fair coin otherwise. Records her basis and bit; returns her resent
+    preparation per arrived slot."""
+    arr = t.arrived
+    m = int(np.count_nonzero(arr))
+    basis = (rng.random(m) >= 0.5).astype(np.int8)
+    coin = (rng.random(m) >= 0.5).astype(np.int8)
+    bit = np.where(basis == t.alice_basis[arr], t.alice_bit[arr], coin)
+    t.eve_basis[arr] = basis
+    t.eve_bit[arr] = bit
+    return _prep(basis, bit)
 
 
 def _covert_reporter(config: SessionConfig, mode: CovertAttackMode) -> CovertReporter:
@@ -386,22 +383,25 @@ def _covert_reporter(config: SessionConfig, mode: CovertAttackMode) -> CovertRep
 
 
 def _run_covert(
-    config: SessionConfig, mode: CovertAttackMode, reporter: CovertReporter, t: Transcript, rng
+    mode: CovertAttackMode, reporter: CovertReporter, t: Transcript, rng
 ) -> None:
-    detected = t.arrived & (rng.random(t.n_slots) < mode.eta_true)
-    t.detected[:] = detected
-    for slot in np.nonzero(detected)[0]:
-        readout = trojan_readout(
-            Basis(int(t.bob_basis[slot])), int(t.bob_bit[slot]), mode.trojan, rng
-        )
-        known_bit = readout[1] if readout is not None else None
-        if reporter.observe(int(slot), True, known_bit, rng):
-            probs = _joint_probs(
-                int(t.alice_basis[slot]), int(t.alice_bit[slot]),
-                int(t.bob_basis[slot]), int(t.bob_bit[slot]),
-            )
-            # outcomes pass through from honest measurement, never altered
-            t.reported[slot] = sample_outcome(probs, rng.random())
+    arr = t.arrived
+    t.detected[arr] = rng.random(np.count_nonzero(arr)) < mode.eta_true
+    candidates = np.nonzero(t.detected)[0]
+    p_readout = mode.trojan.readout_success_prob
+    if p_readout < 1.0:
+        # a detection whose encoder readout failed is never announced
+        candidates = candidates[rng.random(len(candidates)) < p_readout]
+    announced = np.array([
+        slot for slot, bit in zip(candidates.tolist(), t.bob_bit[candidates].tolist())
+        if reporter.observe(slot, True, bit, rng)
+    ], dtype=np.int64)
+    # outcomes pass through from honest measurement, never altered
+    t.reported[announced] = _bell_outcomes(
+        _prep(t.alice_basis[announced], t.alice_bit[announced]),
+        _prep(t.bob_basis[announced], t.bob_bit[announced]),
+        rng.random(len(announced)),
+    )
 
 
 def _run_blinding(
@@ -413,40 +413,13 @@ def _run_blinding(
     else:
         plan = None
         wavelength, power = mode.wavelength, mode.pulse_power
-    cfg = EveInterceptConfig(enabled=True, pulse_power=power, wavelength=wavelength)
-    for slot in np.nonzero(t.arrived)[0]:
-        alice_pol = prepare_polarization(Basis(int(t.alice_basis[slot])), int(t.alice_bit[slot]))
-        bob_spatial = prepare_spatial(Basis(int(t.bob_basis[slot])), int(t.bob_bit[slot]))
-        result, eve_basis, eve_bit = blinding_round(
-            alice_pol, bob_spatial, cfg, config.detectors, rng
-        )
-        t.eve_basis[slot] = int(eve_basis)
-        t.eve_bit[slot] = eve_bit
-        _record_clicks(t, slot, result)
+    outcome, double = click_table(config.detectors, wavelength, power)
+    arr = t.arrived
+    pair = (_intercept(t, rng), _prep(t.bob_basis[arr], t.bob_bit[arr]))
+    t.reported[arr] = outcome[pair]
+    t.double_click[arr] = double[pair]
+    t.detected[arr] = (outcome[pair] >= 0) | double[pair]
     return plan
-
-
-def _run_intercept(config: SessionConfig, t: Transcript, rng) -> None:
-    wl = config.signal_wavelength_nm
-    effs = [d.efficiency_at(wl) for d in config.detectors]
-    darks = [d.dark_count_prob for d in config.detectors]
-    any_dark = any(p > 0.0 for p in darks)
-    slots = range(t.n_slots) if any_dark else np.nonzero(t.arrived)[0]
-    for slot in slots:
-        if t.arrived[slot]:
-            alice_pol = prepare_polarization(
-                Basis(int(t.alice_basis[slot])), int(t.alice_bit[slot])
-            )
-            basis, bit, _ = eve_measure_resend(alice_pol, rng)
-            t.eve_basis[slot] = int(basis)
-            t.eve_bit[slot] = bit
-            probs = _joint_probs(
-                int(basis), bit, int(t.bob_basis[slot]), int(t.bob_bit[slot])
-            )
-            pattern = sample_clicks(probs, effs, darks, rng)
-        else:
-            pattern = _dark_only_pattern(darks, rng)
-        _record_clicks(t, slot, classify(pattern))
 
 
 def _leak_fraction(config: SessionConfig, t: Transcript) -> float:
@@ -459,17 +432,20 @@ def _leak_fraction(config: SessionConfig, t: Transcript) -> float:
         if m == 0:
             return 0.0
         stream = ParityKeyStream(mode.key_seed) if mode.keyed else NullKeyStream()
-        decoded = eve_decode([int(s) for s in slots], stream)
-        hits = sum(int(b) == int(t.bob_bit[s]) for b, s in zip(decoded, slots))
-        return hits / m
-    if isinstance(mode, BlindingMode) and mode.enabled:
-        return blinding_session_stats(t).eve_key_fraction
-    if isinstance(mode, InterceptResendMode):
-        sifted = sift(t)
-        if len(sifted) == 0:
-            return 0.0
-        return float(np.mean(t.eve_bit[sifted] == t.alice_bit[sifted]))
-    return 0.0
+        decoded = eve_decode(slots.tolist(), stream)
+        return np.count_nonzero(np.array(decoded) == t.bob_bit[slots[:-1]]) / m
+    blinding = isinstance(mode, BlindingMode) and mode.enabled
+    if not (blinding or isinstance(mode, InterceptResendMode)):
+        return 0.0
+    sifted = sift(t)
+    if len(sifted) == 0:
+        return 0.0
+    eve_bit = t.eve_bit[sifted]
+    if blinding:
+        # the announced outcome turns her bit into the receiver's
+        eve_bit = eve_bit ^ XOR_TABLE[t.eve_basis[sifted], t.reported[sifted]]
+        return float(np.mean(eve_bit == t.bob_bit[sifted]))
+    return float(np.mean(eve_bit == t.alice_bit[sifted]))
 
 
 def build_report(
@@ -506,24 +482,27 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     modeled on the honest and intercept-resend paths only; the covert and
     blinding units are adversary-controlled hardware whose spurious counts
     the adversary suppresses.
+
+    After settings and arrivals, with m arrived slots: honest draws m Bell
+    outcomes, m efficiency trials, then n dark counts per dark detector;
+    intercept-resend and blinding first draw m interceptor bases and m
+    coins, and blinding nothing more; covert draws m efficiency trials, the
+    readout and thinning trials, then one Bell outcome per announcement.
     """
     mode = config.mode
     reporter = _covert_reporter(config, mode) if isinstance(mode, CovertAttackMode) else None
     rng = np.random.Generator(np.random.PCG64(config.seed))
     t = _draw_settings(config, rng)
     plan: BlindingPlan | None = None
-    if isinstance(mode, HonestMode):
-        _run_honest(config, t, rng)
+    if isinstance(mode, HonestMode) or (isinstance(mode, BlindingMode) and not mode.enabled):
+        _detect(config, t, _prep(t.alice_basis[t.arrived], t.alice_bit[t.arrived]), rng)
     elif isinstance(mode, CovertAttackMode):
         assert reporter is not None
-        _run_covert(config, mode, reporter, t, rng)
+        _run_covert(mode, reporter, t, rng)
     elif isinstance(mode, BlindingMode):
-        if mode.enabled:
-            plan = _run_blinding(config, mode, t, rng)
-        else:
-            _run_honest(config, t, rng)
+        plan = _run_blinding(config, mode, t, rng)
     elif isinstance(mode, InterceptResendMode):
-        _run_intercept(config, t, rng)
+        _detect(config, t, _intercept(t, rng), rng)
     else:
         raise ConfigError(f"unknown session mode: {mode!r}")
     return t, build_report(config, t, plan)

@@ -164,6 +164,22 @@ def xor_from_outcome(outcome: BellOutcome, basis: Basis) -> int:
     return 0 if outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS) else 1
 
 
+# every BB84 (basis, bit) setting, at its preparation index 2*basis + bit
+PREPARATIONS = tuple((basis, bit) for basis in Basis for bit in (0, 1))
+
+# Bell probabilities of every preparation pair, [polarization, spatial, outcome]
+BELL_TABLE = np.array([
+    [bell_probabilities(tensor(prepare_polarization(*pol), prepare_spatial(*spa)))
+     for spa in PREPARATIONS]
+    for pol in PREPARATIONS
+])
+
+# xor_from_outcome as a lookup, [basis, outcome]
+XOR_TABLE = np.array(
+    [[xor_from_outcome(o, b) for o in BellOutcome] for b in Basis], dtype=np.int8
+)
+
+
 def infer_bit(outcome: BellOutcome, basis: Basis, known_bit: int) -> int:
     """Recover the other party's bit from the outcome and one known bit."""
     return _check_bit(known_bit) ^ xor_from_outcome(outcome, basis)
