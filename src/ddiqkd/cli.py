@@ -3,7 +3,9 @@ a transcript somebody handed you.
 
 File formats. The transcript CSV starts with `# key: value` metadata lines
 (tool version, seed, config digest, expected announcement rate), then a fixed
-column header; one row per slot. The report JSON carries the same metadata
+column header; one row per slot, in slot order. Both are written and read a
+block at a time with numpy, and the reader rejects a file that disagrees
+with itself (see read_public_view). The report JSON carries the same metadata
 plus the full serialized config and the session report. `analyze` reads only
 the public columns of a transcript (slot, bob_basis, reported_outcome,
 double_click), so its verdicts never peek at ground truth.
@@ -52,80 +54,205 @@ def _transcript_meta(config: SessionConfig) -> dict[str, Any]:
     }
 
 
+# Rows per block when writing, bytes per block when reading. Both bound the
+# transient arrays a block needs (a few hundred kilobytes), not the file size.
+_WRITE_BLOCK_ROWS = 8192
+_READ_BLOCK_BYTES = 1 << 16
+
+_HEADER = (",".join(TRANSCRIPT_COLUMNS) + "\n").encode("ascii")
+_COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
+_COMMA_DIGIT = _COMMA - _ZERO
+# fills the writer's unused slot-digit positions and empty outcome cells;
+# never part of a row, so it is dropped before the block is written
+_GAP = 0
+# the reader parses slot numbers into int64, which holds any 18-digit one
+_MAX_SLOT_DIGITS = 18
+# a slot's digit count is 1 + the number of these it reaches
+_POW10 = 10 ** np.arange(1, _MAX_SLOT_DIGITS, dtype=np.int64)
+
+
 def write_transcript_csv(path: str, transcript: Transcript, meta: Mapping[str, Any]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write `# key: value` metadata, the column header, then one row per
+    slot: `slot,alice_basis,alice_bit,bob_basis,bob_bit,arrived,` followed
+    by the announced outcome (empty when none) and `,double_click`.
+
+    Rows are built a block at a time as a byte matrix: the slot's decimal
+    digits right-aligned in the first columns, then seven comma-led
+    single-digit cells and the newline; _GAP bytes pad short slot numbers
+    and stand for empty outcomes."""
+    fields = (
+        transcript.alice_basis, transcript.alice_bit, transcript.bob_basis,
+        transcript.bob_bit, transcript.arrived, transcript.reported,
+        transcript.double_click,
+    )
+    with open(path, "wb") as fh:
         for key, value in meta.items():
-            fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRANSCRIPT_COLUMNS)
-        reported = transcript.reported
-        for slot in range(transcript.n_slots):
-            out = int(reported[slot])
-            writer.writerow((
-                slot,
-                int(transcript.alice_basis[slot]),
-                int(transcript.alice_bit[slot]),
-                int(transcript.bob_basis[slot]),
-                int(transcript.bob_bit[slot]),
-                int(transcript.arrived[slot]),
-                out if out >= 0 else "",
-                int(transcript.double_click[slot]),
-            ))
+            fh.write(f"# {key}: {value}\n".encode("utf-8"))
+        fh.write(_HEADER)
+        for start in range(0, transcript.n_slots, _WRITE_BLOCK_ROWS):
+            stop = min(start + _WRITE_BLOCK_ROWS, transcript.n_slots)
+            slots = np.arange(start, stop)
+            width = len(str(stop - 1))
+            block = np.empty((stop - start, width + 15), dtype=np.uint8)
+            for col in range(width):
+                place = 10 ** (width - 1 - col)
+                digit = (slots // place) % 10 + _ZERO
+                block[:, col] = np.where(slots >= place, digit, _GAP) if col < width - 1 else digit
+            block[:, width:-1:2] = _COMMA
+            for col, values in enumerate(fields):
+                block[:, width + 1 + 2 * col] = values[start:stop] + _ZERO
+            block[transcript.reported[start:stop] < 0, width + 11] = _GAP
+            block[:, -1] = _NEWLINE
+            flat = block.ravel()
+            fh.write(flat[flat != _GAP].tobytes())
+
+
+class _Rows:
+    """One block of data rows, cut after a newline: row k of the block is
+    file row first + k and spans bytes [start[k], end[k]), then a newline.
+    Every byte is kept as its digit value, byte - ord('0')."""
+
+    def __init__(self, buf: np.ndarray, first: int) -> None:
+        self.digits = buf.astype(np.int16) - _ZERO
+        self.end = np.flatnonzero(buf == _NEWLINE)
+        self.start = np.concatenate(([0], self.end[:-1] + 1))
+        self.index = np.arange(first, first + len(self.end))
+
+    def digits_at(self, offsets: np.ndarray) -> np.ndarray:
+        """Bytes at per-row positions as digit values (a comma is -4). The
+        positions are clipped into the block: a row too short for its shape
+        reads junk there, but the first rejection rule catches it."""
+        return self.digits.take(offsets, mode="clip")
+
+
+def _parse_rows(rows: _Rows, n_slots: int | None) -> tuple[list[tuple[str, np.ndarray]], tuple]:
+    """Check every byte of a block's rows against the two row shapes,
+    `<slot>,b,b,b,b,b,o,d` and `<slot>,b,b,b,b,b,,d`: the third byte from
+    the end tells them apart, and whatever precedes the fixed-width tail is
+    the slot, which must be the row's index written without leading zeros.
+    Returns the rejection rules in order, each with the mask of rows it
+    rejects, and the public fields: (single-click slots, their outcomes,
+    their bob_basis, double-click slots)."""
+    outcome = rows.digits_at(rows.end - 3)
+    has_outcome = outcome != _COMMA_DIGIT
+    width = rows.end - rows.start - 13 - has_outcome
+    cells = rows.digits_at((rows.start + width)[:, None] + np.arange(11))
+    commas = np.column_stack((cells[:, 0::2], rows.digits_at(rows.end - 2)))
+    bits = np.column_stack((cells[:, 1::2], rows.digits_at(rows.end - 1)))
+    fits = (width >= 1) & (width <= _MAX_SLOT_DIGITS)
+    slot = np.zeros(len(rows.index), dtype=np.int64)
+    slot_is_decimal = np.ones(len(rows.index), dtype=bool)
+    for col in range(int(width[fits].max(initial=0))):
+        used = col < width
+        digit = rows.digits_at(rows.start + col)
+        slot_is_decimal &= ~used | ((digit >= 0) & (digit <= 9))
+        slot = np.where(used, slot * 10 + digit, slot)
+    index_width = 1 + np.searchsorted(_POW10, rows.index, side="right")
+    double_click = bits[:, -1] == 1
+    checks = [
+        (f"row must be <slot>,b,b,b,b,b,o,d or <slot>,b,b,b,b,b,,d with 1..{_MAX_SLOT_DIGITS} slot digits", ~fits),
+        ("expected a comma", np.any(commas != _COMMA_DIGIT, axis=1)),
+        ("slot is not a decimal number", ~slot_is_decimal),
+        # an equal value of another width has leading zeros
+        ("slot differs from its row index", (slot != rows.index) | (width != index_width)),
+        ("bases, bits, arrived and double_click must be 0 or 1", np.any((bits < 0) | (bits > 1), axis=1)),
+        ("reported_outcome must be empty or 0..3", has_outcome & ((outcome < 0) | (outcome > 3))),
+        ("double click with a reported outcome", double_click & has_outcome),
+    ]
+    if n_slots is not None:
+        checks.append((f"slot beyond metadata n_slots {n_slots}", rows.index >= n_slots))
+    public = (
+        rows.index[has_outcome], outcome[has_outcome], bits[has_outcome, 2],
+        rows.index[double_click],
+    )
+    return checks, public
+
+
+def _meta_value(path: str, meta: Mapping[str, str], key: str, kind: type, default: Any = None) -> Any:
+    """A metadata value converted by kind, or default when the key is absent."""
+    if key not in meta:
+        return default
+    try:
+        return kind(meta[key])
+    except ValueError:
+        raise ValidationError(
+            f"{path}: metadata {key}: {meta[key]!r} is not a valid {kind.__name__}"
+        ) from None
 
 
 def read_public_view(path: str) -> tuple[PublicView, dict[str, str]]:
-    """Parse a transcript back into the announcement record, touching only
-    the public columns. Raises ValidationError naming the offending line."""
+    """Parse a transcript back into the announcement record, reading only
+    the public columns. The file must agree with itself: the header is
+    TRANSCRIPT_COLUMNS, row i is slot i, every row has one of the two shapes
+    write_transcript_csv produces, and the row count equals the metadata
+    n_slots. Anything else raises ValidationError naming the line."""
     meta: dict[str, str] = {}
-    slots: list[int] = []
-    outcomes: list[int] = []
-    bases: list[int] = []
-    doubles: list[int] = []
-    n_rows = 0
+    parts: list[tuple] = []
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "rb")
     except OSError as exc:
         raise ValidationError(f"cannot read transcript {path}: {exc}") from exc
     with fh:
-        meta_lines = 0
-        while True:
-            pos = fh.tell()
-            line = fh.readline()
-            if line.startswith("#"):
-                meta_lines += 1
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, value = body.partition(":")
-                    meta[key.strip()] = value.strip()
-            else:
-                fh.seek(pos)
-                break
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not set(PUBLIC_COLUMNS) <= set(reader.fieldnames):
-            raise ValidationError(
-                f"{path}: missing transcript columns; need at least {list(PUBLIC_COLUMNS)}"
-            )
-        for row in reader:
-            lineno = reader.line_num + meta_lines
+        line = fh.readline()
+        lineno = 1
+        while line.startswith(b"#"):
             try:
-                slot = int(row["slot"])
-                out = row["reported_outcome"]
-                if row["double_click"] == "1":
-                    doubles.append(slot)
-                elif out != "":
-                    slots.append(slot)
-                    outcomes.append(int(out))
-                    bases.append(int(row["bob_basis"]))
-                n_rows += 1
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed row: {exc}") from exc
-    n_slots = int(meta.get("n_slots", n_rows if n_rows else 1))
+                body = line[1:].decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno}: metadata is not UTF-8: {exc}") from None
+            if ":" in body:
+                key, _, value = body.partition(":")
+                meta[key.strip()] = value.strip()
+            line = fh.readline()
+            lineno += 1
+        if line != _HEADER:
+            raise ValidationError(
+                f"{path}:{lineno}: header must be {','.join(TRANSCRIPT_COLUMNS)}, got {line[:200]!r}"
+            )
+        n_slots = _meta_value(path, meta, "n_slots", int)
+        if n_slots is not None and n_slots < 1:
+            raise ValidationError(f"{path}: metadata n_slots: {n_slots} is not >= 1")
+        first_line = lineno + 1
+        n_rows = 0
+        tail = b""
+        while True:
+            chunk = fh.read(_READ_BLOCK_BYTES)
+            data = tail + chunk
+            cut = data.rfind(b"\n") + 1
+            if not chunk and data and not cut:
+                raise ValidationError(f"{path}:{first_line + n_rows}: last row does not end in a newline")
+            if cut == 0 and len(data) > _READ_BLOCK_BYTES:
+                raise ValidationError(f"{path}:{first_line + n_rows}: row longer than {_READ_BLOCK_BYTES} bytes")
+            if cut:
+                rows = _Rows(np.frombuffer(data, dtype=np.uint8, count=cut), n_rows)
+                checks, public = _parse_rows(rows, n_slots)
+                bad = np.logical_or.reduce([mask for _, mask in checks])
+                if bad.any():
+                    k = int(np.argmax(bad))
+                    reason = next(name for name, mask in checks if mask[k])
+                    row = data[rows.start[k]:rows.end[k]]
+                    raise ValidationError(
+                        f"{path}:{first_line + n_rows + k}: malformed row: {reason}: {row[:80]!r}"
+                    )
+                parts.append(public)
+                n_rows += len(rows.index)
+            tail = data[cut:]
+            if not chunk:
+                break
+    if n_slots is not None and n_rows != n_slots:
+        raise ValidationError(
+            f"{path}:{first_line + n_rows}: transcript ends after {n_rows} rows; metadata n_slots is {n_slots}"
+        )
+    slots, outcomes, bases, doubles = (
+        np.concatenate([p[i] for p in parts]).astype(np.int64) if parts else np.zeros(0, dtype=np.int64)
+        for i in range(4)
+    )
     view = PublicView(
-        n_slots=n_slots,
-        reported_slots=np.asarray(slots, dtype=np.int64),
-        outcomes=np.asarray(outcomes, dtype=np.int64),
-        bob_basis_at_reported=np.asarray(bases, dtype=np.int64),
-        double_click_slots=np.asarray(doubles, dtype=np.int64),
+        n_slots=n_slots if n_slots is not None else max(n_rows, 1),
+        reported_slots=slots,
+        outcomes=outcomes,
+        bob_basis_at_reported=bases,
+        double_click_slots=doubles,
     )
     return view, meta
 
@@ -272,12 +399,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.expected_rate is not None:
         expected = args.expected_rate
     elif "expected_report_rate" in meta:
-        expected = float(meta["expected_report_rate"])
+        expected = _meta_value(args.transcript, meta, "expected_report_rate", float)
     else:
         raise ConfigError(
             "transcript metadata lacks expected_report_rate; pass --expected-rate"
         )
-    alpha = args.alpha if args.alpha is not None else float(meta.get("alpha", 0.01))
+    if args.alpha is not None:
+        alpha = args.alpha
+    else:
+        alpha = _meta_value(args.transcript, meta, "alpha", float, default=0.01)
     det = detectability_report(view, expected, alpha)
     payload = {
         "version": __version__,

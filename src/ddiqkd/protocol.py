@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterator, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .channel import ChannelSpec, TrojanProbe
 from .covert import CovertReporter, NullKeyStream, ParityKeyStream, eve_decode
 from .devices import DEFAULT_WAVELENGTH_NM, DetectorSpec, make_detectors
 from .errors import ConfigError, InfeasibleRateError, ValidationError
-from .states import BELL_TABLE, XOR_TABLE, Basis, BellOutcome
+from .states import BELL_TABLE, XOR_TABLE
 
 DOUBLE_CLICK_POLICY = "discard_and_count"
 
@@ -162,23 +162,6 @@ class SessionConfig:
         return self.channel.transmittance * self.eta_expected
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    """One slot of ground truth, row view over the columnar transcript."""
-
-    slot: int
-    alice_basis: Basis
-    alice_bit: int
-    bob_basis: Basis
-    bob_bit: int
-    arrived: bool
-    detected: bool
-    reported: BellOutcome | None
-    double_click: bool
-    eve_basis: Basis | None = None
-    eve_bit: int | None = None
-
-
 @dataclass
 class Transcript:
     """Columnar per-slot record of a session, ground truth included.
@@ -203,26 +186,6 @@ class Transcript:
 
     def reported_slots(self) -> np.ndarray:
         return np.nonzero(self.reported >= 0)[0]
-
-    def record(self, slot: int) -> SlotRecord:
-        out = int(self.reported[slot])
-        eb = int(self.eve_basis[slot])
-        return SlotRecord(
-            slot=slot,
-            alice_basis=Basis(int(self.alice_basis[slot])),
-            alice_bit=int(self.alice_bit[slot]),
-            bob_basis=Basis(int(self.bob_basis[slot])),
-            bob_bit=int(self.bob_bit[slot]),
-            arrived=bool(self.arrived[slot]),
-            detected=bool(self.detected[slot]),
-            reported=BellOutcome(out) if out >= 0 else None,
-            double_click=bool(self.double_click[slot]),
-            eve_basis=Basis(eb) if eb >= 0 else None,
-            eve_bit=int(self.eve_bit[slot]) if eb >= 0 else None,
-        )
-
-    def records(self) -> Iterator[SlotRecord]:
-        return (self.record(i) for i in range(self.n_slots))
 
     def public_view(self) -> PublicView:
         singles = self.reported_slots()
