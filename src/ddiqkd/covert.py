@@ -15,6 +15,10 @@ parities, the mean gap to the next usable detection is 2/p (even target) or
 2/p - 1 (odd target), giving a top announcement rate of 2p/(4-p). Thinning
 each parity-valid candidate with acceptance q scales p to p*q inside that
 formula, which is inverted by thinning_acceptance.
+
+CovertReporter.observe is the one-slot rule; CovertReporter.announce applies
+it to a whole session's candidate detections in one step per announcement
+and leaves both generators where the observe loop leaves them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,24 @@ class Parity(IntEnum):
 
 
 class KeyStream(Protocol):
+    """observe needs next_bit only; announce also reads ahead with
+    peek_bits(n) and consumes with next_bits(n), which give the bits n
+    next_bit() calls would."""
+
     def next_bit(self) -> int: ...
+
+    def next_bits(self, n: int) -> np.ndarray: ...
+
+    def peek_bits(self, n: int) -> np.ndarray: ...
+
+
+def draw_key_bits(key_stream: KeyStream, n: int) -> np.ndarray:
+    """The next n key bits: one bulk draw from a stream with next_bits, one
+    next_bit() call per bit from a stream with only that."""
+    bulk = getattr(key_stream, "next_bits", None)
+    if bulk is not None:
+        return bulk(n)
+    return np.fromiter((key_stream.next_bit() for _ in range(n)), dtype=np.int64, count=n)
 
 
 class ParityKeyStream:
@@ -53,6 +74,19 @@ class ParityKeyStream:
         self.position += 1
         return int(self._rng.integers(0, 2))
 
+    def next_bits(self, n: int) -> np.ndarray:
+        """n bits in one draw; the bits and the generator state after it
+        equal those of n next_bit() calls."""
+        self.position += n
+        return self._rng.integers(0, 2, size=n)
+
+    def peek_bits(self, n: int) -> np.ndarray:
+        """The next n bits, leaving the stream where it is."""
+        state = self._rng.bit_generator.state
+        bits = self._rng.integers(0, 2, size=n)
+        self._rng.bit_generator.state = state
+        return bits
+
 
 class NullKeyStream:
     """Keying disabled: every key bit is 0, exposing the raw parity rule."""
@@ -63,6 +97,13 @@ class NullKeyStream:
     def next_bit(self) -> int:
         self.position += 1
         return 0
+
+    def next_bits(self, n: int) -> np.ndarray:
+        self.position += n
+        return np.zeros(n, dtype=np.int64)
+
+    def peek_bits(self, n: int) -> np.ndarray:
+        return np.zeros(n, dtype=np.int64)
 
 
 def required_parity(bit: int, key_bit: int) -> Parity:
@@ -165,6 +206,80 @@ class CovertReporter:
         self._announce(slot, bob_bit)
         return True
 
+    def announce(self, slots, bits, rng) -> np.ndarray:
+        """Run observe over every candidate detection of a session at once
+        and return the announced slots.
+
+        slots are the candidate slots in strictly ascending order, all after
+        the last announced one, and bits their receiver bits (candidates with
+        an unknown bit are left out by the caller). The announced slots, the
+        reporter's state and both generators end where calling observe on
+        each candidate in turn leaves them.
+
+        After an announcement the rule asks for one slot parity, so the
+        candidates it examines are the later ones of that parity, in order,
+        and each takes one thinning uniform. The uniforms are drawn as a
+        block (at most one per candidate) and the generator is then wound
+        back to just past the last one the loop would have taken; the key
+        bits are read ahead the same way. Each announcement is then a jump
+        along the candidates of the wanted parity to the next accepted
+        uniform.
+        """
+        slots = np.asarray(slots, dtype=np.int64)
+        bits = np.asarray(bits)
+        n = len(slots)
+        if n == 0:
+            return slots
+        if np.any(np.diff(slots) <= 0) or (
+            self.last_reported_slot is not None and slots[0] <= self.last_reported_slot
+        ):
+            raise ValidationError("slots must be processed in ascending order")
+        q = self.thinning_prob
+        if q < 1.0:
+            snapshot = rng.bit_generator.state
+            accepted = np.flatnonzero(rng.random(n) < q)
+            rng.bit_generator.state = snapshot
+            # next_accepted[c]: the first accepted uniform at or after c, or n
+            next_accepted = np.append(accepted, n)[np.searchsorted(accepted, np.arange(n + 1))]
+        else:
+            next_accepted = np.arange(n + 1)
+        odd = (slots & 1).astype(bool)
+        # members[p]: candidate indices with slot parity p; after[p][j + 1]:
+        # the position in members[p] of the first one after candidate j
+        members = (np.flatnonzero(~odd).tolist(), np.flatnonzero(odd).tolist())
+        sizes = (len(members[0]), len(members[1]))
+        after = tuple(np.concatenate(([0], np.cumsum(m))).tolist() for m in (~odd, odd))
+        # the slot parity the rule asks for next after announcing candidate
+        # j under key bit 0 (an even gap encodes bit 1); key bit 1 flips it
+        wanted = ((slots ^ bits ^ 1) & 1).tolist()
+        keys = self.key_stream.peek_bits(n).tolist()
+        next_accepted = next_accepted.tolist()
+        if self.last_reported_slot is None:
+            j, announced = 0, [0]
+            parity = wanted[0] ^ keys[0]
+        else:
+            j, announced = -1, []
+            parity = (self.last_reported_slot ^ self.pending_bit ^ self.gap_key_bit ^ 1) & 1
+        used = 0  # thinning uniforms taken so far
+        while True:
+            pos = after[parity][j + 1]
+            hit = pos + next_accepted[used] - used
+            if hit >= sizes[parity]:
+                used += sizes[parity] - pos
+                break
+            used = next_accepted[used] + 1
+            j = members[parity][hit]
+            parity = wanted[j] ^ keys[len(announced)]
+            announced.append(j)
+        if announced:
+            self.key_stream.next_bits(len(announced))
+            self.last_reported_slot = int(slots[j])
+            self.pending_bit = int(bits[j])
+            self.gap_key_bit = keys[len(announced) - 1]
+        if q < 1.0:
+            rng.random(used)
+        return slots[announced]
+
     def _announce(self, slot: int, bob_bit: int) -> None:
         self.last_reported_slot = slot
         self.pending_bit = bob_bit
@@ -178,13 +293,10 @@ def eve_decode(reported_slots: Sequence[int], key_stream: KeyStream) -> list[int
     gives (even -> 1, odd -> 0), XORed with that event's key bit. The key
     stream must start from the same seed position the reporter used.
     """
-    slots = list(reported_slots)
-    for a, b in zip(slots, slots[1:]):
-        if b <= a:
-            raise ValidationError(f"reported slots must be strictly increasing, got {a} then {b}")
-    bits = []
-    for a, b in zip(slots, slots[1:]):
-        key_bit = key_stream.next_bit()
-        gap = b - a
-        bits.append((1 if gap % 2 == 0 else 0) ^ key_bit)
-    return bits
+    slots = np.asarray(reported_slots, dtype=np.int64)
+    gaps = np.diff(slots)
+    bad = np.flatnonzero(gaps <= 0)
+    if len(bad):
+        a, b = slots[bad[0]], slots[bad[0] + 1]
+        raise ValidationError(f"reported slots must be strictly increasing, got {a} then {b}")
+    return ((gaps & 1) ^ 1 ^ draw_key_bits(key_stream, len(gaps))).tolist()

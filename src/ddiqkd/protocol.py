@@ -4,8 +4,8 @@ A session is slot-synchronous: per slot the sender draws a BB84 basis/bit and
 emits one polarization-encoded photon, the lossy channel forwards it, the
 receiver draws his own basis/bit and encodes them on the photon's spatial
 mode, and the measurement unit announces (or withholds) a Bell outcome. The
-transcript records ground truth per slot; the public view is the subset an
-outside observer sees. Sifting keeps announced single clicks where the bases
+transcript records ground truth per slot; the public view is the subset anyone
+outside the link sees. Sifting keeps announced single clicks where the bases
 matched, double clicks are discarded from key material but counted.
 
 Every mode runs on two small tables instead of per-slot state algebra: the
@@ -355,10 +355,7 @@ def _run_covert(
     if p_readout < 1.0:
         # a detection whose encoder readout failed is never announced
         candidates = candidates[rng.random(len(candidates)) < p_readout]
-    announced = np.array([
-        slot for slot, bit in zip(candidates.tolist(), t.bob_bit[candidates].tolist())
-        if reporter.observe(slot, True, bit, rng)
-    ], dtype=np.int64)
+    announced = reporter.announce(candidates, t.bob_bit[candidates], rng)
     # outcomes pass through from honest measurement, never altered
     t.reported[announced] = _bell_outcomes(
         _prep(t.alice_basis[announced], t.alice_bit[announced]),
@@ -395,7 +392,7 @@ def _leak_fraction(config: SessionConfig, t: Transcript) -> float:
         if m == 0:
             return 0.0
         stream = ParityKeyStream(mode.key_seed) if mode.keyed else NullKeyStream()
-        decoded = eve_decode(slots.tolist(), stream)
+        decoded = eve_decode(slots, stream)
         return np.count_nonzero(np.array(decoded) == t.bob_bit[slots[:-1]]) / m
     blinding = isinstance(mode, BlindingMode) and mode.enabled
     if not (blinding or isinstance(mode, InterceptResendMode)):

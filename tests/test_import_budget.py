@@ -1,0 +1,69 @@
+"""The package loads without scipy.stats, and the monitors' p-values and
+critical value, taken from scipy.special, equal scipy.stats' bit for bit."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
+
+from ddiqkd.analysis import (
+    PublicView,
+    detectability_report,
+    gap_parity_uniformity,
+    outcome_histogram,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import sys, ddiqkd.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.integers(1, 7), min_size=1, max_size=3000))
+def test_gap_parity_p_value_equals_scipy_stats(gaps):
+    chi2, p = gap_parity_uniformity(np.cumsum([0] + gaps))
+    assert p == float(stats.chi2.sf(chi2, df=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(0, 5000), min_size=4, max_size=4).filter(any))
+def test_outcome_chi2_and_p_value_equal_scipy_stats(counts):
+    outcomes = np.repeat(np.arange(4), counts)
+    got_counts, chi2, p = outcome_histogram(outcomes)
+    expected = stats.chisquare(got_counts)
+    assert got_counts.tolist() == counts
+    assert (chi2, p) == (float(expected[0]), float(expected[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_slots=st.integers(1, 10**6),
+    rate=st.floats(0.001, 0.999),
+    shift=st.floats(-6.0, 6.0),
+    alpha=st.floats(1e-6, 0.999),
+)
+def test_rate_verdict_uses_the_two_sided_normal_quantile(n_slots, rate, shift, alpha):
+    sd = (n_slots * rate * (1 - rate)) ** 0.5
+    announced = int(min(max(n_slots * rate + shift * sd, 0), n_slots))
+    view = PublicView(
+        n_slots=n_slots,
+        reported_slots=np.arange(announced),
+        outcomes=np.zeros(announced, dtype=np.int64),
+        bob_basis_at_reported=np.zeros(announced, dtype=np.int64),
+        double_click_slots=np.array([], dtype=np.int64),
+    )
+    report = detectability_report(view, rate, alpha)
+    reject = abs(report.rate_z_score) > float(stats.norm.isf(alpha / 2.0))
+    assert report.verdicts["rate"] == ("reject" if reject else "pass")
