@@ -2,165 +2,4 @@
 the untrusted measurement unit: a gap-parity covert channel in the
 announcement timing, and bright-light detector blinding."""
 
-from .analysis import (
-    DetectabilityReport,
-    PublicView,
-    detectability_report,
-    double_click_rate,
-    gap_parity_uniformity,
-    leakage,
-    outcome_histogram,
-    rate_consistency,
-)
-from .blinding import (
-    BlindingPlan,
-    BlindingStats,
-    blinding_round,
-    blinding_session_stats,
-    evaluate_pulse,
-    optimize_pulse,
-)
-from .channel import (
-    ChannelSpec,
-    EveInterceptConfig,
-    InterceptResult,
-    TrojanProbe,
-    eve_measure_resend,
-    intercept_resend,
-    transmit,
-    trojan_readout,
-)
-from .config import config_digest, load_config, parse_config, serialize_config
-from .covert import (
-    CovertReporter,
-    NullKeyStream,
-    Parity,
-    ParityKeyStream,
-    achievable_report_rate,
-    attack_feasible,
-    eve_decode,
-    required_parity,
-    thinning_acceptance,
-)
-from .devices import (
-    BrightPulse,
-    DetectionResult,
-    DetectorSpec,
-    bsm_measure_photon,
-    bsm_respond_bright,
-    classify,
-    make_detectors,
-)
-from .errors import (
-    ConfigError,
-    DdiQkdError,
-    InfeasibleRateError,
-    NoViablePlanError,
-    ValidationError,
-)
-from .protocol import (
-    BlindingMode,
-    CovertAttackMode,
-    HonestMode,
-    InterceptResendMode,
-    SessionConfig,
-    SessionReport,
-    Transcript,
-    binary_entropy,
-    build_report,
-    compute_qber,
-    key_rate,
-    run_session,
-    sift,
-)
-from .states import (
-    Basis,
-    BellOutcome,
-    JointPhotonState,
-    PolarizationQubit,
-    SpatialQubit,
-    bell_probabilities,
-    bell_state,
-    infer_bit,
-    measure_polarization,
-    prepare_polarization,
-    prepare_spatial,
-    tensor,
-    xor_from_outcome,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Basis",
-    "BellOutcome",
-    "BlindingMode",
-    "BlindingPlan",
-    "BlindingStats",
-    "BrightPulse",
-    "ChannelSpec",
-    "ConfigError",
-    "CovertAttackMode",
-    "CovertReporter",
-    "DdiQkdError",
-    "DetectabilityReport",
-    "DetectionResult",
-    "DetectorSpec",
-    "EveInterceptConfig",
-    "HonestMode",
-    "InfeasibleRateError",
-    "InterceptResendMode",
-    "InterceptResult",
-    "JointPhotonState",
-    "NoViablePlanError",
-    "NullKeyStream",
-    "Parity",
-    "ParityKeyStream",
-    "PolarizationQubit",
-    "PublicView",
-    "SessionConfig",
-    "SessionReport",
-    "SpatialQubit",
-    "Transcript",
-    "TrojanProbe",
-    "ValidationError",
-    "achievable_report_rate",
-    "attack_feasible",
-    "bell_probabilities",
-    "bell_state",
-    "binary_entropy",
-    "blinding_round",
-    "blinding_session_stats",
-    "bsm_measure_photon",
-    "bsm_respond_bright",
-    "build_report",
-    "classify",
-    "compute_qber",
-    "config_digest",
-    "detectability_report",
-    "double_click_rate",
-    "eve_decode",
-    "eve_measure_resend",
-    "evaluate_pulse",
-    "gap_parity_uniformity",
-    "infer_bit",
-    "intercept_resend",
-    "key_rate",
-    "leakage",
-    "load_config",
-    "make_detectors",
-    "measure_polarization",
-    "outcome_histogram",
-    "parse_config",
-    "prepare_polarization",
-    "prepare_spatial",
-    "rate_consistency",
-    "required_parity",
-    "run_session",
-    "serialize_config",
-    "sift",
-    "tensor",
-    "transmit",
-    "trojan_readout",
-    "xor_from_outcome",
-]

@@ -98,18 +98,6 @@ def outcome_histogram(outcomes: Sequence[int]) -> tuple[np.ndarray, float, float
     return counts, float(chi2), float(special.chdtrc(3, chi2))
 
 
-def leakage(eve_bits: Sequence[int], reference_bits: Sequence[int]) -> float:
-    """Fraction of positions where the adversary's recovered bit matches the
-    reference. Empty aligned sequences leak nothing and give 0."""
-    a = np.asarray(eve_bits)
-    b = np.asarray(reference_bits)
-    if a.shape != b.shape:
-        raise ValidationError(f"bit sequences must align, got lengths {len(a)} and {len(b)}")
-    if len(a) == 0:
-        return 0.0
-    return float(np.mean(a == b))
-
-
 def double_click_rate(view: PublicView) -> float:
     """Double-click slots per transmitted slot."""
     return len(view.double_click_slots) / view.n_slots

@@ -20,18 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import EveInterceptConfig, intercept_resend
-from .devices import BrightPulse, DetectionResult, DetectorSpec, bsm_respond_bright, classify
+from .devices import BrightPulse, DetectorSpec, bsm_respond_bright, classify
 from .errors import NoViablePlanError, ValidationError
-from .states import (
-    PREPARATIONS,
-    XOR_TABLE,
-    Basis,
-    PolarizationQubit,
-    SpatialQubit,
-    prepare_polarization,
-    prepare_spatial,
-)
+from .states import PREPARATIONS, XOR_TABLE, prepare_polarization, prepare_spatial
 
 # [interceptor preparation, receiver preparation] pairs with matching bases
 _BASES = np.array([basis for basis, _ in PREPARATIONS])
@@ -139,23 +130,6 @@ def optimize_pulse(
             "on basis-mismatched ones"
         )
     return best
-
-
-def blinding_round(
-    alice_pol: PolarizationQubit,
-    bob_spatial: SpatialQubit,
-    cfg: EveInterceptConfig,
-    detectors: Sequence[DetectorSpec],
-    rng,
-) -> tuple[DetectionResult, Basis, int]:
-    """One intercepted transmission: measure, resend bright, threshold clicks.
-
-    Returns the click result plus the interceptor's measured basis and bit,
-    which the leakage accounting compares against the legitimate record.
-    """
-    intercepted = intercept_resend(alice_pol, cfg, rng)
-    result = classify(bsm_respond_bright(intercepted.pulse, bob_spatial, detectors))
-    return result, intercepted.basis, intercepted.bit
 
 
 @dataclass(frozen=True)

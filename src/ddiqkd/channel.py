@@ -1,18 +1,15 @@
-"""The insecure channel and the in-channel adversary.
+"""The insecure channel and the probe inside the measurement unit.
 
-Covers photon loss, the probe that reads the receiver's encoder setting from
-inside the measurement unit (abstracted to a readout oracle with a success
-probability), and the intercept-and-resend front end that replaces the photon
-with a bright classical pulse aimed at blinded detectors.
+Covers photon loss and the probe that reads the receiver's encoder setting
+from inside the measurement unit (abstracted to a readout oracle with a
+success probability).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .devices import BrightPulse
 from .errors import ValidationError
-from .states import Basis, PolarizationQubit, measure_polarization, prepare_polarization
 
 
 @dataclass(frozen=True)
@@ -31,7 +28,7 @@ class TrojanProbe:
     """Encoder-readout oracle: when enabled, reveals the receiver's exact
     (basis, bit) setting with probability readout_success_prob per slot."""
 
-    enabled: bool = False
+    enabled: bool = True
     readout_success_prob: float = 1.0
 
     def __post_init__(self) -> None:
@@ -39,73 +36,3 @@ class TrojanProbe:
             raise ValidationError(
                 f"readout_success_prob must be in [0,1], got {self.readout_success_prob}"
             )
-
-
-@dataclass(frozen=True)
-class EveInterceptConfig:
-    """Intercept-and-resend settings: bright-pulse power (mW) and wavelength (nm)."""
-
-    enabled: bool = False
-    pulse_power: float = 2.0
-    wavelength: float = 1550.0
-
-    def __post_init__(self) -> None:
-        if self.enabled and self.pulse_power <= 0.0:
-            raise ValidationError(f"pulse_power must be > 0 when enabled, got {self.pulse_power}")
-
-
-@dataclass(frozen=True)
-class InterceptResult:
-    """A resent bright pulse together with the interceptor's measurement record."""
-
-    pulse: BrightPulse
-    basis: Basis
-    bit: int
-
-
-def transmit(transmittance: float, rng) -> bool:
-    """One Bernoulli arrival trial through the lossy channel."""
-    if not 0.0 <= transmittance <= 1.0:
-        raise ValidationError(f"transmittance must be in [0,1], got {transmittance}")
-    if transmittance >= 1.0:
-        return True
-    if transmittance <= 0.0:
-        return False
-    return rng.random() < transmittance
-
-
-def trojan_readout(
-    bob_basis: Basis, bob_bit: int, probe: TrojanProbe, rng
-) -> tuple[Basis, int] | None:
-    """Attempt to read the encoder setting; never fabricates a wrong value.
-
-    Returns the true (basis, bit) when the probe is enabled and the per-slot
-    readout trial succeeds, otherwise None.
-    """
-    if not probe.enabled:
-        return None
-    p = probe.readout_success_prob
-    if p < 1.0 and not rng.random() < p:
-        return None
-    return (Basis(bob_basis), bob_bit)
-
-
-def eve_measure_resend(alice_pol: PolarizationQubit, rng) -> tuple[Basis, int, PolarizationQubit]:
-    """Intercept measurement: uniform basis choice, Born-rule projection.
-
-    Returns the chosen basis, the measured bit, and the post-measurement
-    eigenstate that gets resent.
-    """
-    basis = Basis.Z if rng.random() < 0.5 else Basis.X
-    bit = measure_polarization(alice_pol, basis, rng)
-    return basis, bit, prepare_polarization(basis, bit)
-
-
-def intercept_resend(alice_pol: PolarizationQubit, cfg: EveInterceptConfig, rng) -> InterceptResult:
-    """Measure the incoming photon in a random basis and resend a bright pulse
-    polarized along the measured eigenstate."""
-    if not cfg.enabled:
-        raise ValidationError("intercept_resend called with intercept disabled")
-    basis, bit, eigenstate = eve_measure_resend(alice_pol, rng)
-    pulse = BrightPulse(cfg.pulse_power, cfg.wavelength, eigenstate)
-    return InterceptResult(pulse, basis, bit)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import PublicView, detectability_report
-from .config import config_digest, load_config, parse_config, serialize_config
+from .config import config_digest, load_config, parse_config, read_json, serialize_config
 from .errors import ConfigError, InfeasibleRateError, NoViablePlanError, ValidationError
 from .protocol import SessionConfig, SessionReport, Transcript, run_session
 
@@ -318,13 +318,7 @@ def _set_path(doc: dict, dotted: str, value: Any) -> None:
 
 
 def _load_grid(path: str) -> dict[str, list]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read grid {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"grid {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "grid")
     params = doc.get("parameters") if isinstance(doc, dict) else None
     if not isinstance(params, dict) or not params:
         raise ConfigError(f"grid {path} must carry a non-empty 'parameters' object")
@@ -349,13 +343,7 @@ def _session_seed(master_seed: int, point: int, session: int) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base_doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    base_doc = read_json(args.config, "config")
     if not isinstance(base_doc, dict):
         raise ConfigError("config root must be an object")
     params = _load_grid(args.grid)

@@ -1,17 +1,30 @@
 """JSON configuration: parsing with field-path errors, canonical
 serialization, and the config digest stamped into every output.
 
-The parser accepts a compact form (one detector block applied to all four
-detectors, scalar efficiency/threshold values) and normalizes it to the
-canonical form serialize_config emits: four explicit detector blocks with
-wavelength-keyed tables. parse(serialize(c)) reproduces c exactly.
+One schema drives both directions. Each config object (the SessionConfig
+top level, ChannelSpec, TrojanProbe, a detector block, and each of the four
+modes) has a field table of (JSON key, dataclass attribute, kind) rows. A
+kind checks and converts one JSON value and writes it back. parse_config
+reads the keys a document has and leaves every absent field to its
+dataclass default; serialize_config writes every field. So parse(serialize(c))
+reproduces c by construction, and a new field takes one table row.
+
+Every number must be finite. The one case a dataclass default cannot
+express is the detector tables: the parser accepts one detector block
+applied to all four detectors, and a scalar efficiency/threshold, which
+becomes a single-entry table at signal_wavelength_nm (as does an absent
+one). serialize_config emits the canonical form: four explicit detector
+blocks with wavelength-keyed tables.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from typing import Any, Mapping, Sequence
+import math
+from collections.abc import Mapping, Sequence
+from typing import Any, Callable, NamedTuple
 
 from .channel import ChannelSpec, TrojanProbe
 from .devices import DetectorSpec
@@ -26,252 +39,263 @@ from .protocol import (
 )
 from .states import BellOutcome
 
-_MODE_KINDS = ("honest", "covert", "blinding", "intercept_resend")
-
 
 def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
 
 
-def _check_keys(data: Mapping[str, Any], known: Sequence[str], path: str) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise _fail(path, f"unknown field(s) {unknown}; known fields: {sorted(known)}")
+def _default(cls: type, attr: str) -> Any:
+    """The default a dataclass gives attribute attr."""
+    f = next(f for f in dataclasses.fields(cls) if f.name == attr)
+    return f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
 
 
-def _number(data: Mapping[str, Any], key: str, path: str, default: float) -> float:
-    v = data.get(key, default)
+class _Kind(NamedTuple):
+    """How one field's JSON value is checked and converted (parse, given the
+    value and its path), and written back (dump)."""
+
+    parse: Callable[[Any, str], Any]
+    dump: Callable[[Any], Any] = lambda value: value
+
+
+# a field table row: (JSON key, dataclass attribute, kind)
+_Fields = Sequence[tuple[str, str, _Kind]]
+
+
+def _parse_number(v: Any, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise _fail(f"{path}.{key}", f"expected a number, got {v!r}")
+        raise _fail(path, f"expected a number, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise _fail(path, f"expected a finite number, got {v!r}")
     return float(v)
 
 
-def _integer(data: Mapping[str, Any], key: str, path: str, default: int) -> int:
-    v = data.get(key, default)
+def _parse_integer(v: Any, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise _fail(f"{path}.{key}", f"expected an integer, got {v!r}")
+        raise _fail(path, f"expected an integer, got {v!r}")
     return v
 
 
-def _boolean(data: Mapping[str, Any], key: str, path: str, default: bool) -> bool:
-    v = data.get(key, default)
+def _parse_boolean(v: Any, path: str) -> bool:
     if not isinstance(v, bool):
-        raise _fail(f"{path}.{key}", f"expected true/false, got {v!r}")
+        raise _fail(path, f"expected true/false, got {v!r}")
     return v
 
 
-def _wavelength_table(value: Any, path: str, anchor_nm: float) -> dict[float, float]:
-    """A scalar becomes a single-entry table at the signal wavelength; a
-    mapping is parsed as {wavelength_nm: value}."""
-    if isinstance(value, bool):
-        raise _fail(path, f"expected a number or wavelength table, got {value!r}")
-    if isinstance(value, (int, float)):
-        return {anchor_nm: float(value)}
-    if isinstance(value, Mapping):
-        if not value:
-            raise _fail(path, "wavelength table must not be empty")
-        table = {}
-        for k, v in value.items():
-            try:
-                wl = float(k)
-            except (TypeError, ValueError):
-                raise _fail(path, f"wavelength key {k!r} is not a number") from None
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise _fail(path, f"table value {v!r} is not a number")
-            table[wl] = float(v)
-        return table
-    raise _fail(path, f"expected a number or wavelength table, got {value!r}")
+def _parse_string(v: Any, path: str) -> str:
+    if not isinstance(v, str):
+        raise _fail(path, f"expected a string, got {v!r}")
+    return v
 
 
-def _parse_detectors(data: Any, anchor_nm: float) -> tuple[DetectorSpec, ...]:
-    if isinstance(data, Mapping):
-        blocks: Sequence[Any] = [data] * 4
-    elif isinstance(data, Sequence) and not isinstance(data, str):
-        if len(data) != 4:
-            raise _fail("detectors", f"need 1 shared or 4 per-detector blocks, got {len(data)}")
-        blocks = data
-    else:
-        raise _fail("detectors", f"expected an object or a list of 4 objects, got {data!r}")
-    specs = []
-    for i, block in enumerate(blocks):
-        path = "detectors" if isinstance(data, Mapping) else f"detectors[{i}]"
-        if not isinstance(block, Mapping):
-            raise _fail(path, f"expected an object, got {block!r}")
-        _check_keys(block, ("efficiency", "dark_count_prob", "blind_threshold"), path)
-        eff = _wavelength_table(block.get("efficiency", 0.2), f"{path}.efficiency", anchor_nm)
-        thr = _wavelength_table(
-            block.get("blind_threshold", 1.0), f"{path}.blind_threshold", anchor_nm
-        )
-        dark = _number(block, "dark_count_prob", path, 0.0)
-        specs.append(DetectorSpec(BellOutcome(i), eff, dark, thr))
-    return tuple(specs)
+def _parse_numbers(v: Any, path: str) -> tuple[float, ...]:
+    if not isinstance(v, Sequence) or isinstance(v, str):
+        raise _fail(path, f"expected a list of numbers, got {v!r}")
+    return tuple(_parse_number(x, f"{path}[{i}]") for i, x in enumerate(v))
 
 
-def _parse_mode(data: Any) -> Mode:
-    if not isinstance(data, Mapping):
-        raise _fail("mode", f"expected an object with a 'kind' field, got {data!r}")
-    kind = data.get("kind", "honest")
-    if kind == "honest":
-        _check_keys(data, ("kind",), "mode")
-        return HonestMode()
-    if kind == "covert":
-        _check_keys(
-            data,
-            ("kind", "eta_true", "key_seed", "keyed", "target_report_rate", "trojan"),
-            "mode",
-        )
-        trojan_block = data.get("trojan", {})
-        if not isinstance(trojan_block, Mapping):
-            raise _fail("mode.trojan", f"expected an object, got {trojan_block!r}")
-        _check_keys(trojan_block, ("readout_success_prob",), "mode.trojan")
-        target = data.get("target_report_rate")
-        if target is not None and (isinstance(target, bool) or not isinstance(target, (int, float))):
-            raise _fail("mode.target_report_rate", f"expected a number or null, got {target!r}")
-        return CovertAttackMode(
-            eta_true=_number(data, "eta_true", "mode", 0.9),
-            key_seed=_integer(data, "key_seed", "mode", 0),
-            keyed=_boolean(data, "keyed", "mode", True),
-            target_report_rate=None if target is None else float(target),
-            trojan=TrojanProbe(
-                enabled=True,
-                readout_success_prob=_number(
-                    trojan_block, "readout_success_prob", "mode.trojan", 1.0
-                ),
-            ),
-        )
-    if kind == "blinding":
-        _check_keys(
-            data,
-            ("kind", "enabled", "pulse_power", "wavelength_nm", "optimize",
-             "wavelength_grid", "power_grid"),
-            "mode",
-        )
-        for grid_key in ("wavelength_grid", "power_grid"):
-            grid = data.get(grid_key, [])
-            if not isinstance(grid, Sequence) or isinstance(grid, str) or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in grid
-            ):
-                raise _fail(f"mode.{grid_key}", f"expected a list of numbers, got {grid!r}")
-        return BlindingMode(
-            enabled=_boolean(data, "enabled", "mode", True),
-            pulse_power=_number(data, "pulse_power", "mode", 2.0),
-            wavelength=_number(data, "wavelength_nm", "mode", 1550.0),
-            optimize=_boolean(data, "optimize", "mode", False),
-            wavelength_grid=tuple(float(v) for v in data.get("wavelength_grid", [])),
-            power_grid=tuple(float(v) for v in data.get("power_grid", [])),
-        )
-    if kind == "intercept_resend":
-        _check_keys(data, ("kind",), "mode")
-        return InterceptResendMode()
-    raise _fail("mode.kind", f"unknown mode {kind!r}; valid kinds: {list(_MODE_KINDS)}")
-
-
-def parse_config(data: Mapping[str, Any], seed: int | None = None) -> SessionConfig:
-    """Build a validated SessionConfig from a JSON-shaped mapping.
-
-    An explicit `seed` argument (the CLI flag) overrides the document's seed
-    field. Every out-of-range or unknown field raises ConfigError naming the
-    offending path.
-    """
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"config root must be an object, got {data!r}")
-    _check_keys(
-        data,
-        ("n_slots", "seed", "channel", "detectors", "eta_expected", "basis_choice_prob",
-         "bob_bit_bias", "signal_wavelength_nm", "alpha", "double_click_policy", "mode"),
-        "config",
-    )
-    wl = _number(data, "signal_wavelength_nm", "config", 1550.0)
-    channel_block = data.get("channel", {})
-    if not isinstance(channel_block, Mapping):
-        raise _fail("channel", f"expected an object, got {channel_block!r}")
-    _check_keys(channel_block, ("transmittance",), "channel")
-    policy = data.get("double_click_policy", "discard_and_count")
-    if not isinstance(policy, str):
-        raise _fail("double_click_policy", f"expected a string, got {policy!r}")
-    try:
-        return SessionConfig(
-            n_slots=_integer(data, "n_slots", "config", 10_000),
-            seed=seed if seed is not None else _integer(data, "seed", "config", 0),
-            channel=ChannelSpec(_number(channel_block, "transmittance", "channel", 1.0)),
-            detectors=_parse_detectors(data.get("detectors", {}), wl),
-            eta_expected=_number(data, "eta_expected", "config", 0.2),
-            basis_choice_prob=_number(data, "basis_choice_prob", "config", 0.5),
-            bob_bit_bias=_number(data, "bob_bit_bias", "config", 0.5),
-            signal_wavelength_nm=wl,
-            alpha=_number(data, "alpha", "config", 0.01),
-            double_click_policy=policy,
-            mode=_parse_mode(data.get("mode", {"kind": "honest"})),
-        )
-    except ConfigError:
-        raise
-    except Exception as exc:  # range violations raised by the dataclasses
-        raise ConfigError(str(exc)) from exc
-
-
-def load_config(path: str, seed: int | None = None) -> SessionConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(data, seed=seed)
+def _wavelength_table(value: Any, path: str) -> float | dict[float, float]:
+    """A {wavelength_nm: value} mapping, or a number that the detector
+    builder places at the signal wavelength."""
+    if not isinstance(value, Mapping):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _fail(path, f"expected a number or wavelength table, got {value!r}")
+        return _parse_number(value, path)
+    if not value:
+        raise _fail(path, "wavelength table must not be empty")
+    table = {}
+    for k, v in value.items():
+        try:
+            wl = float(k)
+        except (TypeError, ValueError):
+            raise _fail(path, f"wavelength key {k!r} is not a number") from None
+        if not math.isfinite(wl):
+            raise _fail(path, f"wavelength key {k!r} is not finite")
+        table[wl] = _parse_number(v, f"{path}[{k!r}]")
+    return table
 
 
 def _table_dict(table: Mapping[float, float]) -> dict[str, float]:
     return {str(float(k)): float(table[k]) for k in sorted(table)}
 
 
-def _mode_dict(mode: Mode) -> dict[str, Any]:
-    if isinstance(mode, HonestMode):
-        return {"kind": "honest"}
-    if isinstance(mode, CovertAttackMode):
-        return {
-            "kind": "covert",
-            "eta_true": mode.eta_true,
-            "key_seed": mode.key_seed,
-            "keyed": mode.keyed,
-            "target_report_rate": mode.target_report_rate,
-            "trojan": {"readout_success_prob": mode.trojan.readout_success_prob},
-        }
-    if isinstance(mode, BlindingMode):
-        return {
-            "kind": "blinding",
-            "enabled": mode.enabled,
-            "pulse_power": mode.pulse_power,
-            "wavelength_nm": mode.wavelength,
-            "optimize": mode.optimize,
-            "wavelength_grid": list(mode.wavelength_grid),
-            "power_grid": list(mode.power_grid),
-        }
-    return {"kind": "intercept_resend"}
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _parse_fields(data: Any, fields: _Fields, path: str, extra: Sequence[str] = ()) -> dict[str, Any]:
+    """Constructor arguments for the fields data holds; an absent field is
+    left to the dataclass default. extra names keys handled by the caller."""
+    if not isinstance(data, Mapping):
+        raise _fail(path, f"expected an object, got {data!r}")
+    known = [*extra, *(key for key, _, _ in fields)]
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise _fail(path or "config", f"unknown field(s) {unknown}; known fields: {sorted(known)}")
+    return {attr: kind.parse(data[key], _join(path, key)) for key, attr, kind in fields if key in data}
+
+
+def _dump_fields(obj: Any, fields: _Fields) -> dict[str, Any]:
+    return {key: kind.dump(getattr(obj, attr)) for key, attr, kind in fields}
+
+
+def _object(cls: type, fields: _Fields) -> _Kind:
+    """A nested JSON object holding one dataclass."""
+    return _Kind(
+        lambda v, path: cls(**_parse_fields(v, fields, path)),
+        lambda obj: _dump_fields(obj, fields),
+    )
+
+
+_NUMBER = _Kind(_parse_number)
+_INTEGER = _Kind(_parse_integer)
+_BOOLEAN = _Kind(_parse_boolean)
+_STRING = _Kind(_parse_string)
+_OPTIONAL_NUMBER = _Kind(lambda v, path: None if v is None else _parse_number(v, path))
+_NUMBERS = _Kind(_parse_numbers, list)
+_TABLE = _Kind(_wavelength_table, _table_dict)
+
+_CHANNEL: _Fields = (("transmittance", "transmittance", _NUMBER),)
+
+_TROJAN: _Fields = (("readout_success_prob", "readout_success_prob", _NUMBER),)
+
+_DETECTOR: _Fields = (
+    ("efficiency", "efficiency", _TABLE),
+    ("dark_count_prob", "dark_count_prob", _NUMBER),
+    ("blind_threshold", "blind_threshold", _TABLE),
+)
+# the dataclass default of each table, read once
+_TABLE_DEFAULTS = {attr: _default(DetectorSpec, attr) for _, attr, kind in _DETECTOR if kind is _TABLE}
+
+_MODES: dict[str, tuple[type, _Fields]] = {
+    cls.kind: (cls, fields)
+    for cls, fields in (
+        (HonestMode, ()),
+        (CovertAttackMode, (
+            ("eta_true", "eta_true", _NUMBER),
+            ("key_seed", "key_seed", _INTEGER),
+            ("keyed", "keyed", _BOOLEAN),
+            ("target_report_rate", "target_report_rate", _OPTIONAL_NUMBER),
+            ("trojan", "trojan", _object(TrojanProbe, _TROJAN)),
+        )),
+        (BlindingMode, (
+            ("enabled", "enabled", _BOOLEAN),
+            ("pulse_power", "pulse_power", _NUMBER),
+            ("wavelength_nm", "wavelength", _NUMBER),
+            ("optimize", "optimize", _BOOLEAN),
+            ("wavelength_grid", "wavelength_grid", _NUMBERS),
+            ("power_grid", "power_grid", _NUMBERS),
+        )),
+        (InterceptResendMode, ()),
+    )
+}
+
+
+def _parse_mode(data: Any, path: str) -> Mode:
+    if not isinstance(data, Mapping):
+        raise _fail(path, f"expected an object with a 'kind' field, got {data!r}")
+    kind = data.get("kind", _default(SessionConfig, "mode").kind)
+    if not isinstance(kind, str) or kind not in _MODES:
+        raise _fail(f"{path}.kind", f"unknown mode {kind!r}; valid kinds: {list(_MODES)}")
+    cls, fields = _MODES[kind]
+    return cls(**_parse_fields(data, fields, path, extra=("kind",)))
+
+
+def _dump_mode(mode: Mode) -> dict[str, Any]:
+    return {"kind": mode.kind, **_dump_fields(mode, _MODES[mode.kind][1])}
+
+
+def _parse_detector_blocks(data: Any, path: str) -> tuple[dict[str, Any], ...]:
+    """The parsed fields of four detector blocks, from one shared block or
+    a list of four; _detector builds each detector from them."""
+    if isinstance(data, Mapping):
+        return (_parse_fields(data, _DETECTOR, path),) * 4
+    if not isinstance(data, Sequence) or isinstance(data, str):
+        raise _fail(path, f"expected an object or a list of 4 objects, got {data!r}")
+    if len(data) != 4:
+        raise _fail(path, f"need 1 shared or 4 per-detector blocks, got {len(data)}")
+    return tuple(_parse_fields(b, _DETECTOR, f"{path}[{i}]") for i, b in enumerate(data))
+
+
+def _detector(outcome: BellOutcome, block: Mapping[str, Any], anchor_nm: float) -> DetectorSpec:
+    """A table given as a number becomes a single-entry table at the signal
+    wavelength; so does an absent one, with the value of the dataclass
+    default's single entry."""
+    kwargs = dict(block)
+    for attr, default in _TABLE_DEFAULTS.items():
+        if attr not in kwargs:
+            (kwargs[attr],) = default.values()
+        if not isinstance(kwargs[attr], Mapping):
+            kwargs[attr] = {anchor_nm: kwargs[attr]}
+    return DetectorSpec(outcome, **kwargs)
+
+
+_DETECTORS = _Kind(
+    _parse_detector_blocks,
+    lambda detectors: [_dump_fields(d, _DETECTOR) for d in detectors],
+)
+
+_SESSION: _Fields = (
+    ("n_slots", "n_slots", _INTEGER),
+    ("seed", "seed", _INTEGER),
+    ("channel", "channel", _object(ChannelSpec, _CHANNEL)),
+    ("detectors", "detectors", _DETECTORS),
+    ("eta_expected", "eta_expected", _NUMBER),
+    ("basis_choice_prob", "basis_choice_prob", _NUMBER),
+    ("bob_bit_bias", "bob_bit_bias", _NUMBER),
+    ("signal_wavelength_nm", "signal_wavelength_nm", _NUMBER),
+    ("alpha", "alpha", _NUMBER),
+    ("double_click_policy", "double_click_policy", _STRING),
+    ("mode", "mode", _Kind(_parse_mode, _dump_mode)),
+)
+
+
+def parse_config(data: Mapping[str, Any], seed: int | None = None) -> SessionConfig:
+    """Build a validated SessionConfig from a JSON-shaped mapping.
+
+    An explicit `seed` argument (the CLI flag) overrides the document's seed
+    field. Every out-of-range, non-finite or unknown field raises
+    ConfigError naming the offending path.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"config root must be an object, got {data!r}")
+    if seed is not None:
+        data = {**data, "seed": seed}
+    try:
+        kwargs = _parse_fields(data, _SESSION, "")
+        anchor_nm = kwargs.get(
+            "signal_wavelength_nm", _default(SessionConfig, "signal_wavelength_nm")
+        )
+        blocks = kwargs.get("detectors", ({},) * 4)
+        kwargs["detectors"] = tuple(
+            _detector(outcome, block, anchor_nm) for outcome, block in zip(BellOutcome, blocks)
+        )
+        return SessionConfig(**kwargs)
+    except ConfigError:
+        raise
+    except Exception as exc:  # range violations raised by the dataclasses
+        raise ConfigError(str(exc)) from exc
+
+
+def read_json(path: str, what: str) -> Any:
+    """Load one JSON document; any failure is a ConfigError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str, seed: int | None = None) -> SessionConfig:
+    return parse_config(read_json(path, "config"), seed=seed)
 
 
 def serialize_config(config: SessionConfig) -> dict[str, Any]:
     """Canonical JSON-shaped form: defaults spelled out, detectors as four
     explicit blocks, wavelength tables keyed by stringified nm values."""
-    return {
-        "n_slots": config.n_slots,
-        "seed": config.seed,
-        "channel": {"transmittance": config.channel.transmittance},
-        "detectors": [
-            {
-                "efficiency": _table_dict(d.efficiency),
-                "dark_count_prob": d.dark_count_prob,
-                "blind_threshold": _table_dict(d.blind_threshold),
-            }
-            for d in config.detectors
-        ],
-        "eta_expected": config.eta_expected,
-        "basis_choice_prob": config.basis_choice_prob,
-        "bob_bit_bias": config.bob_bit_bias,
-        "signal_wavelength_nm": config.signal_wavelength_nm,
-        "alpha": config.alpha,
-        "double_click_policy": config.double_click_policy,
-        "mode": _mode_dict(config.mode),
-    }
+    return _dump_fields(config, _SESSION)
 
 
 def config_digest(config: SessionConfig) -> str:

@@ -16,14 +16,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .states import (
-    BellOutcome,
-    JointPhotonState,
-    PolarizationQubit,
-    SpatialQubit,
-    bell_probabilities,
-    tensor,
-)
+from .states import BellOutcome, PolarizationQubit, SpatialQubit, bell_probabilities, tensor
 
 DEFAULT_WAVELENGTH_NM = 1550.0
 
@@ -138,41 +131,6 @@ def sample_outcome(probabilities: Sequence[float], u: float) -> int:
         if u < acc:
             return k
     return len(probabilities) - 1
-
-
-def sample_clicks(
-    probabilities: Sequence[float],
-    efficiencies: Sequence[float],
-    dark_probs: Sequence[float],
-    rng,
-) -> ClickPattern:
-    """Shared single-photon click sampling given precomputed Bell probabilities.
-
-    One Bell outcome is drawn, then that detector fires with its efficiency;
-    a photon that fails the trial is absorbed silently (detectors are
-    independent absorbers, no re-sampling). Dark counts fire independently.
-    """
-    clicks = [False, False, False, False]
-    k = sample_outcome(probabilities, rng.random())
-    if rng.random() < efficiencies[k]:
-        clicks[k] = True
-    for i, p_dark in enumerate(dark_probs):
-        if p_dark > 0.0 and rng.random() < p_dark:
-            clicks[i] = True
-    return tuple(clicks)  # type: ignore[return-value]
-
-
-def bsm_measure_photon(
-    state: JointPhotonState,
-    detectors: Sequence[DetectorSpec],
-    wavelength: float,
-    rng,
-) -> DetectionResult:
-    """Quantum-mode measurement of one photon by the four-detector unit."""
-    probs = bell_probabilities(state)
-    etas = [d.efficiency_at(wavelength) for d in detectors]
-    darks = [d.dark_count_prob for d in detectors]
-    return classify(sample_clicks(probs, etas, darks, rng))
 
 
 def bsm_respond_bright(

@@ -63,11 +63,13 @@ class CovertAttackMode:
     key_seed: int = 0
     keyed: bool = True
     target_report_rate: float | None = None
-    trojan: TrojanProbe = field(default_factory=lambda: TrojanProbe(enabled=True))
+    trojan: TrojanProbe = field(default_factory=TrojanProbe)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eta_true <= 1.0:
             raise ValidationError(f"eta_true must be in (0,1], got {self.eta_true}")
+        if not 0 <= self.key_seed < 2**64:
+            raise ValidationError(f"key_seed must be a 64-bit unsigned integer, got {self.key_seed}")
         if self.target_report_rate is not None and self.target_report_rate <= 0.0:
             raise ValidationError(
                 f"target_report_rate must be > 0, got {self.target_report_rate}"

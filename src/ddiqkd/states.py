@@ -183,20 +183,3 @@ XOR_TABLE = np.array(
 def infer_bit(outcome: BellOutcome, basis: Basis, known_bit: int) -> int:
     """Recover the other party's bit from the outcome and one known bit."""
     return _check_bit(known_bit) ^ xor_from_outcome(outcome, basis)
-
-
-def measure_polarization(qubit: PolarizationQubit, basis: Basis, rng) -> int:
-    """Projective BB84 measurement of a polarization qubit: Born-rule sample.
-
-    Returns the measured bit; the post-measurement state is
-    prepare_polarization(basis, bit).
-    """
-    e0 = prepare_polarization(basis, 0)
-    overlap = e0.amp_h.conjugate() * qubit.amp_h + e0.amp_v.conjugate() * qubit.amp_v
-    p0 = overlap.real * overlap.real + overlap.imag * overlap.imag
-    # eigenstates give deterministic outcomes despite rounding in |<e0|psi>|^2
-    if p0 >= 1.0 - NORM_TOL:
-        return 0
-    if p0 <= NORM_TOL:
-        return 1
-    return 0 if rng.random() < p0 else 1

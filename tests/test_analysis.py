@@ -6,7 +6,6 @@ from ddiqkd.analysis import (
     detectability_report,
     double_click_rate,
     gap_parity_uniformity,
-    leakage,
     outcome_histogram,
     rate_consistency,
 )
@@ -85,13 +84,6 @@ def test_outcome_histogram_uniform_and_degenerate():
     assert p < 1e-6
 
     assert outcome_histogram(np.array([], dtype=np.int8)) is None
-
-
-def test_leakage():
-    assert leakage(np.array([1, 0, 1]), np.array([1, 1, 1])) == pytest.approx(2 / 3)
-    assert leakage(np.array([], dtype=np.int8), np.array([], dtype=np.int8)) == 0.0
-    with pytest.raises(ValidationError):
-        leakage(np.array([1, 0]), np.array([1]))
 
 
 def test_double_click_rate():

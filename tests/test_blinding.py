@@ -1,18 +1,15 @@
-import numpy as np
 import pytest
 
 from ddiqkd.blinding import (
     BlindingPlan,
-    blinding_round,
     blinding_session_stats,
     evaluate_pulse,
     optimize_pulse,
 )
-from ddiqkd.channel import EveInterceptConfig
 from ddiqkd.devices import DetectorSpec, make_detectors
 from ddiqkd.errors import NoViablePlanError, ValidationError
 from ddiqkd.protocol import BlindingMode, SessionConfig, run_session
-from ddiqkd.states import Basis, BellOutcome, prepare_polarization, prepare_spatial
+from ddiqkd.states import BellOutcome
 
 TAILORED = (0.9, 1.3, 1.3, 0.9)
 
@@ -90,22 +87,6 @@ def test_optimizer_no_viable_plan():
         optimize_pulse(make_detectors(), [], [2.0])
     with pytest.raises(ValidationError):
         optimize_pulse(make_detectors(), [1550.0], [2.0, -1.0])
-
-
-def test_blinding_round_matched_basis_structure():
-    rng = np.random.default_rng(19)
-    cfg = EveInterceptConfig(enabled=True, pulse_power=2.0, wavelength=1550.0)
-    detectors = tailored_detectors()
-    for _ in range(100):
-        alice = prepare_polarization(Basis.Z, 0)
-        result, eve_basis, eve_bit = blinding_round(
-            alice, prepare_spatial(Basis.Z, 0), cfg, detectors, rng
-        )
-        if eve_basis == Basis.Z:
-            assert eve_bit == 0  # faithful measurement of an eigenstate
-            assert result.is_single
-        else:
-            assert result.is_no_click
 
 
 def test_session_stats_tailored_full_leak_no_errors():

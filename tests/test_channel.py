@@ -1,19 +1,7 @@
-import math
-
-import numpy as np
 import pytest
 
-from ddiqkd.channel import (
-    ChannelSpec,
-    EveInterceptConfig,
-    TrojanProbe,
-    eve_measure_resend,
-    intercept_resend,
-    transmit,
-    trojan_readout,
-)
+from ddiqkd.channel import ChannelSpec
 from ddiqkd.errors import ValidationError
-from ddiqkd.states import Basis, prepare_polarization
 
 
 def test_channel_spec_range():
@@ -23,67 +11,3 @@ def test_channel_spec_range():
         ChannelSpec(1.01)
     with pytest.raises(ValidationError):
         ChannelSpec(-0.1)
-
-
-def test_transmit_edges_and_rate():
-    rng = np.random.default_rng(5)
-    assert all(transmit(1.0, rng) for _ in range(50))
-    assert not any(transmit(0.0, rng) for _ in range(50))
-    n = 20_000
-    hits = sum(transmit(0.3, rng) for _ in range(n))
-    assert abs(hits - n * 0.3) < 3 * math.sqrt(n * 0.3 * 0.7)
-
-
-def test_trojan_readout_disabled_and_exact():
-    rng = np.random.default_rng(6)
-    assert trojan_readout(Basis.Z, 1, TrojanProbe(enabled=False), rng) is None
-    probe = TrojanProbe(enabled=True, readout_success_prob=1.0)
-    assert trojan_readout(Basis.X, 0, probe, rng) == (Basis.X, 0)
-
-
-def test_trojan_readout_never_fabricates():
-    # failures return None; successes return the true setting, never a guess
-    rng = np.random.default_rng(7)
-    probe = TrojanProbe(enabled=True, readout_success_prob=0.4)
-    n = 10_000
-    successes = 0
-    for _ in range(n):
-        got = trojan_readout(Basis.Z, 1, probe, rng)
-        if got is not None:
-            assert got == (Basis.Z, 1)
-            successes += 1
-    assert abs(successes - n * 0.4) < 3 * math.sqrt(n * 0.4 * 0.6)
-
-
-def test_eve_measure_resend_same_basis_is_faithful():
-    rng = np.random.default_rng(8)
-    h = prepare_polarization(Basis.Z, 0)
-    for _ in range(200):
-        basis, bit, eigenstate = eve_measure_resend(h, rng)
-        if basis == Basis.Z:
-            assert bit == 0
-        assert eigenstate == prepare_polarization(basis, bit)
-
-
-def test_eve_basis_choice_unbiased():
-    rng = np.random.default_rng(9)
-    h = prepare_polarization(Basis.Z, 0)
-    n = 10_000
-    x_count = sum(eve_measure_resend(h, rng)[0] == Basis.X for _ in range(n))
-    assert abs(x_count - n / 2) < 3 * math.sqrt(n * 0.25)
-
-
-def test_intercept_resend_requires_enabled():
-    rng = np.random.default_rng(10)
-    with pytest.raises(ValidationError):
-        intercept_resend(prepare_polarization(Basis.Z, 0), EveInterceptConfig(enabled=False), rng)
-    cfg = EveInterceptConfig(enabled=True, pulse_power=2.0, wavelength=1550.0)
-    result = intercept_resend(prepare_polarization(Basis.Z, 0), cfg, rng)
-    assert result.pulse.peak_power == 2.0
-    assert result.pulse.polarization == prepare_polarization(result.basis, result.bit)
-
-
-def test_intercept_config_validation():
-    with pytest.raises(ValidationError):
-        EveInterceptConfig(enabled=True, pulse_power=0.0)
-    EveInterceptConfig(enabled=False, pulse_power=2.0)

@@ -1,0 +1,194 @@
+"""The config schema: non-finite numbers and key_seed are rejected with the
+offending path, and parse/serialize invert each other on every mode."""
+
+import dataclasses
+import json
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ddiqkd import config as schema
+from ddiqkd.channel import ChannelSpec, TrojanProbe
+from ddiqkd.cli import main
+from ddiqkd.config import load_config, parse_config, serialize_config
+from ddiqkd.devices import DetectorSpec
+from ddiqkd.errors import ConfigError, ValidationError
+from ddiqkd.protocol import CovertAttackMode, SessionConfig
+
+COVERT = {"kind": "covert"}
+BLINDING = {"kind": "blinding"}
+
+# (document with X where the non-finite value goes, path the error names)
+NUMERIC_PATHS = [
+    ({"eta_expected": "X"}, "eta_expected"),
+    ({"basis_choice_prob": "X"}, "basis_choice_prob"),
+    ({"bob_bit_bias": "X"}, "bob_bit_bias"),
+    ({"signal_wavelength_nm": "X"}, "signal_wavelength_nm"),
+    ({"alpha": "X"}, "alpha"),
+    ({"channel": {"transmittance": "X"}}, "channel.transmittance"),
+    ({"detectors": {"efficiency": "X"}}, "detectors.efficiency"),
+    ({"detectors": {"efficiency": {"1550": "X"}}}, "detectors.efficiency"),
+    ({"detectors": {"dark_count_prob": "X"}}, "detectors.dark_count_prob"),
+    ({"detectors": {"blind_threshold": "X"}}, "detectors.blind_threshold"),
+    ({"detectors": {"blind_threshold": {"1310": 1.0, "1550": "X"}}}, "detectors.blind_threshold"),
+    ({"detectors": [{}, {}, {"blind_threshold": "X"}, {}]}, "detectors[2].blind_threshold"),
+    ({"mode": dict(COVERT, eta_true="X")}, "mode.eta_true"),
+    ({"mode": dict(COVERT, target_report_rate="X")}, "mode.target_report_rate"),
+    ({"mode": dict(COVERT, trojan={"readout_success_prob": "X"})},
+     "mode.trojan.readout_success_prob"),
+    ({"mode": dict(BLINDING, pulse_power="X")}, "mode.pulse_power"),
+    ({"mode": dict(BLINDING, wavelength_nm="X")}, "mode.wavelength_nm"),
+    ({"mode": dict(BLINDING, optimize=True, wavelength_grid=[1550.0, "X"], power_grid=[2.0])},
+     "mode.wavelength_grid[1]"),
+    ({"mode": dict(BLINDING, optimize=True, wavelength_grid=[1550.0], power_grid=["X"])},
+     "mode.power_grid[0]"),
+]
+
+
+def _put(doc, value):
+    """The document with every "X" replaced by value."""
+    if doc == "X":
+        return value
+    if isinstance(doc, dict):
+        return {k: _put(v, value) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_put(v, value) for v in doc]
+    return doc
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("doc,path", NUMERIC_PATHS)
+def test_non_finite_number_rejected_naming_its_path(doc, path, value):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        parse_config(_put(doc, value))
+
+
+@pytest.mark.parametrize("key", ["nan", "inf", "-Infinity"])
+def test_non_finite_wavelength_key_rejected(key):
+    with pytest.raises(ConfigError, match=r"detectors\.efficiency: wavelength key"):
+        parse_config({"detectors": {"efficiency": {key: 0.2}}})
+
+
+def test_run_with_nan_pulse_power_exits_1(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    # json.dumps writes the NaN literal that json.load accepts
+    path.write_text(json.dumps({"n_slots": 100, "mode": dict(BLINDING, pulse_power=float("nan"))}))
+    assert "NaN" in path.read_text()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mode.pulse_power" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key_seed", [-1, 2**64])
+def test_key_seed_out_of_range_rejected(key_seed):
+    with pytest.raises(ValidationError, match="key_seed"):
+        CovertAttackMode(key_seed=key_seed)
+    with pytest.raises(ConfigError, match="key_seed"):
+        parse_config({"mode": dict(COVERT, key_seed=key_seed)})
+    assert CovertAttackMode(key_seed=2**64 - 1).key_seed == 2**64 - 1
+
+
+def test_run_and_sweep_with_negative_key_seed_exit_1(tmp_path, capsys):
+    path = tmp_path / "covert.json"
+    path.write_text(json.dumps({"n_slots": 100, "channel": {"transmittance": 0.1},
+                                "mode": dict(COVERT, key_seed=-1)}))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"parameters": {"channel.transmittance": [0.1]}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert main(["sweep", "--config", str(path), "--grid", str(grid),
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error:") and "key_seed" in line for line in err)
+
+
+def test_config_and_grid_files_share_one_reader(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"n_slots": 100, "note": "\xe9"}')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(latin))
+    good = tmp_path / "good.json"
+    good.write_text("{}")
+    assert main(["sweep", "--config", str(latin), "--grid", str(good),
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert main(["sweep", "--config", str(good), "--grid", str(latin),
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith(f"error: config {latin}") and err[1].startswith(f"error: grid {latin}")
+
+
+def test_schema_names_every_dataclass_field():
+    """A field missing from its table would be dropped by serialize_config."""
+    tables = [(SessionConfig, schema._SESSION), (ChannelSpec, schema._CHANNEL),
+              (TrojanProbe, schema._TROJAN), (DetectorSpec, schema._DETECTOR)]
+    tables += list(schema._MODES.values())
+    # outcome is the detector's position; the probe is always on when configured
+    exempt = {(DetectorSpec, "outcome"), (TrojanProbe, "enabled")}
+    for cls, fields in tables:
+        listed = {attr for _, attr, _ in fields}
+        expected = {f.name for f in dataclasses.fields(cls)} - {a for c, a in exempt if c is cls}
+        assert listed == expected, cls.__name__
+
+
+unit = st.floats(0.0, 1.0)
+positive = st.floats(1e-6, 10.0)
+wavelength = st.floats(200.0, 2000.0)
+
+
+def tables(values):
+    """A scalar, or a table keyed the way JSON writes numbers."""
+    keys = st.one_of(wavelength.map(str), st.integers(200, 2000).map(str))
+    return st.one_of(values, st.dictionaries(keys, values, min_size=1, max_size=3))
+
+
+detector_block = st.fixed_dictionaries({}, optional={
+    "efficiency": tables(unit),
+    "dark_count_prob": unit,
+    "blind_threshold": tables(positive),
+})
+
+modes = st.one_of(
+    st.just({}),
+    st.just({"kind": "honest"}),
+    st.just({"kind": "intercept_resend"}),
+    st.fixed_dictionaries({"kind": st.just("covert")}, optional={
+        "eta_true": st.floats(1e-6, 1.0),
+        "key_seed": st.integers(0, 2**64 - 1),
+        "keyed": st.booleans(),
+        "target_report_rate": st.one_of(st.none(), st.floats(1e-6, 1.0)),
+        "trojan": st.fixed_dictionaries({}, optional={"readout_success_prob": unit}),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("blinding"),
+        "optimize": st.booleans(),
+        "wavelength_grid": st.lists(wavelength, min_size=1, max_size=3),
+        "power_grid": st.lists(positive, min_size=1, max_size=3),
+    }, optional={"enabled": st.booleans(), "pulse_power": positive, "wavelength_nm": wavelength}),
+)
+
+documents = st.fixed_dictionaries({}, optional={
+    "n_slots": st.integers(1, 10**6),
+    "seed": st.integers(0, 2**64 - 1),
+    "channel": st.fixed_dictionaries({}, optional={"transmittance": unit}),
+    "detectors": st.one_of(detector_block, st.lists(detector_block, min_size=4, max_size=4)),
+    "eta_expected": unit,
+    "basis_choice_prob": unit,
+    "bob_bit_bias": unit,
+    "signal_wavelength_nm": wavelength,
+    "alpha": st.floats(1e-6, 1.0, exclude_max=True),
+    "double_click_policy": st.just("discard_and_count"),
+    "mode": modes,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_parse_inverts_serialize(doc):
+    config = parse_config(doc)
+    canonical = serialize_config(config)
+    assert parse_config(canonical) == config
+    assert json.loads(json.dumps(canonical, allow_nan=False)) == canonical
+    assert serialize_config(parse_config(canonical)) == canonical

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from ddiqkd.devices import (
@@ -6,15 +5,13 @@ from ddiqkd.devices import (
     DetectionResult,
     DetectorSpec,
     NO_CLICK,
-    bsm_measure_photon,
     bsm_respond_bright,
     classify,
     make_detectors,
-    sample_clicks,
     sample_outcome,
 )
 from ddiqkd.errors import ValidationError
-from ddiqkd.states import Basis, BellOutcome, prepare_polarization, prepare_spatial, tensor
+from ddiqkd.states import Basis, BellOutcome, prepare_polarization, prepare_spatial
 
 
 def tailored_detectors(thresholds=(0.9, 1.3, 1.3, 0.9)):
@@ -72,31 +69,6 @@ def test_sample_outcome_cumulative():
     assert sample_outcome(probs, 0.5) == 1
     assert sample_outcome(probs, 0.999999) == 1
     assert sample_outcome((0.25,) * 4, 0.8) == 3
-
-
-def test_sample_clicks_edge_probabilities():
-    rng = np.random.default_rng(3)
-    probs = (1.0, 0.0, 0.0, 0.0)
-    assert sample_clicks(probs, [0.0] * 4, [0.0] * 4, rng) == (False,) * 4
-    assert sample_clicks(probs, [1.0] * 4, [0.0] * 4, rng) == (True, False, False, False)
-    assert sample_clicks(probs, [0.0] * 4, [1.0] * 4, rng) == (True,) * 4
-
-
-def test_bsm_measure_photon_statistics():
-    rng = np.random.default_rng(4)
-    detectors = make_detectors(efficiency=1.0)
-    state = tensor(prepare_polarization(Basis.Z, 0), prepare_spatial(Basis.Z, 0))
-    n = 20_000
-    counts = np.zeros(4)
-    for _ in range(n):
-        result = bsm_measure_photon(state, detectors, 1550.0, rng)
-        assert result.is_single  # unit efficiency, no dark counts
-        counts[result.outcome] += 1
-    sigma = np.sqrt(n * 0.25)
-    assert abs(counts[BellOutcome.PHI_PLUS] - n / 2) < 3 * sigma
-    assert abs(counts[BellOutcome.PHI_MINUS] - n / 2) < 3 * sigma
-    assert counts[BellOutcome.PSI_PLUS] == 0
-    assert counts[BellOutcome.PSI_MINUS] == 0
 
 
 def test_bright_response_symmetric_thresholds_double_on_matched_basis():

@@ -13,7 +13,6 @@ from ddiqkd.states import (
     bell_probabilities,
     bell_state,
     infer_bit,
-    measure_polarization,
     prepare_polarization,
     prepare_spatial,
     tensor,
@@ -130,22 +129,6 @@ def test_infer_bit_inverts_xor():
             for bit in (0, 1):
                 other = infer_bit(k, basis, bit)
                 assert other ^ bit == xor_from_outcome(k, basis)
-
-
-def test_measurement_deterministic_on_eigenstates():
-    rng = np.random.default_rng(1)
-    for basis, bit in ALL_SETTINGS:
-        qubit = prepare_polarization(basis, bit)
-        assert all(measure_polarization(qubit, basis, rng) == bit for _ in range(20))
-
-
-def test_measurement_unbiased_across_bases():
-    rng = np.random.default_rng(2)
-    h = prepare_polarization(Basis.Z, 0)
-    n = 20_000
-    ones = sum(measure_polarization(h, Basis.X, rng) for _ in range(n))
-    sigma = math.sqrt(n * 0.25)
-    assert abs(ones - n / 2) < 3 * sigma
 
 
 def test_invalid_bit_rejected():
