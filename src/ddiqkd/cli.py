@@ -1,13 +1,17 @@
 """Command-line surface: run one session, sweep a parameter grid, or analyze
 a transcript somebody handed you.
 
-File formats. The transcript CSV starts with `# key: value` metadata lines
-(tool version, seed, config digest, expected announcement rate), then a fixed
-column header; one row per slot, in slot order. Both are written and read a
-block at a time with numpy, and the reader rejects a file that disagrees
-with itself (see read_public_view). The report JSON carries the same metadata
-plus the full serialized config and the session report. `analyze` reads only
-the public columns of a transcript (slot, bob_basis, reported_outcome,
+File formats. The transcript CSV (format tag TRANSCRIPT_FORMAT) starts with
+`# key: value` metadata lines (format tag, tool version, seed, config digest,
+mode, n_slots, expected announcement rate, alpha), then a fixed column header,
+then one row per slot in slot order. Every row has the same width: the slot
+zero-padded to the digit count of n_slots - 1, seven one-byte cells each after
+a comma (`-` for no outcome), and a newline. The writer and the reader work in
+blocks of 10,000 rows that share one cached frame of slot digits, commas and
+newlines; the reader rejects a file that disagrees with itself, naming the
+line (see read_public_view). The report JSON carries the same metadata plus
+the full serialized config and the session report. `analyze` reads only the
+public columns of a transcript (slot, bob_basis, reported_outcome,
 double_click), so its verdicts never peek at ground truth.
 
 Exit codes: 0 success, 1 usage/parse/validation problems, 2 structurally
@@ -19,12 +23,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NoReturn
 
 import numpy as np
 
@@ -38,12 +43,12 @@ TRANSCRIPT_COLUMNS = (
     "slot", "alice_basis", "alice_bit", "bob_basis", "bob_bit",
     "arrived", "reported_outcome", "double_click",
 )
-PUBLIC_COLUMNS = ("slot", "bob_basis", "reported_outcome", "double_click")
+TRANSCRIPT_FORMAT = "ddiqkd-transcript-3"
 
 
 def _transcript_meta(config: SessionConfig) -> dict[str, Any]:
     return {
-        "format": "ddiqkd-transcript-2",
+        "format": TRANSCRIPT_FORMAT,
         "version": __version__,
         "seed": config.seed,
         "config_sha256": config_digest(config),
@@ -54,118 +59,118 @@ def _transcript_meta(config: SessionConfig) -> dict[str, Any]:
     }
 
 
-# Rows per block when writing, bytes per block when reading. Both bound the
-# transient arrays a block needs (a few hundred kilobytes), not the file size.
-_WRITE_BLOCK_ROWS = 8192
-_READ_BLOCK_BYTES = 1 << 16
+# Rows per block, for both the writer and the reader. A power of ten, so
+# the low _LOW_DIGITS slot digits of every block are one fixed table and the
+# higher digits are the block index, constant within the block. It also
+# bounds the transient arrays a block needs (a few hundred kilobytes).
+_BLOCK_ROWS = 10_000
+_LOW_DIGITS = 4
 
 _HEADER = (",".join(TRANSCRIPT_COLUMNS) + "\n").encode("ascii")
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
-_COMMA_DIGIT = _COMMA - _ZERO
-# fills the writer's unused slot-digit positions and empty outcome cells;
-# never part of a row, so it is dropped before the block is written
-_GAP = 0
-# the reader parses slot numbers into int64, which holds any 18-digit one
-_MAX_SLOT_DIGITS = 18
-# a slot's digit count is 1 + the number of these it reaches
-_POW10 = 10 ** np.arange(1, _MAX_SLOT_DIGITS, dtype=np.int64)
+# the byte of each reported value -1..3 (-1, no outcome, indexes the last)
+_OUTCOME_BYTE = np.frombuffer(b"0123-", dtype=np.uint8)
+# outcome byte -> value: '0'..'3' -> 0..3, '-' -> 4, any other byte -> 5
+_OUTCOME_VALUE = np.full(256, 5, dtype=np.uint8)
+_OUTCOME_VALUE[_OUTCOME_BYTE] = np.arange(5)
+_NO_OUTCOME = 4
+
+
+@functools.lru_cache(maxsize=None)
+def _frame(digits: int) -> np.ndarray:
+    """The bytes every block of rows with this slot width shares: row j's
+    slot ends in the last _LOW_DIGITS digits of j, then the commas, a '0'
+    in each of the six 0/1 cells, and the newline. The higher slot digits
+    and the outcome cell are left 0. One frame is kept per slot width; the
+    reader accepts at most 19 digits."""
+    frame = np.zeros((_BLOCK_ROWS, digits + 15), dtype=np.uint8)
+    low = min(digits, _LOW_DIGITS)
+    # int16 holds 0..9999 and keeps the temporaries a quarter of int64's size
+    places = 10 ** np.arange(low - 1, -1, -1, dtype=np.int16)
+    frame[:, digits - low:digits] = np.arange(_BLOCK_ROWS, dtype=np.int16)[:, None] // places % 10 + _ZERO
+    frame[:, digits:-1:2] = _COMMA
+    frame[:, digits + 1:-1:2] = _ZERO
+    frame[:, digits + 11] = 0
+    frame[:, -1] = _NEWLINE
+    frame.setflags(write=False)
+    return frame
+
+
+def _block_frame(digits: int, block: int, rows: int) -> np.ndarray:
+    """A writable copy of the frame of the first `rows` rows of block number
+    `block`, with its high slot digits filled in."""
+    out = _frame(digits)[:rows].copy()
+    if digits > _LOW_DIGITS:
+        high = str(block).zfill(digits - _LOW_DIGITS).encode("ascii")
+        out[:, :len(high)] = np.frombuffer(high, dtype=np.uint8)
+    return out
 
 
 def write_transcript_csv(path: str, transcript: Transcript, meta: Mapping[str, Any]) -> None:
     """Write `# key: value` metadata, the column header, then one row per
     slot: `slot,alice_basis,alice_bit,bob_basis,bob_bit,arrived,` followed
-    by the announced outcome (empty when none) and `,double_click`.
-
-    Rows are built a block at a time as a byte matrix: the slot's decimal
-    digits right-aligned in the first columns, then seven comma-led
-    single-digit cells and the newline; _GAP bytes pad short slot numbers
-    and stand for empty outcomes."""
-    fields = (
-        transcript.alice_basis, transcript.alice_bit, transcript.bob_basis,
-        transcript.bob_bit, transcript.arrived, transcript.reported,
-        transcript.double_click,
-    )
+    by the announced outcome (`-` when none) and `,double_click`. The slot
+    is zero-padded to the digit count of n_slots - 1, so every row has the
+    same width; each block is its frame with the seven cells stored in it."""
+    n = transcript.n_slots
+    digits = len(str(n - 1))
+    bits = {
+        digits + 1: transcript.alice_basis, digits + 3: transcript.alice_bit,
+        digits + 5: transcript.bob_basis, digits + 7: transcript.bob_bit,
+        digits + 9: transcript.arrived, digits + 13: transcript.double_click,
+    }
     with open(path, "wb") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}: {value}\n".encode("utf-8"))
         fh.write(_HEADER)
-        for start in range(0, transcript.n_slots, _WRITE_BLOCK_ROWS):
-            stop = min(start + _WRITE_BLOCK_ROWS, transcript.n_slots)
-            slots = np.arange(start, stop)
-            width = len(str(stop - 1))
-            block = np.empty((stop - start, width + 15), dtype=np.uint8)
-            for col in range(width):
-                place = 10 ** (width - 1 - col)
-                digit = (slots // place) % 10 + _ZERO
-                block[:, col] = np.where(slots >= place, digit, _GAP) if col < width - 1 else digit
-            block[:, width:-1:2] = _COMMA
-            for col, values in enumerate(fields):
-                block[:, width + 1 + 2 * col] = values[start:stop] + _ZERO
-            block[transcript.reported[start:stop] < 0, width + 11] = _GAP
-            block[:, -1] = _NEWLINE
-            flat = block.ravel()
-            fh.write(flat[flat != _GAP].tobytes())
+        for block, start in enumerate(range(0, n, _BLOCK_ROWS)):
+            stop = min(start + _BLOCK_ROWS, n)
+            rows = _block_frame(digits, block, stop - start)
+            for col, values in bits.items():
+                rows[:, col] |= values[start:stop].view(np.uint8)
+            rows[:, digits + 11] = _OUTCOME_BYTE[transcript.reported[start:stop]]
+            fh.write(rows)
 
 
-class _Rows:
-    """One block of data rows, cut after a newline: row k of the block is
-    file row first + k and spans bytes [start[k], end[k]), then a newline.
-    Every byte is kept as its digit value, byte - ord('0')."""
+def _row_fault(row: bytes, slot: bytes) -> str | None:
+    """The first rule a data row (newline stripped) breaks when its slot
+    should read `slot`, or None."""
+    digits = len(slot)
+    cells = row[digits + 1::2]
+    if len(row) != digits + 14:
+        return f"row must be <slot>,b,b,b,b,b,o,d with the slot padded to {digits} digits"
+    if row[digits::2] != b"," * 7:
+        return "expected a comma"
+    if not row[:digits].isdigit():
+        return "slot is not a decimal number"
+    if row[:digits] != slot:
+        return "slot differs from its row index"
+    if any(c not in b"01" for c in cells[:5] + cells[6:]):
+        return "bases, bits, arrived and double_click must be 0 or 1"
+    if cells[5] not in b"0123-":
+        return "reported_outcome must be - or 0..3"
+    if cells[6:] == b"1" and cells[5:6] != b"-":
+        return "double click with a reported outcome"
+    return None
 
-    def __init__(self, buf: np.ndarray, first: int) -> None:
-        self.digits = buf.astype(np.int16) - _ZERO
-        self.end = np.flatnonzero(buf == _NEWLINE)
-        self.start = np.concatenate(([0], self.end[:-1] + 1))
-        self.index = np.arange(first, first + len(self.end))
 
-    def digits_at(self, offsets: np.ndarray) -> np.ndarray:
-        """Bytes at per-row positions as digit values (a comma is -4). The
-        positions are clipped into the block: a row too short for its shape
-        reads junk there, but the first rejection rule catches it."""
-        return self.digits.take(offsets, mode="clip")
-
-
-def _parse_rows(rows: _Rows, n_slots: int | None) -> tuple[list[tuple[str, np.ndarray]], tuple]:
-    """Check every byte of a block's rows against the two row shapes,
-    `<slot>,b,b,b,b,b,o,d` and `<slot>,b,b,b,b,b,,d`: the third byte from
-    the end tells them apart, and whatever precedes the fixed-width tail is
-    the slot, which must be the row's index written without leading zeros.
-    Returns the rejection rules in order, each with the mask of rows it
-    rejects, and the public fields: (single-click slots, their outcomes,
-    their bob_basis, double-click slots)."""
-    outcome = rows.digits_at(rows.end - 3)
-    has_outcome = outcome != _COMMA_DIGIT
-    width = rows.end - rows.start - 13 - has_outcome
-    cells = rows.digits_at((rows.start + width)[:, None] + np.arange(11))
-    commas = np.column_stack((cells[:, 0::2], rows.digits_at(rows.end - 2)))
-    bits = np.column_stack((cells[:, 1::2], rows.digits_at(rows.end - 1)))
-    fits = (width >= 1) & (width <= _MAX_SLOT_DIGITS)
-    slot = np.zeros(len(rows.index), dtype=np.int64)
-    slot_is_decimal = np.ones(len(rows.index), dtype=bool)
-    for col in range(int(width[fits].max(initial=0))):
-        used = col < width
-        digit = rows.digits_at(rows.start + col)
-        slot_is_decimal &= ~used | ((digit >= 0) & (digit <= 9))
-        slot = np.where(used, slot * 10 + digit, slot)
-    index_width = 1 + np.searchsorted(_POW10, rows.index, side="right")
-    double_click = bits[:, -1] == 1
-    checks = [
-        (f"row must be <slot>,b,b,b,b,b,o,d or <slot>,b,b,b,b,b,,d with 1..{_MAX_SLOT_DIGITS} slot digits", ~fits),
-        ("expected a comma", np.any(commas != _COMMA_DIGIT, axis=1)),
-        ("slot is not a decimal number", ~slot_is_decimal),
-        # an equal value of another width has leading zeros
-        ("slot differs from its row index", (slot != rows.index) | (width != index_width)),
-        ("bases, bits, arrived and double_click must be 0 or 1", np.any((bits < 0) | (bits > 1), axis=1)),
-        ("reported_outcome must be empty or 0..3", has_outcome & ((outcome < 0) | (outcome > 3))),
-        ("double click with a reported outcome", double_click & has_outcome),
-    ]
-    if n_slots is not None:
-        checks.append((f"slot beyond metadata n_slots {n_slots}", rows.index >= n_slots))
-    public = (
-        rows.index[has_outcome], outcome[has_outcome], bits[has_outcome, 2],
-        rows.index[double_click],
+def _reject_block(path: str, data: bytes, frame: np.ndarray, line: int, start: int, n_slots: int) -> NoReturn:
+    """Name the first line of a block that failed its check, and the rule
+    it breaks. Each row before it is whole and has the fixed width, so a
+    shifted or truncated row is named at its own line."""
+    digits = frame.shape[1] - 15
+    *rows, tail = data.split(b"\n")
+    for k, row in enumerate([*rows, tail] if tail else rows):
+        if k == len(rows) and len(data) < frame.size:
+            reason = "last row does not end in a newline"
+        else:  # a tail left in a whole block is a row too long for it
+            reason = _row_fault(row, frame[k, :digits].tobytes())
+        if reason:
+            raise ValidationError(f"{path}:{line + k}: malformed row: {reason}: {row[:80]!r}")
+    k = len(rows)
+    raise ValidationError(
+        f"{path}:{line + k}: transcript ends after {start + k} rows; metadata n_slots is {n_slots}"
     )
-    return checks, public
 
 
 def _meta_value(path: str, meta: Mapping[str, str], key: str, kind: type, default: Any = None) -> Any:
@@ -182,10 +187,11 @@ def _meta_value(path: str, meta: Mapping[str, str], key: str, kind: type, defaul
 
 def read_public_view(path: str) -> tuple[PublicView, dict[str, str]]:
     """Parse a transcript back into the announcement record, reading only
-    the public columns. The file must agree with itself: the header is
-    TRANSCRIPT_COLUMNS, row i is slot i, every row has one of the two shapes
-    write_transcript_csv produces, and the row count equals the metadata
-    n_slots. Anything else raises ValidationError naming the line."""
+    the public columns. The file must agree with itself: the format tag is
+    TRANSCRIPT_FORMAT, the header is TRANSCRIPT_COLUMNS, and there are
+    exactly n_slots rows, row i being what write_transcript_csv writes for
+    slot i. Each block of rows is checked at once against its frame and a
+    cell lookup; anything else raises ValidationError naming the line."""
     meta: dict[str, str] = {}
     parts: list[tuple] = []
     try:
@@ -205,56 +211,49 @@ def read_public_view(path: str) -> tuple[PublicView, dict[str, str]]:
                 meta[key.strip()] = value.strip()
             line = fh.readline()
             lineno += 1
+        if meta.get("format") != TRANSCRIPT_FORMAT:
+            found = f"format {meta['format']!r}" if "format" in meta else "no format tag"
+            raise ValidationError(f"{path}: transcript has {found}; this reader needs {TRANSCRIPT_FORMAT}")
         if line != _HEADER:
             raise ValidationError(
                 f"{path}:{lineno}: header must be {','.join(TRANSCRIPT_COLUMNS)}, got {line[:200]!r}"
             )
         n_slots = _meta_value(path, meta, "n_slots", int)
-        if n_slots is not None and n_slots < 1:
-            raise ValidationError(f"{path}: metadata n_slots: {n_slots} is not >= 1")
+        if n_slots is None:
+            raise ValidationError(f"{path}: metadata lacks n_slots, which sets the row width")
+        if not 1 <= n_slots < 2**63:
+            raise ValidationError(f"{path}: metadata n_slots: {n_slots} is not >= 1 and < 2**63")
+        digits = len(str(n_slots - 1))
+        # frame | (row & keep) equals the row iff every byte outside the
+        # outcome cell is right; the six 0/1 cells keep their low bit
+        keep = np.zeros(digits + 15, dtype=np.uint8)
+        keep[digits + 1:-1:2] = 1
+        keep[digits + 11] = 0xFF
         first_line = lineno + 1
-        n_rows = 0
-        tail = b""
-        while True:
-            chunk = fh.read(_READ_BLOCK_BYTES)
-            data = tail + chunk
-            cut = data.rfind(b"\n") + 1
-            if not chunk and data and not cut:
-                raise ValidationError(f"{path}:{first_line + n_rows}: last row does not end in a newline")
-            if cut == 0 and len(data) > _READ_BLOCK_BYTES:
-                raise ValidationError(f"{path}:{first_line + n_rows}: row longer than {_READ_BLOCK_BYTES} bytes")
-            if cut:
-                rows = _Rows(np.frombuffer(data, dtype=np.uint8, count=cut), n_rows)
-                checks, public = _parse_rows(rows, n_slots)
-                bad = np.logical_or.reduce([mask for _, mask in checks])
-                if bad.any():
-                    k = int(np.argmax(bad))
-                    reason = next(name for name, mask in checks if mask[k])
-                    row = data[rows.start[k]:rows.end[k]]
-                    raise ValidationError(
-                        f"{path}:{first_line + n_rows + k}: malformed row: {reason}: {row[:80]!r}"
-                    )
-                parts.append(public)
-                n_rows += len(rows.index)
-            tail = data[cut:]
-            if not chunk:
-                break
-    if n_slots is not None and n_rows != n_slots:
-        raise ValidationError(
-            f"{path}:{first_line + n_rows}: transcript ends after {n_rows} rows; metadata n_slots is {n_slots}"
-        )
-    slots, outcomes, bases, doubles = (
-        np.concatenate([p[i] for p in parts]).astype(np.int64) if parts else np.zeros(0, dtype=np.int64)
-        for i in range(4)
-    )
-    view = PublicView(
-        n_slots=n_slots if n_slots is not None else max(n_rows, 1),
-        reported_slots=slots,
-        outcomes=outcomes,
-        bob_basis_at_reported=bases,
-        double_click_slots=doubles,
-    )
-    return view, meta
+        for block, start in enumerate(range(0, n_slots, _BLOCK_ROWS)):
+            frame = _block_frame(digits, block, min(_BLOCK_ROWS, n_slots - start))
+            data = fh.read(frame.size)
+            if len(data) < frame.size:
+                _reject_block(path, data, frame, first_line + start, start, n_slots)
+            rows = np.frombuffer(data, dtype=np.uint8).reshape(frame.shape)
+            frame |= rows & keep
+            outcome = _OUTCOME_VALUE[rows[:, digits + 11]]
+            announced = outcome < _NO_OUTCOME
+            double = rows[:, -2] == _ZERO + 1
+            if frame.tobytes() != data or (outcome > _NO_OUTCOME).any() or (announced & double).any():
+                _reject_block(path, data, frame, first_line + start, start, n_slots)
+            singles = np.flatnonzero(announced)
+            parts.append((
+                start + singles, outcome[singles], rows[singles, digits + 5] - _ZERO,
+                start + np.flatnonzero(double),
+            ))
+        if fh.read(1):
+            raise ValidationError(
+                f"{path}:{first_line + n_slots}: malformed row: slot beyond metadata n_slots {n_slots}"
+            )
+    # single-click slots, their outcomes, their bob_basis, double-click slots
+    columns = (np.concatenate([p[i] for p in parts]).astype(np.int64) for i in range(4))
+    return PublicView(n_slots, *columns), meta
 
 
 def report_payload(config: SessionConfig, report: SessionReport) -> dict[str, Any]:

@@ -28,7 +28,7 @@ from typing import Any, Callable, NamedTuple
 
 from .channel import ChannelSpec, TrojanProbe
 from .devices import DetectorSpec
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .protocol import (
     BlindingMode,
     CovertAttackMode,
@@ -42,6 +42,14 @@ from .states import BellOutcome
 
 def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
+
+
+def _build(cls: type, path: str, kwargs: Mapping[str, Any]) -> Any:
+    """cls(**kwargs); a range error the dataclass raises names path."""
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        raise _fail(path, str(exc)) from None
 
 
 def _default(cls: type, attr: str) -> Any:
@@ -65,9 +73,13 @@ _Fields = Sequence[tuple[str, str, _Kind]]
 def _parse_number(v: Any, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise _fail(path, f"expected a number, got {v!r}")
-    if isinstance(v, float) and not math.isfinite(v):
+    try:
+        number = float(v)
+    except OverflowError:
+        raise _fail(path, "integer too large for a float") from None
+    if not math.isfinite(number):
         raise _fail(path, f"expected a finite number, got {v!r}")
-    return float(v)
+    return number
 
 
 def _parse_integer(v: Any, path: str) -> int:
@@ -79,12 +91,6 @@ def _parse_integer(v: Any, path: str) -> int:
 def _parse_boolean(v: Any, path: str) -> bool:
     if not isinstance(v, bool):
         raise _fail(path, f"expected true/false, got {v!r}")
-    return v
-
-
-def _parse_string(v: Any, path: str) -> str:
-    if not isinstance(v, str):
-        raise _fail(path, f"expected a string, got {v!r}")
     return v
 
 
@@ -111,6 +117,8 @@ def _wavelength_table(value: Any, path: str) -> float | dict[float, float]:
             raise _fail(path, f"wavelength key {k!r} is not a number") from None
         if not math.isfinite(wl):
             raise _fail(path, f"wavelength key {k!r} is not finite")
+        if wl in table:
+            raise _fail(path, f"wavelength key {k!r} repeats wavelength {wl} nm")
         table[wl] = _parse_number(v, f"{path}[{k!r}]")
     return table
 
@@ -142,7 +150,7 @@ def _dump_fields(obj: Any, fields: _Fields) -> dict[str, Any]:
 def _object(cls: type, fields: _Fields) -> _Kind:
     """A nested JSON object holding one dataclass."""
     return _Kind(
-        lambda v, path: cls(**_parse_fields(v, fields, path)),
+        lambda v, path: _build(cls, path, _parse_fields(v, fields, path)),
         lambda obj: _dump_fields(obj, fields),
     )
 
@@ -150,7 +158,6 @@ def _object(cls: type, fields: _Fields) -> _Kind:
 _NUMBER = _Kind(_parse_number)
 _INTEGER = _Kind(_parse_integer)
 _BOOLEAN = _Kind(_parse_boolean)
-_STRING = _Kind(_parse_string)
 _OPTIONAL_NUMBER = _Kind(lambda v, path: None if v is None else _parse_number(v, path))
 _NUMBERS = _Kind(_parse_numbers, list)
 _TABLE = _Kind(_wavelength_table, _table_dict)
@@ -179,7 +186,6 @@ _MODES: dict[str, tuple[type, _Fields]] = {
             ("trojan", "trojan", _object(TrojanProbe, _TROJAN)),
         )),
         (BlindingMode, (
-            ("enabled", "enabled", _BOOLEAN),
             ("pulse_power", "pulse_power", _NUMBER),
             ("wavelength_nm", "wavelength", _NUMBER),
             ("optimize", "optimize", _BOOLEAN),
@@ -198,26 +204,26 @@ def _parse_mode(data: Any, path: str) -> Mode:
     if not isinstance(kind, str) or kind not in _MODES:
         raise _fail(f"{path}.kind", f"unknown mode {kind!r}; valid kinds: {list(_MODES)}")
     cls, fields = _MODES[kind]
-    return cls(**_parse_fields(data, fields, path, extra=("kind",)))
+    return _build(cls, path, _parse_fields(data, fields, path, extra=("kind",)))
 
 
 def _dump_mode(mode: Mode) -> dict[str, Any]:
     return {"kind": mode.kind, **_dump_fields(mode, _MODES[mode.kind][1])}
 
 
-def _parse_detector_blocks(data: Any, path: str) -> tuple[dict[str, Any], ...]:
-    """The parsed fields of four detector blocks, from one shared block or
-    a list of four; _detector builds each detector from them."""
+def _parse_detector_blocks(data: Any, path: str) -> tuple[tuple[str, dict[str, Any]], ...]:
+    """The path and parsed fields of four detector blocks, from one shared
+    block or a list of four; _detector builds each detector from them."""
     if isinstance(data, Mapping):
-        return (_parse_fields(data, _DETECTOR, path),) * 4
+        return ((path, _parse_fields(data, _DETECTOR, path)),) * 4
     if not isinstance(data, Sequence) or isinstance(data, str):
         raise _fail(path, f"expected an object or a list of 4 objects, got {data!r}")
     if len(data) != 4:
         raise _fail(path, f"need 1 shared or 4 per-detector blocks, got {len(data)}")
-    return tuple(_parse_fields(b, _DETECTOR, f"{path}[{i}]") for i, b in enumerate(data))
+    return tuple((f"{path}[{i}]", _parse_fields(b, _DETECTOR, f"{path}[{i}]")) for i, b in enumerate(data))
 
 
-def _detector(outcome: BellOutcome, block: Mapping[str, Any], anchor_nm: float) -> DetectorSpec:
+def _detector(outcome: BellOutcome, path: str, block: Mapping[str, Any], anchor_nm: float) -> DetectorSpec:
     """A table given as a number becomes a single-entry table at the signal
     wavelength; so does an absent one, with the value of the dataclass
     default's single entry."""
@@ -227,7 +233,7 @@ def _detector(outcome: BellOutcome, block: Mapping[str, Any], anchor_nm: float) 
             (kwargs[attr],) = default.values()
         if not isinstance(kwargs[attr], Mapping):
             kwargs[attr] = {anchor_nm: kwargs[attr]}
-    return DetectorSpec(outcome, **kwargs)
+    return _build(DetectorSpec, path, {"outcome": outcome, **kwargs})
 
 
 _DETECTORS = _Kind(
@@ -245,7 +251,6 @@ _SESSION: _Fields = (
     ("bob_bit_bias", "bob_bit_bias", _NUMBER),
     ("signal_wavelength_nm", "signal_wavelength_nm", _NUMBER),
     ("alpha", "alpha", _NUMBER),
-    ("double_click_policy", "double_click_policy", _STRING),
     ("mode", "mode", _Kind(_parse_mode, _dump_mode)),
 )
 
@@ -255,26 +260,20 @@ def parse_config(data: Mapping[str, Any], seed: int | None = None) -> SessionCon
 
     An explicit `seed` argument (the CLI flag) overrides the document's seed
     field. Every out-of-range, non-finite or unknown field raises
-    ConfigError naming the offending path.
+    ConfigError naming the offending path: each nested object and each
+    detector is built under its own path, the top level under `config`.
     """
     if not isinstance(data, Mapping):
         raise ConfigError(f"config root must be an object, got {data!r}")
     if seed is not None:
         data = {**data, "seed": seed}
-    try:
-        kwargs = _parse_fields(data, _SESSION, "")
-        anchor_nm = kwargs.get(
-            "signal_wavelength_nm", _default(SessionConfig, "signal_wavelength_nm")
-        )
-        blocks = kwargs.get("detectors", ({},) * 4)
-        kwargs["detectors"] = tuple(
-            _detector(outcome, block, anchor_nm) for outcome, block in zip(BellOutcome, blocks)
-        )
-        return SessionConfig(**kwargs)
-    except ConfigError:
-        raise
-    except Exception as exc:  # range violations raised by the dataclasses
-        raise ConfigError(str(exc)) from exc
+    kwargs = _parse_fields(data, _SESSION, "")
+    anchor_nm = kwargs.get("signal_wavelength_nm", _default(SessionConfig, "signal_wavelength_nm"))
+    blocks = kwargs.get("detectors", (("detectors", {}),) * 4)
+    kwargs["detectors"] = tuple(
+        _detector(outcome, path, block, anchor_nm) for outcome, (path, block) in zip(BellOutcome, blocks)
+    )
+    return _build(SessionConfig, "config", kwargs)
 
 
 def read_json(path: str, what: str) -> Any:

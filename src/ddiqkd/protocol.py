@@ -36,8 +36,6 @@ from .devices import DEFAULT_WAVELENGTH_NM, DetectorSpec, make_detectors
 from .errors import ConfigError, InfeasibleRateError, ValidationError
 from .states import BELL_TABLE, XOR_TABLE
 
-DOUBLE_CLICK_POLICY = "discard_and_count"
-
 
 @dataclass(frozen=True)
 class HonestMode:
@@ -83,12 +81,10 @@ class BlindingMode:
     """Bright-pulse intercept-resend against blinded detectors.
 
     Either a fixed (wavelength, pulse_power) working point, or optimize=True
-    to grid-search one; enabled=False degrades to the honest path so that
-    attack-off runs are seed-for-seed identical to honest sessions.
+    to grid-search one. An attack-off run is an honest session.
     """
 
     kind: ClassVar[str] = "blinding"
-    enabled: bool = True
     pulse_power: float = 2.0
     wavelength: float = DEFAULT_WAVELENGTH_NM
     optimize: bool = False
@@ -99,7 +95,7 @@ class BlindingMode:
         if self.optimize:
             if len(self.wavelength_grid) == 0 or len(self.power_grid) == 0:
                 raise ValidationError("optimize=True needs non-empty wavelength and power grids")
-        elif self.enabled and self.pulse_power <= 0.0:
+        elif self.pulse_power <= 0.0:
             raise ValidationError(f"pulse_power must be > 0, got {self.pulse_power}")
 
 
@@ -135,7 +131,6 @@ class SessionConfig:
     bob_bit_bias: float = 0.5
     signal_wavelength_nm: float = DEFAULT_WAVELENGTH_NM
     alpha: float = 0.01
-    double_click_policy: str = DOUBLE_CLICK_POLICY
     mode: Mode = field(default_factory=HonestMode)
 
     def __post_init__(self) -> None:
@@ -153,11 +148,6 @@ class SessionConfig:
             raise ValidationError(f"signal_wavelength_nm must be > 0, got {self.signal_wavelength_nm}")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.double_click_policy != DOUBLE_CLICK_POLICY:
-            raise ValidationError(
-                f"unsupported double_click_policy {self.double_click_policy!r}; "
-                f"only {DOUBLE_CLICK_POLICY!r} is implemented"
-            )
 
     def expected_report_rate(self) -> float:
         """Announcements per slot the receiver expects from an honest unit."""
@@ -396,7 +386,7 @@ def _leak_fraction(config: SessionConfig, t: Transcript) -> float:
         stream = ParityKeyStream(mode.key_seed) if mode.keyed else NullKeyStream()
         decoded = eve_decode(slots, stream)
         return np.count_nonzero(np.array(decoded) == t.bob_bit[slots[:-1]]) / m
-    blinding = isinstance(mode, BlindingMode) and mode.enabled
+    blinding = isinstance(mode, BlindingMode)
     if not (blinding or isinstance(mode, InterceptResendMode)):
         return 0.0
     sifted = sift(t)
@@ -456,7 +446,7 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     t = _draw_settings(config, rng)
     plan: BlindingPlan | None = None
-    if isinstance(mode, HonestMode) or (isinstance(mode, BlindingMode) and not mode.enabled):
+    if isinstance(mode, HonestMode):
         _detect(config, t, _prep(t.alice_basis[t.arrived], t.alice_bit[t.arrived]), rng)
     elif isinstance(mode, CovertAttackMode):
         assert reporter is not None

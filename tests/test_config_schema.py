@@ -71,6 +71,30 @@ def test_non_finite_wavelength_key_rejected(key):
         parse_config({"detectors": {"efficiency": {key: 0.2}}})
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"channel": {"transmittance": 2}}, "channel: transmittance must be in [0,1], got 2.0"),
+    ({"detectors": [{}, {}, {"efficiency": 1.5}, {}]}, "detectors[2]: efficiency at 1550.0 nm must be in [0,1]"),
+    ({"eta_expected": 10**400}, "eta_expected: integer too large for a float"),
+])
+def test_range_error_names_its_path(doc, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(doc)
+
+
+def test_repeated_wavelength_key_rejected():
+    with pytest.raises(ConfigError, match=re.escape("detectors.efficiency: wavelength key '1550.0' repeats")):
+        parse_config({"detectors": {"efficiency": {"1550": 0.2, "1550.0": 0.9}}})
+
+
+@pytest.mark.parametrize("doc", [
+    {"double_click_policy": "discard_and_count"},
+    {"mode": {"kind": "blinding", "enabled": False}},
+])
+def test_removed_fields_are_unknown(doc):
+    with pytest.raises(ConfigError, match="unknown field"):
+        parse_config(doc)
+
+
 def test_run_with_nan_pulse_power_exits_1(tmp_path, capsys):
     path = tmp_path / "nan.json"
     # json.dumps writes the NaN literal that json.load accepts
@@ -139,9 +163,11 @@ wavelength = st.floats(200.0, 2000.0)
 
 
 def tables(values):
-    """A scalar, or a table keyed the way JSON writes numbers."""
+    """A scalar, or a table keyed the way JSON writes numbers, no two keys
+    naming the same wavelength."""
     keys = st.one_of(wavelength.map(str), st.integers(200, 2000).map(str))
-    return st.one_of(values, st.dictionaries(keys, values, min_size=1, max_size=3))
+    pairs = st.lists(st.tuples(keys, values), min_size=1, max_size=3, unique_by=lambda kv: float(kv[0]))
+    return st.one_of(values, pairs.map(dict))
 
 
 detector_block = st.fixed_dictionaries({}, optional={
@@ -166,7 +192,7 @@ modes = st.one_of(
         "optimize": st.booleans(),
         "wavelength_grid": st.lists(wavelength, min_size=1, max_size=3),
         "power_grid": st.lists(positive, min_size=1, max_size=3),
-    }, optional={"enabled": st.booleans(), "pulse_power": positive, "wavelength_nm": wavelength}),
+    }, optional={"pulse_power": positive, "wavelength_nm": wavelength}),
 )
 
 documents = st.fixed_dictionaries({}, optional={
@@ -179,7 +205,6 @@ documents = st.fixed_dictionaries({}, optional={
     "bob_bit_bias": unit,
     "signal_wavelength_nm": wavelength,
     "alpha": st.floats(1e-6, 1.0, exclude_max=True),
-    "double_click_policy": st.just("discard_and_count"),
     "mode": modes,
 })
 

@@ -26,28 +26,28 @@ GOLDEN_SLOTS = 2000
 
 GOLDEN = {
     "blinding_symmetric": (
-        "268ae20da7c27f1f1e84d6f05ac5c09f43460fe2259089b125bc3d83e2db5cd8",
-        "12a72fce9cd68fd553104f1ebbf54fc1c509c967b7f2a6ba29fba02af6193901",
+        "e206f630ed6c9273e2820796e214545e2c9d0879869996b575feaf57dffe9cf2",
+        "c803da92499d2aa473a4f595cfba45c329378958429fd05a0f2505a4712ac65c",
     ),
     "blinding_tailored": (
-        "1a87b1332c6cf623135e49fb3e1edc4160c8b1fc680e4243bfdd02a3ef0c4b67",
-        "382fbefd0f325542288352f61772d760bfdd43c264cdd57e567ae31898861789",
+        "f298c162b8a4d79ebe7aa605a961d34b3ecb269188e84360c4d29ae27b0ab8c3",
+        "ef96f5b5bae747ea93e28ee458b37a6b75d51ecc701b0e79f924dd217e9e7141",
     ),
     "covert_keyed": (
-        "a5acb08021a8f4a56be47f7b4dcf72f8d4a6e4715540e75db13473a1eace1ce7",
-        "f6abacefb8a336294fee3b073566470e87e8c062b0b6b6794bb010fe80a5eecf",
+        "5416be47ee3eecad7fca94b1210dc190cf754316ad5d4fb2cd3ea8956aeae685",
+        "442e5d0c87dbe1a020ce80786288b73d6695da7be21302930e9b9f88e7544e06",
     ),
     "covert_unkeyed_biased": (
-        "b7486cd0354cbc15302800ba42212f8d4bc0441cbc17d3c3cd658cf2bc52b7cb",
-        "c95c79c779718855358b6b132dc8dc70ca68bdedf053729bc6fc917c71a63896",
+        "fb83f13c1ed73c4ba0dbc9a9aad7eb9825d01318799df7585e98c58f758dd3ff",
+        "eba01de7fe3128901afd3bdc1c756846015382c9065e110838c5f5d3f53b9c95",
     ),
     "honest": (
-        "29bbbef01e9f2ec44512b6660c6abc399a28104dd8735002c2514d7fc7c0eaf3",
-        "6de996baf79a20d71aa3c91c96b5e0ea7cd623837cb0d47d62f7cc61e5fa26f4",
+        "8b50585752f5e31a1e8b21c5b0d9324de840bdf94e30859927611825eefad8cf",
+        "ad3f4252cd33b455c5612cd2fae9052dd2efa3d9361410a40b6673df225d9b9c",
     ),
     "intercept_resend": (
-        "acfe59cfbab20c1b0069486cd2eca1b8265a7c8429c2cfb9a496bd6110fb4239",
-        "54506fae3b141bf5603126cc807a2d32fbf131e562906409e2b132837b182124",
+        "36ecc1b26d2215d27a9a48439b6032befece3689349a254e9ba747bd861843ab",
+        "96b323ca640bd824e0b487e46156bcddac14f0b41fa8150dc7d9e7eec5af4cd1",
     ),
 }
 

@@ -11,7 +11,6 @@ from ddiqkd.errors import InfeasibleRateError, ValidationError
 from ddiqkd.protocol import (
     BlindingMode,
     CovertAttackMode,
-    HonestMode,
     InterceptResendMode,
     SessionConfig,
     binary_entropy,
@@ -44,8 +43,6 @@ def test_config_validation():
         SessionConfig(bob_bit_bias=-0.2)
     with pytest.raises(ValidationError):
         SessionConfig(alpha=0.0)
-    with pytest.raises(ValidationError):
-        SessionConfig(double_click_policy="keep")
     SessionConfig(bob_bit_bias=1.0)  # degenerate bias is a valid stress setting
 
 
@@ -217,17 +214,6 @@ def test_run_session_deterministic():
     assert r1 == r2
     for name, arr in transcript_arrays(t1).items():
         assert np.array_equal(arr, transcript_arrays(t2)[name]), name
-
-
-def test_blinding_disabled_matches_honest_run():
-    base = dict(n_slots=3000, seed=18, channel=ChannelSpec(transmittance=0.5))
-    t_honest, r_honest = run_session(SessionConfig(**base, mode=HonestMode()))
-    t_off, r_off = run_session(SessionConfig(**base, mode=BlindingMode(enabled=False)))
-    for name, arr in transcript_arrays(t_honest).items():
-        assert np.array_equal(arr, transcript_arrays(t_off)[name]), name
-    assert r_off.qber == r_honest.qber
-    assert r_off.key_rate == r_honest.key_rate
-    assert r_off.reported == r_honest.reported
 
 
 def test_intercept_resend_qber_quarter():

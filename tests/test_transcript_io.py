@@ -1,11 +1,10 @@
-"""Transcript CSV writer and reader.
+"""Transcript CSV writer and reader (format ddiqkd-transcript-3).
 
-The block writer must produce the same bytes as the csv.writer row writer
-it replaced, which is kept here as the reference; the reader must invert it
-and reject any file that does not agree with itself, naming the line.
+The writer must produce the documented fixed-width rows, which a plain
+per-row formatter is kept here to spell out; the reader must invert the
+writer and reject any file that does not agree with itself, naming the line.
 """
 
-import csv
 import re
 import tempfile
 from pathlib import Path
@@ -16,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddiqkd.cli import (
-    _WRITE_BLOCK_ROWS,
+    _BLOCK_ROWS,
     TRANSCRIPT_COLUMNS,
+    TRANSCRIPT_FORMAT,
     main,
     read_public_view,
     write_transcript_csv,
@@ -25,35 +25,30 @@ from ddiqkd.cli import (
 from ddiqkd.errors import ValidationError
 from ddiqkd.protocol import Transcript
 
-BLOCK = _WRITE_BLOCK_ROWS
-# digit-width edges, then write-block edges
-SIZES = [1, 9, 10, 11, 99, 100, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
+BLOCK = _BLOCK_ROWS
+# digit-width edges, the edges of the 8,192-row blocks of the format-2
+# writer, then the edges of the shared block frame
+SIZES = [1, 9, 10, 11, 99, 100, 8191, 8192, 8193, 16385, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 
 
-def reference_write(path, transcript, meta):
-    """The csv.writer row writer that write_transcript_csv must match."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key, value in meta.items():
-            fh.write(f"# {key}: {value}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRANSCRIPT_COLUMNS)
-        for slot in range(transcript.n_slots):
-            out = int(transcript.reported[slot])
-            writer.writerow((
-                slot,
-                int(transcript.alice_basis[slot]),
-                int(transcript.alice_bit[slot]),
-                int(transcript.bob_basis[slot]),
-                int(transcript.bob_bit[slot]),
-                int(transcript.arrived[slot]),
-                out if out >= 0 else "",
-                int(transcript.double_click[slot]),
-            ))
+def reference_rows(transcript):
+    """The data rows write_transcript_csv must write, one formatted row per slot."""
+    digits = len(str(transcript.n_slots - 1))
+    for slot in range(transcript.n_slots):
+        out = int(transcript.reported[slot])
+        cells = (
+            transcript.alice_basis[slot], transcript.alice_bit[slot], transcript.bob_basis[slot],
+            transcript.bob_bit[slot], transcript.arrived[slot],
+        )
+        yield (
+            f"{slot:0{digits}d}," + ",".join(str(int(c)) for c in cells)
+            + f",{out if out >= 0 else '-'},{int(transcript.double_click[slot])}\n"
+        ).encode("ascii")
 
 
 def meta_for(n):
     return {
-        "format": "ddiqkd-transcript-2",
+        "format": TRANSCRIPT_FORMAT,
         "mode": "honest",
         "n_slots": n,
         "expected_report_rate": 0.02,
@@ -93,21 +88,37 @@ transcripts = st.builds(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(transcript=transcripts)
-def test_writer_matches_reference_and_reader_inverts_it(transcript):
-    meta = meta_for(transcript.n_slots)
-    with tempfile.TemporaryDirectory() as tmp:
-        ours, ref = Path(tmp) / "ours.csv", Path(tmp) / "ref.csv"
-        write_transcript_csv(str(ours), transcript, meta)
-        reference_write(str(ref), transcript, meta)
-        assert ours.read_bytes() == ref.read_bytes()
-        view, read_meta = read_public_view(str(ours))
+def assert_round_trip(path, transcript, meta):
+    view, read_meta = read_public_view(str(path))
     expected = transcript.public_view()
     assert view.n_slots == expected.n_slots
     for name in ("reported_slots", "outcomes", "bob_basis_at_reported", "double_click_slots"):
         assert np.array_equal(getattr(view, name), getattr(expected, name)), name
     assert read_meta == {key: str(value) for key, value in meta.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(transcript=transcripts)
+def test_reader_inverts_writer_and_rows_have_the_documented_shape(transcript):
+    meta = meta_for(transcript.n_slots)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_transcript_csv(str(path), transcript, meta)
+        head = "".join(f"# {key}: {value}\n" for key, value in meta.items()).encode()
+        head += (",".join(TRANSCRIPT_COLUMNS) + "\n").encode()
+        assert path.read_bytes() == head + b"".join(reference_rows(transcript))
+        assert_round_trip(path, transcript, meta)
+
+
+def test_round_trip_with_six_slot_digits(tmp_path):
+    """Thirteen blocks whose high slot digits run from 00 to 12."""
+    n = 12 * BLOCK + 3457
+    transcript = random_transcript(n, 11, 0.1, 0.05)
+    path = tmp_path / "t.csv"
+    write_transcript_csv(str(path), transcript, meta_for(n))
+    lines = path.read_bytes().split(b"\n")
+    assert lines[FIRST_ROW_LINE - 1].startswith(b"000000,") and lines[-2].startswith(b"123456,")
+    assert_round_trip(path, transcript, meta_for(n))
 
 
 @settings(max_examples=30, deadline=None)
@@ -170,24 +181,40 @@ def swap_rows(rows):
     rows[500], rows[501] = rows[501], rows[500]
 
 
-def huge_slot(rows):
-    rows[500] = set_cell(rows[500], "slot", b"999999999")
+def other_slot(rows):
+    rows[500] = set_cell(rows[500], "slot", b"999")
 
 
-def leading_zero(rows):
-    rows[500] = set_cell(rows[500], "slot", b"0500")
-
-
-@pytest.mark.parametrize("change", [delete_row, duplicate_row, swap_rows, huge_slot, leading_zero])
+@pytest.mark.parametrize("change", [delete_row, duplicate_row, swap_rows, other_slot])
 def test_reader_rejects_slot_that_is_not_its_row_index(transcript_file, change):
     edit_rows(transcript_file, change)
     line = FIRST_ROW_LINE + 500 + (change is duplicate_row)
     assert_rejected(transcript_file, line, "slot differs from its row index")
 
 
+WIDTH_RULE = "row must be <slot>,b,b,b,b,b,o,d with the slot padded to 3 digits"
+
+
+@pytest.mark.parametrize("slot", [b"999999999", b"0500", b"500000", b"50", b""])
+def test_reader_rejects_slot_of_another_width(transcript_file, slot):
+    edit_rows(transcript_file, lambda rows: rows.__setitem__(500, set_cell(rows[500], "slot", slot)))
+    assert_rejected(transcript_file, FIRST_ROW_LINE + 500, WIDTH_RULE)
+
+
+def test_reader_rejects_slot_that_is_not_decimal(transcript_file):
+    edit_rows(transcript_file, lambda rows: rows.__setitem__(500, set_cell(rows[500], "slot", b"5 0")))
+    assert_rejected(transcript_file, FIRST_ROW_LINE + 500, "slot is not a decimal number")
+
+
 def test_reader_rejects_row_beyond_metadata_n_slots(transcript_file):
     edit_rows(transcript_file, lambda rows: rows.append(set_cell(rows[-1], "slot", str(N).encode())))
     assert_rejected(transcript_file, FIRST_ROW_LINE + N, f"slot beyond metadata n_slots {N}")
+
+
+def test_reader_rejects_extra_rows_beyond_metadata_n_slots(tmp_path):
+    path = tmp_path / "t.csv"
+    write_transcript_csv(str(path), random_transcript(N, 5, 0.1, 0.05), meta_for(N - 2))
+    assert_rejected(path, FIRST_ROW_LINE + N - 2, f"slot beyond metadata n_slots {N - 2}")
 
 
 def test_reader_rejects_row_count_short_of_metadata(transcript_file):
@@ -199,7 +226,7 @@ def test_reader_rejects_double_click_with_outcome(transcript_file):
     announced = []
 
     def mark(rows):
-        announced.append(next(i for i, r in enumerate(rows) if r.split(b",")[6]))
+        announced.append(next(i for i, r in enumerate(rows) if r.split(b",")[6] != b"-"))
         rows[announced[0]] = rows[announced[0]][:-1] + b"1"
 
     edit_rows(transcript_file, mark)
@@ -208,19 +235,25 @@ def test_reader_rejects_double_click_with_outcome(transcript_file):
 
 @pytest.mark.parametrize("column,value,reason", [
     ("double_click", b"2", "must be 0 or 1"),
-    ("reported_outcome", b"4", "reported_outcome must be empty or 0..3"),
+    ("reported_outcome", b"4", "reported_outcome must be - or 0..3"),
+    ("reported_outcome", b"", WIDTH_RULE),
     ("bob_basis", b"2", "must be 0 or 1"),
-    ("arrived", b"10", "expected a comma"),
+    ("arrived", b"10", WIDTH_RULE),
 ])
 def test_reader_rejects_out_of_range_cell(transcript_file, column, value, reason):
     edit_rows(transcript_file, lambda rows: rows.__setitem__(7, set_cell(rows[7], column, value)))
     assert_rejected(transcript_file, FIRST_ROW_LINE + 7, reason)
 
 
+def test_reader_rejects_missing_comma(transcript_file):
+    edit_rows(transcript_file, lambda rows: rows.__setitem__(7, rows[7][:5] + b";" + rows[7][6:]))
+    assert_rejected(transcript_file, FIRST_ROW_LINE + 7, "expected a comma")
+
+
 @pytest.mark.parametrize("header", [
     b"slot,alice_basis,alice_bit,bob_basis,bob_bit,arrived,outcome,double_click",
     b"slot,bob_basis,reported_outcome,double_click",
-    b"0,0,0,0,0,1,,0",
+    b"000,0,0,0,0,1,-,0",
 ])
 def test_reader_rejects_other_header(transcript_file, header):
     lines = transcript_file.read_bytes().split(b"\n")
@@ -234,16 +267,61 @@ def test_reader_rejects_last_row_without_newline(transcript_file):
     assert_rejected(transcript_file, FIRST_ROW_LINE + N - 1, "last row does not end in a newline")
 
 
+def test_reader_rejects_partial_last_row(transcript_file):
+    transcript_file.write_bytes(transcript_file.read_bytes()[:-7])
+    assert_rejected(transcript_file, FIRST_ROW_LINE + N - 1, "last row does not end in a newline")
+
+
 def test_reader_rejects_blank_and_crlf_rows(transcript_file):
     edit_rows(transcript_file, lambda rows: rows.__setitem__(3, rows[3] + b"\r"))
     assert_rejected(transcript_file, FIRST_ROW_LINE + 3, "malformed row")
     edit_rows(transcript_file, lambda rows: rows.__setitem__(3, b""))
-    assert_rejected(transcript_file, FIRST_ROW_LINE + 3, "row must be <slot>,b,b,b,b,b,o,d or <slot>,b,b,b,b,b,,d")
+    assert_rejected(transcript_file, FIRST_ROW_LINE + 3, WIDTH_RULE)
 
 
 def test_reader_rejects_overlong_row_without_reading_it_whole(transcript_file):
     edit_rows(transcript_file, lambda rows: rows.__setitem__(3, b"1" * 200_000))
-    assert_rejected(transcript_file, FIRST_ROW_LINE + 3, "row longer than 65536 bytes")
+    assert_rejected(transcript_file, FIRST_ROW_LINE + 3, WIDTH_RULE)
+
+
+@pytest.mark.parametrize("row,change", [
+    (BLOCK - 1, lambda row: row + b"0"),  # runs into the next block
+    (BLOCK, lambda row: row[:-2]),  # first row of the second block
+    (BLOCK + 4321, lambda row: row[1:]),
+])
+def test_reader_names_the_line_of_a_shifted_row(tmp_path, row, change):
+    n = 2 * BLOCK + 1
+    path = tmp_path / "t.csv"
+    write_transcript_csv(str(path), random_transcript(n, 3, 0.1, 0.05), meta_for(n))
+    edit_rows(path, lambda rows: rows.__setitem__(row, change(rows[row])))
+    assert_rejected(path, FIRST_ROW_LINE + row, "row must be <slot>,b,b,b,b,b,o,d with the slot padded to 5 digits")
+
+
+def test_reader_refuses_other_formats(transcript_file):
+    data = transcript_file.read_bytes()
+    transcript_file.write_bytes(data.replace(TRANSCRIPT_FORMAT.encode(), b"ddiqkd-transcript-2"))
+    with pytest.raises(ValidationError, match="format 'ddiqkd-transcript-2'"):
+        read_public_view(str(transcript_file))
+    transcript_file.write_bytes(re.sub(rb"# format: [^\n]*\n", b"", data))
+    with pytest.raises(ValidationError, match="no format tag"):
+        read_public_view(str(transcript_file))
+
+
+def test_reader_refuses_a_format_2_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(
+        b"# format: ddiqkd-transcript-2\n# n_slots: 2\n" + ",".join(TRANSCRIPT_COLUMNS).encode()
+        + b"\n0,0,1,0,1,1,2,0\n1,1,0,1,1,0,,0\n"
+    )
+    assert main(["analyze", "--transcript", str(path)]) == 1
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: transcript has format 'ddiqkd-transcript-2'")):
+        read_public_view(str(path))
+
+
+def test_reader_requires_n_slots(transcript_file):
+    transcript_file.write_bytes(re.sub(rb"# n_slots: [^\n]*\n", b"", transcript_file.read_bytes()))
+    with pytest.raises(ValidationError, match="metadata lacks n_slots"):
+        read_public_view(str(transcript_file))
 
 
 def replace_meta(key, value):
@@ -256,7 +334,7 @@ def replace_meta(key, value):
     (replace_meta("expected_report_rate", b"x0.02"), "metadata expected_report_rate: 'x0.02' is not a valid float"),
     (replace_meta("alpha", b"x"), "metadata alpha: 'x' is not a valid float"),
     (replace_meta("mode", b"hon\xffest"), ":2: metadata is not UTF-8"),
-    (lambda data: data.replace(b"\n5,", b"\n\xff,", 1), f":{FIRST_ROW_LINE + 5}: malformed row"),
+    (lambda data: data.replace(b"\n005,", b"\n\xff05,", 1), f":{FIRST_ROW_LINE + 5}: malformed row"),
 ])
 def test_analyze_reports_bad_metadata_and_bytes_as_errors(transcript_file, capsys, corrupt, message):
     transcript_file.write_bytes(corrupt(transcript_file.read_bytes()))
