@@ -98,14 +98,11 @@ def outcome_histogram(outcomes: Sequence[int]) -> tuple[np.ndarray, float, float
     return counts, float(chi2), float(special.chdtrc(3, chi2))
 
 
-def double_click_rate(view: PublicView) -> float:
-    """Double-click slots per transmitted slot."""
-    return len(view.double_click_slots) / view.n_slots
-
-
 @dataclass(frozen=True)
 class DetectabilityReport:
-    """Monitor outputs plus per-test verdicts at significance alpha."""
+    """Monitor outputs plus per-test verdicts at significance alpha;
+    dataclasses.asdict of it is its JSON form. double_click_rate is
+    double-click slots per transmitted slot."""
 
     alpha: float
     gap_parity_chi2: float | None
@@ -126,18 +123,6 @@ class DetectabilityReport:
     def all_pass(self) -> bool:
         return all(v != "reject" for v in self.verdicts.values())
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "gap_parity_chi2": self.gap_parity_chi2,
-            "gap_parity_p_value": self.gap_parity_p_value,
-            "rate_z_score": self.rate_z_score,
-            "outcome_chi2": self.outcome_chi2,
-            "outcome_p_value": self.outcome_p_value,
-            "double_click_rate": self.double_click_rate,
-            "verdicts": dict(self.verdicts),
-        }
-
 
 def _p_verdict(p: float | None, alpha: float) -> str:
     if p is None:
@@ -154,7 +139,7 @@ def detectability_report(
     gp = gap_parity_uniformity(view.reported_slots)
     z = rate_consistency(view.announced_events, view.n_slots, expected_rate)
     oh = outcome_histogram(view.outcomes)
-    dcr = double_click_rate(view)
+    dcr = len(view.double_click_slots) / view.n_slots
     z_crit = float(-special.ndtri(alpha / 2.0))
     verdicts = {
         "gap_parity": _p_verdict(gp[1] if gp else None, alpha),

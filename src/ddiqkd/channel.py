@@ -25,10 +25,9 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class TrojanProbe:
-    """Encoder-readout oracle: when enabled, reveals the receiver's exact
-    (basis, bit) setting with probability readout_success_prob per slot."""
+    """Encoder-readout oracle: reveals the receiver's exact (basis, bit)
+    setting with probability readout_success_prob per slot."""
 
-    enabled: bool = True
     readout_success_prob: float = 1.0
 
     def __post_init__(self) -> None:

@@ -187,11 +187,12 @@ def _meta_value(path: str, meta: Mapping[str, str], key: str, kind: type, defaul
 
 def read_public_view(path: str) -> tuple[PublicView, dict[str, str]]:
     """Parse a transcript back into the announcement record, reading only
-    the public columns. The file must agree with itself: the format tag is
-    TRANSCRIPT_FORMAT, the header is TRANSCRIPT_COLUMNS, and there are
-    exactly n_slots rows, row i being what write_transcript_csv writes for
-    slot i. Each block of rows is checked at once against its frame and a
-    cell lookup; anything else raises ValidationError naming the line."""
+    the public columns. The file must agree with itself: no metadata key
+    repeats, the format tag is TRANSCRIPT_FORMAT, the header is
+    TRANSCRIPT_COLUMNS, and there are exactly n_slots rows, row i being
+    what write_transcript_csv writes for slot i. Each block of rows is
+    checked at once against its frame and a cell lookup; anything else
+    raises ValidationError naming the line."""
     meta: dict[str, str] = {}
     parts: list[tuple] = []
     try:
@@ -207,8 +208,10 @@ def read_public_view(path: str) -> tuple[PublicView, dict[str, str]]:
             except UnicodeDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: metadata is not UTF-8: {exc}") from None
             if ":" in body:
-                key, _, value = body.partition(":")
-                meta[key.strip()] = value.strip()
+                key, _, value = (part.strip() for part in body.partition(":"))
+                if key in meta:
+                    raise ValidationError(f"{path}:{lineno}: metadata {key} is repeated")
+                meta[key] = value
             line = fh.readline()
             lineno += 1
         if meta.get("format") != TRANSCRIPT_FORMAT:
@@ -262,21 +265,7 @@ def report_payload(config: SessionConfig, report: SessionReport) -> dict[str, An
         "seed": config.seed,
         "config_sha256": config_digest(config),
         "config": serialize_config(config),
-        "report": {
-            "mode": report.mode,
-            "sent": report.sent,
-            "arrived": report.arrived,
-            "reported": report.reported,
-            "sifted": report.sifted,
-            "qber": report.qber,
-            "key_rate": report.key_rate,
-            "reported_rate": report.reported_rate,
-            "double_click_rate": report.double_click_rate,
-            "eve_leak_fraction": report.eve_leak_fraction,
-            "expected_report_rate": report.expected_report_rate,
-            "detectability": report.detectability.as_dict(),
-            "plan": None if report.plan is None else asdict(report.plan),
-        },
+        "report": asdict(report),
     }
 
 
@@ -402,7 +391,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "n_slots": view.n_slots,
         "announced_events": view.announced_events,
         "expected_report_rate": expected,
-        "detectability": det.as_dict(),
+        "detectability": asdict(det),
     }
     if view.announced_events == 0:
         payload["note"] = "no announced events; per-announcement monitors are absent"

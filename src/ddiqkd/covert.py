@@ -39,23 +39,14 @@ class Parity(IntEnum):
 
 class KeyStream(Protocol):
     """observe needs next_bit only; announce also reads ahead with
-    peek_bits(n) and consumes with next_bits(n), which give the bits n
-    next_bit() calls would."""
+    peek_bits(n), and announce and eve_decode consume with next_bits(n),
+    which give the bits n next_bit() calls would."""
 
     def next_bit(self) -> int: ...
 
     def next_bits(self, n: int) -> np.ndarray: ...
 
     def peek_bits(self, n: int) -> np.ndarray: ...
-
-
-def draw_key_bits(key_stream: KeyStream, n: int) -> np.ndarray:
-    """The next n key bits: one bulk draw from a stream with next_bits, one
-    next_bit() call per bit from a stream with only that."""
-    bulk = getattr(key_stream, "next_bits", None)
-    if bulk is not None:
-        return bulk(n)
-    return np.fromiter((key_stream.next_bit() for _ in range(n)), dtype=np.int64, count=n)
 
 
 class ParityKeyStream:
@@ -299,4 +290,4 @@ def eve_decode(reported_slots: Sequence[int], key_stream: KeyStream) -> list[int
     if len(bad):
         a, b = slots[bad[0]], slots[bad[0] + 1]
         raise ValidationError(f"reported slots must be strictly increasing, got {a} then {b}")
-    return ((gaps & 1) ^ 1 ^ draw_key_bits(key_stream, len(gaps))).tolist()
+    return ((gaps & 1) ^ 1 ^ key_stream.next_bits(len(gaps))).tolist()

@@ -50,10 +50,9 @@ class CovertAttackMode:
 
     The unit's real detectors have efficiency eta_true, typically far above
     the eta_expected the receiver was sold; the surplus detections are the
-    silence budget the encoding spends. The encoder readout probe must be
-    enabled, otherwise the unit never learns the bits it is supposed to leak.
-    target_report_rate defaults to the rate the receiver expects,
-    transmittance * eta_expected.
+    silence budget the encoding spends; the encoder readout probe tells the
+    unit the bits it leaks. target_report_rate defaults to the rate the
+    receiver expects, transmittance * eta_expected.
     """
 
     kind: ClassVar[str] = "covert"
@@ -72,8 +71,6 @@ class CovertAttackMode:
             raise ValidationError(
                 f"target_report_rate must be > 0, got {self.target_report_rate}"
             )
-        if not self.trojan.enabled:
-            raise ValidationError("covert attack requires the encoder readout probe enabled")
 
 
 @dataclass(frozen=True)
@@ -134,8 +131,8 @@ class SessionConfig:
     mode: Mode = field(default_factory=HonestMode)
 
     def __post_init__(self) -> None:
-        if self.n_slots < 1:
-            raise ValidationError(f"n_slots must be >= 1, got {self.n_slots}")
+        if not 1 <= self.n_slots < 2**63:
+            raise ValidationError(f"n_slots must be >= 1 and < 2**63, got {self.n_slots}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if len(self.detectors) != 4:
@@ -184,8 +181,8 @@ class Transcript:
         return PublicView(
             n_slots=self.n_slots,
             reported_slots=singles,
-            outcomes=self.reported[singles].copy(),
-            bob_basis_at_reported=self.bob_basis[singles].copy(),
+            outcomes=self.reported[singles],
+            bob_basis_at_reported=self.bob_basis[singles],
             double_click_slots=np.nonzero(self.double_click)[0],
         )
 
@@ -320,6 +317,11 @@ def _intercept(t: Transcript, rng) -> np.ndarray:
     return _prep(basis, bit)
 
 
+def _key_stream(mode: CovertAttackMode) -> ParityKeyStream | NullKeyStream:
+    """A fresh copy of the key stream the reporter and the accomplice share."""
+    return ParityKeyStream(mode.key_seed) if mode.keyed else NullKeyStream()
+
+
 def _covert_reporter(config: SessionConfig, mode: CovertAttackMode) -> CovertReporter:
     """Feasibility gate: construction fails before any sampling happens."""
     transmittance = config.channel.transmittance
@@ -333,8 +335,7 @@ def _covert_reporter(config: SessionConfig, mode: CovertAttackMode) -> CovertRep
             f"(transmittance {transmittance}, eta_true {mode.eta_true}, "
             f"readout success {mode.trojan.readout_success_prob})"
         )
-    key_stream = ParityKeyStream(mode.key_seed) if mode.keyed else NullKeyStream()
-    return CovertReporter.for_rates(p_candidate, target, key_stream)
+    return CovertReporter.for_rates(p_candidate, target, _key_stream(mode))
 
 
 def _run_covert(
@@ -374,23 +375,19 @@ def _run_blinding(
     return plan
 
 
-def _leak_fraction(config: SessionConfig, t: Transcript) -> float:
+def _leak_fraction(config: SessionConfig, t: Transcript, sifted: np.ndarray, singles: np.ndarray) -> float:
     """Fraction of the relevant secret the in-channel or in-unit adversary
-    actually recovered, from ground truth."""
+    actually recovered, from ground truth: per announced single (`singles`),
+    the receiver bits decoded from their gaps (covert); per sifted slot, the
+    bits the interceptor holds (intercept-resend, blinding)."""
     mode = config.mode
     if isinstance(mode, CovertAttackMode):
-        slots = t.reported_slots()
-        m = len(slots)
-        if m == 0:
+        if len(singles) == 0:
             return 0.0
-        stream = ParityKeyStream(mode.key_seed) if mode.keyed else NullKeyStream()
-        decoded = eve_decode(slots, stream)
-        return np.count_nonzero(np.array(decoded) == t.bob_bit[slots[:-1]]) / m
+        decoded = eve_decode(singles, _key_stream(mode))
+        return np.count_nonzero(np.array(decoded) == t.bob_bit[singles[:-1]]) / len(singles)
     blinding = isinstance(mode, BlindingMode)
-    if not (blinding or isinstance(mode, InterceptResendMode)):
-        return 0.0
-    sifted = sift(t)
-    if len(sifted) == 0:
+    if len(sifted) == 0 or not (blinding or isinstance(mode, InterceptResendMode)):
         return 0.0
     eve_bit = t.eve_bit[sifted]
     if blinding:
@@ -403,12 +400,17 @@ def _leak_fraction(config: SessionConfig, t: Transcript) -> float:
 def build_report(
     config: SessionConfig, transcript: Transcript, plan: BlindingPlan | None = None
 ) -> SessionReport:
+    """The session report in one pass: the public view, the sifted slots and
+    the expected rate are each taken once, and the counts, QBER, leak
+    fraction and monitors (double-click rate included) all read from them."""
     view = transcript.public_view()
     sifted = sift(transcript)
     qber = compute_qber(transcript, sifted)
     n = config.n_slots
     reported = view.announced_events
     rate = 0.0 if qber is None else key_rate(qber, len(sifted) / n)
+    expected = config.expected_report_rate()
+    det = detectability_report(view, expected, config.alpha)
     return SessionReport(
         mode=config.mode.kind,
         sent=n,
@@ -418,10 +420,10 @@ def build_report(
         qber=qber,
         key_rate=rate,
         reported_rate=reported / n,
-        double_click_rate=len(view.double_click_slots) / n,
-        eve_leak_fraction=_leak_fraction(config, transcript),
-        expected_report_rate=config.expected_report_rate(),
-        detectability=detectability_report(view, config.expected_report_rate(), config.alpha),
+        double_click_rate=det.double_click_rate,
+        eve_leak_fraction=_leak_fraction(config, transcript, sifted, view.reported_slots),
+        expected_report_rate=expected,
+        detectability=det,
         plan=plan,
     )
 

@@ -1,10 +1,11 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from ddiqkd.analysis import (
     PublicView,
     detectability_report,
-    double_click_rate,
     gap_parity_uniformity,
     outcome_histogram,
     rate_consistency,
@@ -87,8 +88,9 @@ def test_outcome_histogram_uniform_and_degenerate():
 
 
 def test_double_click_rate():
-    assert double_click_rate(make_view(100, [1, 5], doubles=[7, 9])) == pytest.approx(0.02)
-    assert double_click_rate(make_view(100, [1, 5])) == 0.0
+    doubled = detectability_report(make_view(100, [1, 5], doubles=[7, 9]), expected_rate=0.02)
+    assert doubled.double_click_rate == pytest.approx(0.02)
+    assert detectability_report(make_view(100, [1, 5]), expected_rate=0.02).double_click_rate == 0.0
 
 
 def test_detectability_report_verdict_wiring():
@@ -118,7 +120,7 @@ def test_detectability_report_empty_view():
     assert report.verdicts["rate"] == "reject"  # 0 reports vs expected 100
     assert report.gap_parity_chi2 is None
     assert report.outcome_p_value is None
-    d = report.as_dict()
+    d = asdict(report)
     assert d["verdicts"]["gap_parity"] == "absent"
     assert d["alpha"] == 0.01
 

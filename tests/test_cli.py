@@ -65,9 +65,13 @@ def test_run_usage_and_config_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
     assert main(["frobnicate"]) == 1
     assert main([]) == 1
-    bad = write_doc(tmp_path, {"n_slots": -5}, "bad.json")
-    assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 1
-    assert "error:" in capsys.readouterr().err
+    capsys.readouterr()
+    # the upper bound is the transcript reader's; it is checked when the
+    # config is parsed, before any column is allocated
+    for n_slots in (-5, 10**20, 2**63):
+        bad = write_doc(tmp_path, {"n_slots": n_slots}, "bad.json")
+        assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: config: n_slots must be >= 1 and < 2**63")
 
 
 def test_help_exits_0(capsys):

@@ -149,8 +149,8 @@ def test_schema_names_every_dataclass_field():
     tables = [(SessionConfig, schema._SESSION), (ChannelSpec, schema._CHANNEL),
               (TrojanProbe, schema._TROJAN), (DetectorSpec, schema._DETECTOR)]
     tables += list(schema._MODES.values())
-    # outcome is the detector's position; the probe is always on when configured
-    exempt = {(DetectorSpec, "outcome"), (TrojanProbe, "enabled")}
+    # outcome is the detector's position
+    exempt = {(DetectorSpec, "outcome")}
     for cls, fields in tables:
         listed = {attr for _, attr, _ in fields}
         expected = {f.name for f in dataclasses.fields(cls)} - {a for c, a in exempt if c is cls}

@@ -100,6 +100,9 @@ def test_decode_examples():
         def next_bit(self):
             return 1
 
+        def next_bits(self, n):
+            return np.ones(n, dtype=np.int64)
+
     assert eve_decode([3, 5], OneStream()) == [0]  # keyed flip of the leading 1
 
 

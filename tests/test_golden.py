@@ -2,10 +2,12 @@
 
 Every session config in configs/ is run at GOLDEN_SLOTS slots with its own
 seed; the digests of transcript.csv and report.json must match byte for
-byte. A change to the draw order, the transcript format or the report
+byte. GOLDEN_MULTI pins the same scenarios at MULTI_SLOTS slots, where a
+transcript spans three 10,000-row blocks and the covert reporter makes
+several thousand announcements. A change to the draw order, the transcript format or the report
 schema changes them on purpose: bump the transcript format tag, describe
 the new order in the README's "Determinism" section, and print the new
-GOLDEN table with
+GOLDEN and GOLDEN_MULTI tables with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -23,6 +25,7 @@ from ddiqkd.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN_SLOTS = 2000
+MULTI_SLOTS = 23456
 
 GOLDEN = {
     "blinding_symmetric": (
@@ -51,6 +54,33 @@ GOLDEN = {
     ),
 }
 
+GOLDEN_MULTI = {
+    "blinding_symmetric": (
+        "554d4d191802806bc644a1b268159044519327adf51fd73e07a00c3a2c09d7d5",
+        "491d44f4dc76374c2d2068027c11f23455113d6c2fb209392ece127fbe72519d",
+    ),
+    "blinding_tailored": (
+        "616edd0c04c0294f14cf3ac434abb51b569b7cfb5106cca07287fad235b1760d",
+        "29374896bdadec7d3cfbcdf1de56c1708b921ad854540bd617d234a08cd881b7",
+    ),
+    "covert_keyed": (
+        "5d4b28bc7233e7e4882648d7d0c4f43e103abfdb50c487dd383e0a8ce5278fb4",
+        "f7621c0c44631fd3c6b610506202c5be3f99f1530e58612fe06f9df2977b2a04",
+    ),
+    "covert_unkeyed_biased": (
+        "65e8ff68fa6a4197bd4c3ced88f34124f6471439b1e783e4a2816b2847620d3e",
+        "81c641aaf8fcf8c50f3c8344a5e7c84c6061f19fa52f51dee8a28917b17b9c99",
+    ),
+    "honest": (
+        "0b6e5983f219b18bd9599701e80f8e4cd6a5dcef5aa1517c12e4c754cab67f70",
+        "be543b6d0eb7740fc883c0d05c7cb8b23283cfa10c3e8b34f4909a49a38b911d",
+    ),
+    "intercept_resend": (
+        "d440b39aaab77292a54fdf2ddec211c50e7673389b2dfd4aff50ff46b1d2696a",
+        "b21052dde63de23e9e8f1a6ba1e8f5859c59aa387fa0f1aa0290f1122b88b848",
+    ),
+}
+
 
 def scenario_names():
     return sorted(
@@ -59,9 +89,9 @@ def scenario_names():
     )
 
 
-def run_digests(name, tmp_path):
+def run_digests(name, tmp_path, n_slots=GOLDEN_SLOTS):
     doc = json.loads((CONFIGS / f"{name}.json").read_text())
-    doc["n_slots"] = GOLDEN_SLOTS
+    doc["n_slots"] = n_slots
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / name
@@ -73,7 +103,7 @@ def run_digests(name, tmp_path):
 
 
 def test_every_scenario_is_pinned():
-    assert sorted(GOLDEN) == scenario_names()
+    assert sorted(GOLDEN) == sorted(GOLDEN_MULTI) == scenario_names()
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -81,10 +111,16 @@ def test_golden_digests(name, tmp_path):
     assert run_digests(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", scenario_names())
+def test_golden_multi_block_digests(name, tmp_path):
+    assert run_digests(name, tmp_path, MULTI_SLOTS) == GOLDEN_MULTI[name]
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        pinned = {name: run_digests(name, Path(tmp)) for name in scenario_names()}
-    print("GOLDEN = {")
-    for name, (transcript, report) in pinned.items():
-        print(f'    "{name}": (\n        "{transcript}",\n        "{report}",\n    ),')
-    print("}")
+    for table, n_slots in (("GOLDEN", GOLDEN_SLOTS), ("GOLDEN_MULTI", MULTI_SLOTS)):
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            pinned = {name: run_digests(name, Path(tmp), n_slots) for name in scenario_names()}
+        print(f"{table} = {{")
+        for name, (transcript, report) in pinned.items():
+            print(f'    "{name}": (\n        "{transcript}",\n        "{report}",\n    ),')
+        print("}")

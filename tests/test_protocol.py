@@ -54,8 +54,6 @@ def test_mode_validation():
     with pytest.raises(ValidationError):
         CovertAttackMode(target_report_rate=0.0)
     with pytest.raises(ValidationError):
-        CovertAttackMode(trojan=TrojanProbe(enabled=False))
-    with pytest.raises(ValidationError):
         BlindingMode(optimize=True)  # grids required
 
 
@@ -181,7 +179,7 @@ def test_covert_session_invariants():
 def test_covert_partial_trojan_readout_still_decodes_cleanly():
     mode = CovertAttackMode(
         eta_true=0.9, key_seed=6,
-        trojan=TrojanProbe(enabled=True, readout_success_prob=0.6),
+        trojan=TrojanProbe(readout_success_prob=0.6),
     )
     config = SessionConfig(
         n_slots=20000, seed=15, channel=ChannelSpec(transmittance=0.1),

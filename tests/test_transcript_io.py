@@ -328,12 +328,22 @@ def replace_meta(key, value):
     return lambda data: re.sub(rf"# {key}: [^\n]*".encode(), f"# {key}: ".encode() + value, data)
 
 
+def repeat_meta(key, value):
+    """Append a second `key` line after the metadata, at FIRST_ROW_LINE - 1."""
+    header = ",".join(TRANSCRIPT_COLUMNS).encode()
+    return lambda data: data.replace(header, f"# {key}: {value}\n".encode() + header, 1)
+
+
 @pytest.mark.parametrize("corrupt,message", [
     (replace_meta("n_slots", b"lots"), "metadata n_slots: 'lots' is not a valid int"),
     (replace_meta("n_slots", b"0"), "metadata n_slots: 0 is not >= 1"),
     (replace_meta("expected_report_rate", b"x0.02"), "metadata expected_report_rate: 'x0.02' is not a valid float"),
     (replace_meta("alpha", b"x"), "metadata alpha: 'x' is not a valid float"),
     (replace_meta("mode", b"hon\xffest"), ":2: metadata is not UTF-8"),
+    (repeat_meta("format", TRANSCRIPT_FORMAT), f":{FIRST_ROW_LINE - 1}: metadata format is repeated"),
+    (repeat_meta("n_slots", N), f":{FIRST_ROW_LINE - 1}: metadata n_slots is repeated"),
+    (repeat_meta("alpha", 0.5), f":{FIRST_ROW_LINE - 1}: metadata alpha is repeated"),
+    (repeat_meta("expected_report_rate", 0.5), f":{FIRST_ROW_LINE - 1}: metadata expected_report_rate is repeated"),
     (lambda data: data.replace(b"\n005,", b"\n\xff05,", 1), f":{FIRST_ROW_LINE + 5}: malformed row"),
 ])
 def test_analyze_reports_bad_metadata_and_bytes_as_errors(transcript_file, capsys, corrupt, message):
