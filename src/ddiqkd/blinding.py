@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .devices import BrightPulse, DetectorSpec, bsm_respond_bright, classify
+from .devices import DetectorSpec
 from .errors import NoViablePlanError, ValidationError
-from .states import PREPARATIONS, XOR_TABLE, prepare_polarization, prepare_spatial
+from .states import BELL_TABLE, PREPARATIONS, XOR_TABLE
 
 # [interceptor preparation, receiver preparation] pairs with matching bases
 _BASES = np.array([basis for basis, _ in PREPARATIONS])
@@ -63,19 +63,20 @@ def click_table(
     """Blinded response of the unit to every (interceptor eigenstate x
     receiver spatial setting) pair, indexed by their preparation indices.
 
-    Returns the announced outcome (-1 unless exactly one detector clicks)
-    and the double-click flag, each a 4x4 table. Deterministic.
+    Detector k clicks iff peak_power times the Bell probability of outcome
+    k (BELL_TABLE, the same floats as bell_probabilities of each pair) meets
+    its threshold at the wavelength, so every comparison, ties included, is
+    the per-pair one. Returns the announced outcome (-1 unless exactly one
+    detector clicks) and the double-click flag, each a 4x4 table.
+    Deterministic: the session draws nothing for it.
     """
-    outcome = np.full((4, 4), -1, dtype=np.int8)
-    double = np.zeros((4, 4), dtype=bool)
-    for i, eve_setting in enumerate(PREPARATIONS):
-        pulse = BrightPulse(peak_power, wavelength, prepare_polarization(*eve_setting))
-        for j, bob_setting in enumerate(PREPARATIONS):
-            result = classify(bsm_respond_bright(pulse, prepare_spatial(*bob_setting), detectors))
-            if result.is_single:
-                outcome[i, j] = result.outcome
-            double[i, j] = result.is_double
-    return outcome, double
+    if peak_power <= 0.0:
+        raise ValidationError(f"peak_power must be > 0, got {peak_power}")
+    thresholds = np.array([d.threshold_at(wavelength) for d in detectors])
+    clicks = peak_power * BELL_TABLE >= thresholds
+    count = np.count_nonzero(clicks, axis=2)
+    outcome = np.where(count == 1, clicks.argmax(axis=2), -1).astype(np.int8)
+    return outcome, count >= 2
 
 
 def evaluate_pulse(

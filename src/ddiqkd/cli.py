@@ -403,7 +403,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="ddiqkd",
         description="Simulate DDI-QKD sessions, measurement-unit covert channels, "

@@ -230,10 +230,12 @@ class CovertReporter:
             snapshot = rng.bit_generator.state
             accepted = np.flatnonzero(rng.random(n) < q)
             rng.bit_generator.state = snapshot
-            # next_accepted[c]: the first accepted uniform at or after c, or n
-            next_accepted = np.append(accepted, n)[np.searchsorted(accepted, np.arange(n + 1))]
         else:
-            next_accepted = np.arange(n + 1)
+            accepted = np.arange(n)
+        # announcement k takes the next accepted uniform, so it skips the
+        # candidates of the wanted parity whose uniforms lie between the
+        # accepted ones; past the last accepted uniform nothing is announced
+        skips = (np.diff(accepted, prepend=-1) - 1).tolist() + [n]
         odd = (slots & 1).astype(bool)
         # members[p]: candidate indices with slot parity p; after[p][j + 1]:
         # the position in members[p] of the first one after candidate j
@@ -244,21 +246,19 @@ class CovertReporter:
         # j under key bit 0 (an even gap encodes bit 1); key bit 1 flips it
         wanted = ((slots ^ bits ^ 1) & 1).tolist()
         keys = self.key_stream.peek_bits(n).tolist()
-        next_accepted = next_accepted.tolist()
         if self.last_reported_slot is None:
             j, announced = 0, [0]
             parity = wanted[0] ^ keys[0]
         else:
             j, announced = -1, []
             parity = (self.last_reported_slot ^ self.pending_bit ^ self.gap_key_bit ^ 1) & 1
-        used = 0  # thinning uniforms taken so far
+        k = 0  # announcements made by the loop, one accepted uniform each
         while True:
             pos = after[parity][j + 1]
-            hit = pos + next_accepted[used] - used
+            hit = pos + skips[k]
             if hit >= sizes[parity]:
-                used += sizes[parity] - pos
                 break
-            used = next_accepted[used] + 1
+            k += 1
             j = members[parity][hit]
             parity = wanted[j] ^ keys[len(announced)]
             announced.append(j)
@@ -268,7 +268,8 @@ class CovertReporter:
             self.pending_bit = int(bits[j])
             self.gap_key_bit = keys[len(announced) - 1]
         if q < 1.0:
-            rng.random(used)
+            # up to the last accepted uniform taken, then the examined tail
+            rng.random((accepted[k - 1] + 1 if k else 0) + sizes[parity] - pos)
         return slots[announced]
 
     def _announce(self, slot: int, bob_bit: int) -> None:

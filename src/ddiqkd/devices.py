@@ -4,7 +4,8 @@ Two response regimes are modeled. In quantum mode a single photon is projected
 onto the Bell basis and the matching detector fires subject to its efficiency;
 dark counts fire independently. In blinded (linear) mode the detectors ignore
 single photons entirely and click only when the classical optical power they
-receive meets a per-detector threshold.
+receive meets a per-detector threshold; blinding.click_table tabulates that
+response for the 16 pulse/receiver pairs.
 
 Efficiencies and thresholds are wavelength-dependent tables; lookups at an
 unlisted wavelength use the nearest listed entry (lower wavelength on ties).
@@ -16,11 +17,9 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .states import BellOutcome, PolarizationQubit, SpatialQubit, bell_probabilities, tensor
+from .states import BellOutcome
 
 DEFAULT_WAVELENGTH_NM = 1550.0
-
-ClickPattern = tuple[bool, bool, bool, bool]
 
 
 def _nearest(table: Mapping[float, float], wavelength: float) -> float:
@@ -73,56 +72,6 @@ def make_detectors(
     return tuple(DetectorSpec(k, eff, dark_count_prob, thr) for k in BellOutcome)  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class BrightPulse:
-    """Classical bright pulse: peak power (mW), wavelength (nm), polarization."""
-
-    peak_power: float
-    wavelength: float
-    polarization: PolarizationQubit
-
-    def __post_init__(self) -> None:
-        if self.peak_power <= 0.0:
-            raise ValidationError(f"peak_power must be > 0, got {self.peak_power}")
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Which detectors fired in one slot: none, a single outcome, or several."""
-
-    clicked: frozenset[BellOutcome]
-
-    @property
-    def is_no_click(self) -> bool:
-        return not self.clicked
-
-    @property
-    def is_single(self) -> bool:
-        return len(self.clicked) == 1
-
-    @property
-    def is_double(self) -> bool:
-        return len(self.clicked) >= 2
-
-    @property
-    def outcome(self) -> BellOutcome | None:
-        """The announced outcome for a single click, else None."""
-        if self.is_single:
-            return next(iter(self.clicked))
-        return None
-
-
-NO_CLICK = DetectionResult(frozenset())
-
-
-def classify(pattern: Sequence[bool]) -> DetectionResult:
-    """Fold a 4-detector click pattern into no-click / single / double."""
-    if len(pattern) != 4:
-        raise ValidationError(f"click pattern needs 4 entries, got {len(pattern)}")
-    clicked = frozenset(BellOutcome(i) for i, c in enumerate(pattern) if c)
-    return DetectionResult(clicked)
-
-
 def sample_outcome(probabilities: Sequence[float], u: float) -> int:
     """Map a uniform draw u in [0,1) to an outcome index by cumulative sums."""
     acc = 0.0
@@ -132,17 +81,3 @@ def sample_outcome(probabilities: Sequence[float], u: float) -> int:
             return k
     return len(probabilities) - 1
 
-
-def bsm_respond_bright(
-    pulse: BrightPulse,
-    bob_spatial: SpatialQubit,
-    detectors: Sequence[DetectorSpec],
-) -> ClickPattern:
-    """Blinded-mode response: the pulse power splits across detectors in
-    proportion to the Bell probabilities of (pulse polarization x spatial
-    state); detector k clicks iff its share meets its threshold. Deterministic."""
-    probs = bell_probabilities(tensor(pulse.polarization, bob_spatial))
-    return tuple(
-        pulse.peak_power * p >= d.threshold_at(pulse.wavelength)
-        for p, d in zip(probs, detectors)
-    )  # type: ignore[return-value]

@@ -209,6 +209,21 @@ class SessionReport:
 # running sums of BELL_TABLE over outcomes, one row per preparation pair
 _BELL_CDF = np.cumsum(BELL_TABLE, axis=2).reshape(16, 4)
 
+# Outcome sampling by rank. A uniform u in [0, 1) picks the first outcome
+# whose running sum exceeds it, so the outcome is how many of the pair's
+# first three running sums (_SUMS) are <= u. Every uniform of one rank (how
+# many of the distinct sums strictly inside (0, 1), _CDF_STEPS, are <= it)
+# is >= the same sums as the smallest value of that rank (0 or the step),
+# so the outcome of (pair, rank) is one entry of _OUTCOME_BY_RANK, flat at
+# index pair * _RANKS + rank (below 128, so int8 holds it).
+_SUMS = _BELL_CDF[:, :3]
+_CDF_STEPS = np.unique(_SUMS[(_SUMS > 0.0) & (_SUMS < 1.0)])
+_RANKS = len(_CDF_STEPS) + 1
+_OUTCOME_BY_RANK = np.count_nonzero(
+    np.concatenate(([0.0], _CDF_STEPS))[None, :, None] >= _SUMS[:, None, :], axis=2
+).astype(np.int8).ravel()
+_XOR_FLAT = XOR_TABLE.ravel()
+
 
 def binary_entropy(q: float) -> float:
     if q <= 0.0 or q >= 1.0:
@@ -231,9 +246,8 @@ def key_rate(qber: float, sifted_fraction: float) -> float:
 
 def sift(transcript: Transcript) -> np.ndarray:
     """Slots of announced single clicks where the parties' bases agree."""
-    slots = transcript.reported_slots()
-    same = transcript.alice_basis[slots] == transcript.bob_basis[slots]
-    return slots[same]
+    t = transcript
+    return np.flatnonzero((t.reported >= 0) & (t.alice_basis == t.bob_basis))
 
 
 def compute_qber(transcript: Transcript, sifted_slots: np.ndarray) -> float | None:
@@ -241,21 +255,26 @@ def compute_qber(transcript: Transcript, sifted_slots: np.ndarray) -> float | No
     from the actual one; None when nothing was sifted."""
     if len(sifted_slots) == 0:
         return None
-    outcomes = transcript.reported[sifted_slots]
-    bases = transcript.bob_basis[sifted_slots]
-    inferred = transcript.bob_bit[sifted_slots] ^ XOR_TABLE[bases, outcomes]
-    return float(np.mean(inferred != transcript.alice_bit[sifted_slots]))
+    t = transcript
+    xor = _XOR_FLAT[4 * t.bob_basis[sifted_slots] + t.reported[sifted_slots]]
+    errors = xor ^ t.bob_bit[sifted_slots] ^ t.alice_bit[sifted_slots]
+    return float(np.count_nonzero(errors) / len(sifted_slots))
 
 
 def _draw_settings(config: SessionConfig, rng) -> Transcript:
     """Bulk-draw party settings and arrivals in a fixed order."""
     n = config.n_slots
+
+    def trials(p: float) -> np.ndarray:
+        # a uniform below p, compared straight into int8 0/1
+        return np.less(rng.random(n), p, out=np.empty(n, dtype=np.int8))
+
     return Transcript(
         n_slots=n,
-        alice_basis=(rng.random(n) < config.basis_choice_prob).astype(np.int8),
+        alice_basis=trials(config.basis_choice_prob),
         alice_bit=rng.integers(0, 2, size=n, dtype=np.int8),
-        bob_basis=(rng.random(n) < config.basis_choice_prob).astype(np.int8),
-        bob_bit=(rng.random(n) < config.bob_bit_bias).astype(np.int8),
+        bob_basis=trials(config.basis_choice_prob),
+        bob_bit=trials(config.bob_bit_bias),
         arrived=rng.random(n) < config.channel.transmittance,
         detected=np.zeros(n, dtype=bool),
         reported=np.full(n, -1, dtype=np.int8),
@@ -269,52 +288,77 @@ def _prep(basis: np.ndarray, bit: np.ndarray) -> np.ndarray:
     return 2 * basis + bit
 
 
-def _bell_outcomes(src: np.ndarray, rcv: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sample_outcome over the Bell table, one uniform per slot: the first
-    outcome whose running sum exceeds u, for source preparation src and
-    receiver preparation rcv."""
-    pair = 4 * src + rcv
-    k = np.zeros(len(u), dtype=np.int8)
-    for j in range(3):
-        k += u >= _BELL_CDF[pair, j]
-    return k
+def _pairs(t: Transcript) -> np.ndarray:
+    """Per slot, the index 4 * source + receiver of the parties' preparation
+    pair; its bits are, high to low, sender basis and bit, receiver basis
+    and bit."""
+    return 4 * _prep(t.alice_basis, t.alice_bit) + _prep(t.bob_basis, t.bob_bit)
 
 
-def _detect(config: SessionConfig, t: Transcript, src: np.ndarray, rng) -> None:
-    """Honest detection of the arrived photons, prepared by src (one entry
-    per arrived slot): a Bell outcome, then that detector's efficiency
-    trial; a photon that fails it is absorbed silently. Then each detector
-    with a dark-count probability fires independently over all slots."""
-    arr = t.arrived
+def _bell_outcomes(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sample_outcome over the Bell table, one uniform per slot, for the
+    preparation pair 4 * source + receiver (int8); see _OUTCOME_BY_RANK."""
+    rank = _RANKS * pair
+    for step in _CDF_STEPS:
+        rank += u >= step
+    return _OUTCOME_BY_RANK[rank]
+
+
+def _detect(config: SessionConfig, t: Transcript, pair: np.ndarray, rng) -> None:
+    """Honest detection of the arrived photons, of preparation pair
+    4 * source + receiver (one entry per arrived slot): a Bell outcome, then
+    that detector's efficiency trial; a photon that fails it is absorbed
+    silently. Then each detector with a dark-count probability fires
+    independently over all slots.
+
+    The draws are those of the per-slot rule, in the same order and sizes;
+    a session with no dark-count detector draws no dark vector and writes
+    the photon outcomes straight into the transcript."""
     eff = np.array([d.efficiency_at(config.signal_wavelength_nm) for d in config.detectors])
-    k = _bell_outcomes(src, _prep(t.bob_basis[arr], t.bob_bit[arr]), rng.random(len(src)))
+    k = _bell_outcomes(pair, rng.random(len(pair)))
+    # the outcome where its detector's efficiency trial passes, else -1
+    k = (rng.random(len(k)) < eff[k]) * (k + 1) - 1
     photon = np.full(t.n_slots, -1, dtype=np.int8)
-    photon[arr] = np.where(rng.random(len(k)) < eff[k], k, -1)
-    clicks = (photon >= 0).astype(np.int8)
-    which = photon.copy()  # the clicked detector, read only where clicks == 1
-    for i, d in enumerate(config.detectors):
-        if d.dark_count_prob > 0.0:
-            dark = (rng.random(t.n_slots) < d.dark_count_prob) & (photon != i)
-            clicks += dark
-            which[dark] = i
-    t.detected[:] = clicks > 0
-    t.double_click[:] = clicks > 1
-    t.reported[:] = np.where(clicks == 1, which, -1)
+    photon[t.arrived] = k
+    dark = [(i, d.dark_count_prob) for i, d in enumerate(config.detectors) if d.dark_count_prob > 0.0]
+    if not dark:
+        t.reported = photon
+        t.detected = photon >= 0
+        return
+    clicks = (photon >= 0).view(np.int8)
+    # the sum of the clicked detectors' indices, which is the clicked
+    # detector where exactly one clicks
+    which = np.maximum(photon, 0)
+    fired = np.empty(t.n_slots, dtype=np.int8)
+    for i, p in dark:
+        np.less(rng.random(t.n_slots), p, out=fired)
+        fired &= photon != i
+        clicks += fired
+        fired *= i
+        which += fired
+    t.detected = clicks > 0
+    t.double_click = clicks > 1
+    t.reported = (which + 1) * (clicks == 1) - 1
 
 
 def _intercept(t: Transcript, rng) -> np.ndarray:
     """The interceptor measures every arrived photon in a uniformly drawn
     basis: she gets the sender's bit when the bases match (an eigenstate),
-    a fair coin otherwise. Records her basis and bit; returns her resent
-    preparation per arrived slot."""
+    a fair coin otherwise. Records her basis and bit; returns the pair index
+    4 * her resent preparation + the receiver's preparation per arrived slot."""
     arr = t.arrived
     m = int(np.count_nonzero(arr))
-    basis = (rng.random(m) >= 0.5).astype(np.int8)
-    coin = (rng.random(m) >= 0.5).astype(np.int8)
-    bit = np.where(basis == t.alice_basis[arr], t.alice_bit[arr], coin)
+    basis = rng.random(m) >= 0.5
+    coin = rng.random(m) >= 0.5
+    pair = _pairs(t)[arr]
+    # her bit: the sender's where her basis is the sender's (bit 3 of the
+    # pair), else the coin
+    bit = coin ^ ((basis == pair >> 3) & ((pair >> 2) ^ coin))
     t.eve_basis[arr] = basis
     t.eve_bit[arr] = bit
-    return _prep(basis, bit)
+    pair &= 3
+    pair += 4 * _prep(basis.view(np.int8), bit)
+    return pair
 
 
 def _key_stream(mode: CovertAttackMode) -> ParityKeyStream | NullKeyStream:
@@ -350,11 +394,10 @@ def _run_covert(
         candidates = candidates[rng.random(len(candidates)) < p_readout]
     announced = reporter.announce(candidates, t.bob_bit[candidates], rng)
     # outcomes pass through from honest measurement, never altered
-    t.reported[announced] = _bell_outcomes(
-        _prep(t.alice_basis[announced], t.alice_bit[announced]),
-        _prep(t.bob_basis[announced], t.bob_bit[announced]),
-        rng.random(len(announced)),
+    pair = 4 * _prep(t.alice_basis[announced], t.alice_bit[announced]) + _prep(
+        t.bob_basis[announced], t.bob_bit[announced]
     )
+    t.reported[announced] = _bell_outcomes(pair, rng.random(len(announced)))
 
 
 def _run_blinding(
@@ -368,10 +411,10 @@ def _run_blinding(
         wavelength, power = mode.wavelength, mode.pulse_power
     outcome, double = click_table(config.detectors, wavelength, power)
     arr = t.arrived
-    pair = (_intercept(t, rng), _prep(t.bob_basis[arr], t.bob_bit[arr]))
-    t.reported[arr] = outcome[pair]
-    t.double_click[arr] = double[pair]
-    t.detected[arr] = (outcome[pair] >= 0) | double[pair]
+    pair = _intercept(t, rng).astype(np.intp)
+    t.reported[arr] = outcome.ravel().take(pair)
+    t.double_click[arr] = double.ravel().take(pair)
+    t.detected[arr] = ((outcome >= 0) | double).ravel().take(pair)
     return plan
 
 
@@ -404,13 +447,15 @@ def build_report(
     the expected rate are each taken once, and the counts, QBER, leak
     fraction and monitors (double-click rate included) all read from them."""
     view = transcript.public_view()
+    expected = config.expected_report_rate()
+    # the monitors run before the sift, so their working arrays and the
+    # sifted slots are never alive at once
+    det = detectability_report(view, expected, config.alpha)
     sifted = sift(transcript)
     qber = compute_qber(transcript, sifted)
     n = config.n_slots
     reported = view.announced_events
     rate = 0.0 if qber is None else key_rate(qber, len(sifted) / n)
-    expected = config.expected_report_rate()
-    det = detectability_report(view, expected, config.alpha)
     return SessionReport(
         mode=config.mode.kind,
         sent=n,
@@ -449,7 +494,7 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     t = _draw_settings(config, rng)
     plan: BlindingPlan | None = None
     if isinstance(mode, HonestMode):
-        _detect(config, t, _prep(t.alice_basis[t.arrived], t.alice_bit[t.arrived]), rng)
+        _detect(config, t, _pairs(t)[t.arrived], rng)
     elif isinstance(mode, CovertAttackMode):
         assert reporter is not None
         _run_covert(mode, reporter, t, rng)

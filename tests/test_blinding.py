@@ -3,6 +3,7 @@ import pytest
 from ddiqkd.blinding import (
     BlindingPlan,
     blinding_session_stats,
+    click_table,
     evaluate_pulse,
     optimize_pulse,
 )
@@ -27,6 +28,25 @@ def test_plan_requires_zero_cross_clicks():
         BlindingPlan(1550.0, 2.0, 1.0, 0.0, 0.25)
     with pytest.raises(ValidationError):
         BlindingPlan(1550.0, 2.0, 1.5, 0.0, 0.0)
+
+
+def test_click_table_symmetric_thresholds_double_on_matched_basis():
+    outcome, double = click_table(make_detectors(blind_threshold=1.0), 1550.0, 2.2)
+    # H x a splits 1.1/1.1 across the Phi pair: both fire
+    assert outcome[0, 0] == -1 and double[0, 0]
+    # basis mismatch splits 0.55 four ways: silence
+    assert outcome[0, 2] == -1 and not double[0, 2]
+
+
+def test_click_table_tailored_thresholds_single_click():
+    outcome, double = click_table(tailored_detectors(), 1550.0, 2.0)
+    # V x a puts 1.0 on each Psi detector; only the 0.9 threshold fires
+    assert outcome[1, 0] == BellOutcome.PSI_MINUS and not double[1, 0]
+
+
+def test_click_table_rejects_nonpositive_power():
+    with pytest.raises(ValidationError):
+        click_table(make_detectors(), 1550.0, 0.0)
 
 
 def test_evaluate_pulse_symmetric_all_doubles():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ddiqkd.cli import main, read_public_view
+from ddiqkd.cli import _build_parser, main, read_public_view
 from ddiqkd.covert import attack_feasible
 
 HONEST_DOC = {
@@ -72,6 +72,35 @@ def test_run_usage_and_config_errors_exit_1(tmp_path, capsys):
         bad = write_doc(tmp_path, {"n_slots": n_slots}, "bad.json")
         assert main(["run", "--config", bad, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: config: n_slots must be >= 1 and < 2**63")
+
+
+def test_one_process_matches_fresh_calls(tmp_path, capsys):
+    # run, a usage error, analyze and run again in one process share one
+    # parser; each must exit, print and write as a call with a fresh parser
+    config = write_doc(tmp_path, HONEST_DOC)
+    out = tmp_path / "out"
+    calls = [
+        ["run", "--config", config, "--out", str(out)],
+        ["run", "--config", config],
+        ["analyze", "--transcript", str(out / "transcript.csv")],
+        ["run", "--config", config, "--out", str(out)],
+    ]
+
+    def call(argv):
+        code = main(argv)
+        files = {f: (out / f).read_bytes() for f in ("transcript.csv", "report.json")}
+        return code, capsys.readouterr(), files
+
+    _build_parser.cache_clear()
+    shared = [call(argv) for argv in calls]
+    assert _build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0]
+    assert "required: --out" in shared[1][1].err
 
 
 def test_help_exits_0(capsys):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddiqkd.blinding import (
     blinding_session_stats,
@@ -17,14 +19,7 @@ from ddiqkd.blinding import (
 )
 from ddiqkd.channel import ChannelSpec
 from ddiqkd.config import parse_config
-from ddiqkd.devices import (
-    BrightPulse,
-    DetectorSpec,
-    bsm_respond_bright,
-    classify,
-    make_detectors,
-    sample_outcome,
-)
+from ddiqkd.devices import DetectorSpec, make_detectors, sample_outcome
 from ddiqkd.protocol import (
     _BELL_CDF,
     BlindingMode,
@@ -75,9 +70,7 @@ def test_bell_outcomes_match_sample_outcome_at_every_breakpoint():
                 rng.random(200),
             ])
             u = u[u < 1.0]
-            src = np.full(len(u), i, dtype=np.int8)
-            rcv = np.full(len(u), j, dtype=np.int8)
-            got = _bell_outcomes(src, rcv, u)
+            got = _bell_outcomes(np.full(len(u), 4 * i + j, dtype=np.int8), u)
             assert got.tolist() == [sample_outcome(BELL_TABLE[i, j], x) for x in u]
 
 
@@ -90,25 +83,106 @@ def blinding_working_point(name):
     return config.detectors, mode.wavelength, mode.pulse_power
 
 
+def reference_click_table(detectors, wavelength, power):
+    """The per-pair blinded response click_table replaced: for each
+    (interceptor eigenstate, receiver setting) pair, detector k clicks iff
+    power times the pair's Bell probability of outcome k meets its
+    threshold at the wavelength; one click announces it, two or more are a
+    double click."""
+    outcome = np.full((4, 4), -1, dtype=np.int8)
+    double = np.zeros((4, 4), dtype=bool)
+    for i, eve in enumerate(PREPARATIONS):
+        for j, bob in enumerate(PREPARATIONS):
+            probs = bell_probabilities(tensor(prepare_polarization(*eve), prepare_spatial(*bob)))
+            clicked = [
+                k for k, (p, d) in enumerate(zip(probs, detectors))
+                if power * p >= d.threshold_at(wavelength)
+            ]
+            if len(clicked) == 1:
+                outcome[i, j] = clicked[0]
+            double[i, j] = len(clicked) >= 2
+    return outcome, double
+
+
 @pytest.mark.parametrize("name", ["blinding_symmetric.json", "blinding_tailored.json"])
 def test_blinding_click_table_matches_bright_response(name):
     detectors, wavelength, power = blinding_working_point(name)
     outcome, double = click_table(detectors, wavelength, power)
+    ref_outcome, ref_double = reference_click_table(detectors, wavelength, power)
+    assert np.array_equal(outcome, ref_outcome) and np.array_equal(double, ref_double)
     census = {"same_single": 0, "same_double": 0, "cross_any": 0}
     for i, eve in enumerate(PREPARATIONS):
-        pulse = BrightPulse(power, wavelength, prepare_polarization(*eve))
         for j, bob in enumerate(PREPARATIONS):
-            result = classify(bsm_respond_bright(pulse, prepare_spatial(*bob), detectors))
-            assert outcome[i, j] == (result.outcome if result.is_single else -1)
-            assert double[i, j] == result.is_double
+            single = ref_outcome[i, j] >= 0
             if eve[0] == bob[0]:
-                census["same_single"] += result.is_single
-                census["same_double"] += result.is_double
+                census["same_single"] += single
+                census["same_double"] += ref_double[i, j]
             else:
-                census["cross_any"] += not result.is_no_click
+                census["cross_any"] += single or ref_double[i, j]
     assert evaluate_pulse(detectors, wavelength, power) == (
         census["same_single"] / 8.0, census["same_double"] / 8.0, census["cross_any"] / 8.0
     )
+
+
+# evaluate_pulse over POWERS at 1550 nm and the optimize_pulse plan over
+# them, for each blinding config's detectors, as the per-pair engine gave
+POWERS = [1.0, 1.5, 2.0, 2.2, 2.5, 3.0, 4.0]
+PULSE_CENSUS = {
+    "blinding_symmetric.json": (
+        [(0.0, 0.0, 0.0)] * 3 + [(0.0, 1.0, 0.0)] * 4, (1550.0, 2.2, 0.0, 1.0, 0.0),
+    ),
+    "blinding_tailored.json": (
+        [(0.0, 0.0, 0.0)] * 2 + [(1.0, 0.0, 0.0)] * 3 + [(0.0, 1.0, 0.0), (0.0, 1.0, 1.0)],
+        (1550.0, 2.0, 1.0, 0.0, 0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PULSE_CENSUS))
+def test_evaluate_and_optimize_pulse_unchanged(name):
+    detectors, _, _ = blinding_working_point(name)
+    census, plan = PULSE_CENSUS[name]
+    assert [evaluate_pulse(detectors, 1550.0, p) for p in POWERS] == census
+    best = optimize_pulse(detectors, [1550.0], POWERS)
+    assert (best.wavelength, best.peak_power, best.single_click_prob,
+            best.double_click_prob, best.cross_click_prob) == plan
+
+
+THRESHOLD_WAVELENGTHS = (800.0, 1310.0, 1550.0, 1600.0)
+quarter = st.integers(0, 3)
+magnitudes = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def blinding_cases(draw):
+    """Four detectors with random threshold tables, a wavelength and a
+    power; some detectors' thresholds are set to one of the pulse's shares
+    exactly, power * BELL_TABLE[i, j, k] for detector k, so its comparison
+    ties on pair (i, j)."""
+    keys = draw(st.lists(st.sampled_from(THRESHOLD_WAVELENGTHS), min_size=1, max_size=3, unique=True))
+    power = draw(magnitudes)
+    tables = []
+    for k in range(4):
+        table = {wl: draw(magnitudes) for wl in keys}
+        if draw(st.booleans()):
+            share = power * BELL_TABLE[draw(quarter), draw(quarter), k]
+            if share > 0.0:
+                table = dict.fromkeys(keys, float(share))
+        tables.append(table)
+    detectors = tuple(
+        DetectorSpec(BellOutcome(k), {1550.0: 0.2}, 0.0, table) for k, table in enumerate(tables)
+    )
+    return detectors, draw(st.floats(min_value=700.0, max_value=1700.0)), power
+
+
+@settings(max_examples=300, deadline=None)
+@given(blinding_cases())
+def test_click_table_equals_per_pair_reference(case):
+    detectors, wavelength, power = case
+    outcome, double = click_table(detectors, wavelength, power)
+    ref_outcome, ref_double = reference_click_table(detectors, wavelength, power)
+    assert outcome.dtype == np.int8
+    assert np.array_equal(outcome, ref_outcome) and np.array_equal(double, ref_double)
 
 
 def test_blinding_leak_matches_per_slot_reference():

@@ -4,10 +4,12 @@ Every session config in configs/ is run at GOLDEN_SLOTS slots with its own
 seed; the digests of transcript.csv and report.json must match byte for
 byte. GOLDEN_MULTI pins the same scenarios at MULTI_SLOTS slots, where a
 transcript spans three 10,000-row blocks and the covert reporter makes
-several thousand announcements. A change to the draw order, the transcript format or the report
-schema changes them on purpose: bump the transcript format tag, describe
-the new order in the README's "Determinism" section, and print the new
-GOLDEN and GOLDEN_MULTI tables with
+several thousand announcements. GOLDEN_DARK pins, at both lengths, the
+sessions with dark counts that no config file has (DARK_DOCUMENTS). A
+change to the draw order, the transcript format or the report schema
+changes them on purpose: bump the transcript format tag, describe the new
+order in the README's "Determinism" section, and print the new GOLDEN,
+GOLDEN_MULTI and GOLDEN_DARK tables with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -82,6 +84,73 @@ GOLDEN_MULTI = {
 }
 
 
+GOLDEN_DARK = {
+    ("honest_dark_0.001", 2000): (
+        "1f0328555189d88bf158cdb6534f1d70eb1da03b9275c5a96661635736f2a636",
+        "b5881c0effe91553967b703b983cb20cb82cd81ee422fc1a860207db16aa05f9",
+    ),
+    ("honest_dark_0.001", 23456): (
+        "9158db4f6a022a571b0310ef3803dc449ac7b2ef493b95ba324b2edc3eb984f5",
+        "fc2160229d2357c98be2eb620e7ce52ba430bc64fff22570300e110eea2c5a03",
+    ),
+    ("honest_dark_0.05", 2000): (
+        "cce76df22db656b280b69acc71fbbd0592a32ce1b73a45ec558e07f1e0b4cc53",
+        "61197edac00fc30621aabb7ede119765893acaa1dd6c6f258e55b4f4afe14520",
+    ),
+    ("honest_dark_0.05", 23456): (
+        "8390c494a8233356bca8845cb1eb9767b24f9cae99cfd2e6a87f00ec137db6ce",
+        "d44084c11656528dfeb3f3906683e2507694df1c972bc528350520acf109135a",
+    ),
+    ("intercept_resend_dark_0.001", 2000): (
+        "c831f4ab73dadaf72e1c6668ece9d5e5ae9b8075a1b7272028c61e4e05f1c908",
+        "7fbc03a513116000a091faa28875c4e0b210bdd8b36b10cfd6b801a23c86cca2",
+    ),
+    ("intercept_resend_dark_0.001", 23456): (
+        "ea5ee4ebb1ad9a070c9870763c213b3d5a2c7d6dbe7a51115c461390ed812578",
+        "8aa8279fdcc75557f2c65d1c167f4086b975eba7f542f8ce8773e7a1197d80ef",
+    ),
+    ("intercept_resend_dark_0.05", 2000): (
+        "58c37d2b20eb9cf8e7af988b9e34bf9770f51f7d268e4238a5eab212c798cc9e",
+        "947a15c08bb0c0999172c4c502c809fd3eb19832fc8af8f650b95dc377d2c3f5",
+    ),
+    ("intercept_resend_dark_0.05", 23456): (
+        "2413e906f7e83dba8e7029a91995250f7550d5552bbdfa45f4152d23e49da518",
+        "9bd0561d46974eedc27d8b985b3a0bb2229845d08bc2a8478542b5721c59516b",
+    ),
+    ("intercept_resend_mixed_detectors", 2000): (
+        "b9b56e41b89745da0ddf564334810167a21d7c626c418540d932c94d030c9a8b",
+        "bc7b24f32ce57bfe4f135ccd43b33cf00d037caec438bfae0814507b72ea4071",
+    ),
+    ("intercept_resend_mixed_detectors", 23456): (
+        "a4afa85639d6d0f1c06d1b46c7ac857c13e7a1e2bfb73dcaf9f23d983678362a",
+        "e5bef01528643267e6fb7913dbea27bbc193f332d25fda47354e65102aee4770",
+    ),
+}
+
+# honest and intercept-resend at transmittance 0.3 with identical dark
+# detectors, and one intercept-resend session whose detectors differ in
+# efficiency and dark-count probability, one of them with none
+DARK_DOCUMENTS = {
+    f"{kind}_dark_{dark:g}": {
+        "seed": 11, "channel": {"transmittance": 0.3},
+        "detectors": {"efficiency": 0.5, "dark_count_prob": dark},
+        "eta_expected": 0.5, "mode": {"kind": kind},
+    }
+    for kind in ("honest", "intercept_resend") for dark in (1e-3, 0.05)
+}
+DARK_DOCUMENTS["intercept_resend_mixed_detectors"] = {
+    "seed": 12, "channel": {"transmittance": 0.3},
+    "detectors": [
+        {"efficiency": 0.2, "dark_count_prob": 0.01},
+        {"efficiency": 0.6, "dark_count_prob": 0.0},
+        {"efficiency": 0.4, "dark_count_prob": 0.002},
+        {"efficiency": 0.3, "dark_count_prob": 0.05},
+    ],
+    "eta_expected": 0.4, "mode": {"kind": "intercept_resend"},
+}
+DARK_CASES = [(name, n) for name in DARK_DOCUMENTS for n in (GOLDEN_SLOTS, MULTI_SLOTS)]
+
+
 def scenario_names():
     return sorted(
         p.stem for p in CONFIGS.glob("*.json")
@@ -89,8 +158,10 @@ def scenario_names():
     )
 
 
-def run_digests(name, tmp_path, n_slots=GOLDEN_SLOTS):
-    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+def run_digests(name, tmp_path, n_slots=GOLDEN_SLOTS, doc=None):
+    """Digests of `ddiqkd run` on configs/<name>.json, or on doc if given,
+    at n_slots slots."""
+    doc = dict(doc or json.loads((CONFIGS / f"{name}.json").read_text()))
     doc["n_slots"] = n_slots
     config = tmp_path / f"{name}.json"
     config.write_text(json.dumps(doc))
@@ -116,11 +187,22 @@ def test_golden_multi_block_digests(name, tmp_path):
     assert run_digests(name, tmp_path, MULTI_SLOTS) == GOLDEN_MULTI[name]
 
 
+@pytest.mark.parametrize("name, n_slots", DARK_CASES)
+def test_golden_dark_digests(name, n_slots, tmp_path):
+    assert run_digests(name, tmp_path, n_slots, DARK_DOCUMENTS[name]) == GOLDEN_DARK[name, n_slots]
+
+
+def print_table(table, cases):
+    """Print `table = {...}` for cases of (key, name, n_slots, doc)."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        pinned = {key: run_digests(name, Path(tmp), n, doc) for key, name, n, doc in cases}
+    print(f"{table} = {{")
+    for key, (transcript, report) in pinned.items():
+        print(f'    {key!r}: (\n        "{transcript}",\n        "{report}",\n    ),'.replace("'", '"'))
+    print("}")
+
+
 if __name__ == "__main__":
     for table, n_slots in (("GOLDEN", GOLDEN_SLOTS), ("GOLDEN_MULTI", MULTI_SLOTS)):
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-            pinned = {name: run_digests(name, Path(tmp), n_slots) for name in scenario_names()}
-        print(f"{table} = {{")
-        for name, (transcript, report) in pinned.items():
-            print(f'    "{name}": (\n        "{transcript}",\n        "{report}",\n    ),')
-        print("}")
+        print_table(table, [(name, name, n_slots, None) for name in scenario_names()])
+    print_table("GOLDEN_DARK", [((name, n), name, n, DARK_DOCUMENTS[name]) for name, n in DARK_CASES])

@@ -225,3 +225,12 @@ def test_intercept_resend_qber_quarter():
     assert abs(report.qber - 0.25) < 3 * sigma
     assert report.eve_leak_fraction == pytest.approx(0.75, abs=3 * sigma)
     assert report.key_rate == 0.0
+
+
+def test_report_rates_are_python_floats():
+    # report.json and the sweep CSV print these; numpy scalars would leak
+    # into any other consumer of SessionReport
+    _, report = run_session(SessionConfig(n_slots=2000, seed=3, mode=InterceptResendMode()))
+    assert report.sifted > 0
+    for name in ("qber", "key_rate", "reported_rate", "double_click_rate", "eve_leak_fraction"):
+        assert type(getattr(report, name)) is float, name
