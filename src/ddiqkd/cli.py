@@ -14,9 +14,9 @@ the full serialized config and the session report. `analyze` reads only the
 public columns of a transcript (slot, bob_basis, reported_outcome,
 double_click), so its verdicts never peek at ground truth.
 
-Exit codes: 0 success, 1 usage/parse/validation problems, 2 structurally
-infeasible scenarios (covert target rate out of reach, no viable blinding
-working point).
+Exit codes: 0 success, 1 usage/parse/validation problems and unwritable
+output paths, 2 structurally infeasible scenarios (covert target rate out of
+reach, no viable blinding working point).
 """
 
 from __future__ import annotations
@@ -311,6 +311,11 @@ def _load_grid(path: str) -> dict[str, list]:
     if not isinstance(params, dict) or not params:
         raise ConfigError(f"grid {path} must carry a non-empty 'parameters' object")
     for key, values in params.items():
+        if key == "seed":
+            raise ConfigError(
+                "grid parameter 'seed' cannot be swept: each session's seed is "
+                "spawned from --master-seed"
+            )
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid parameter {key!r} must be a non-empty list")
     return params
@@ -331,6 +336,8 @@ def _session_seed(master_seed: int, point: int, session: int) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.master_seed < 0:
+        raise ConfigError(f"--master-seed must be >= 0, got {args.master_seed}")
     base_doc = read_json(args.config, "config")
     if not isinstance(base_doc, dict):
         raise ConfigError("config root must be an object")
@@ -453,7 +460,9 @@ def main(argv: Iterable[str] | None = None) -> int:
     except (InfeasibleRateError, NoViablePlanError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, OSError) as exc:
+        # an OSError reaching here is an output path that cannot be created
+        # or written; unreadable inputs raise ConfigError or ValidationError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,7 +31,7 @@ from .analysis import DetectabilityReport, PublicView, detectability_report
 # rebinds it on this module
 from .blinding import BlindingPlan, blinding_session_stats, click_table, optimize_pulse  # noqa: F401
 from .channel import ChannelSpec, TrojanProbe
-from .covert import CovertReporter, NullKeyStream, ParityKeyStream, eve_decode
+from .covert import announce, eve_decode, key_bits, thinning_acceptance
 from .devices import DEFAULT_WAVELENGTH_NM, DetectorSpec, make_detectors
 from .errors import ConfigError, InfeasibleRateError, ValidationError
 from .states import BELL_TABLE, XOR_TABLE
@@ -361,13 +361,15 @@ def _intercept(t: Transcript, rng) -> np.ndarray:
     return pair
 
 
-def _key_stream(mode: CovertAttackMode) -> ParityKeyStream | NullKeyStream:
-    """A fresh copy of the key stream the reporter and the accomplice share."""
-    return ParityKeyStream(mode.key_seed) if mode.keyed else NullKeyStream()
+def _key_bits(mode: CovertAttackMode, n: int) -> np.ndarray:
+    """The first n bits of the key the reporter and the accomplice share;
+    all zero when keying is off."""
+    return key_bits(mode.key_seed, n) if mode.keyed else np.zeros(n, dtype=np.int64)
 
 
-def _covert_reporter(config: SessionConfig, mode: CovertAttackMode) -> CovertReporter:
-    """Feasibility gate: construction fails before any sampling happens."""
+def _covert_acceptance(config: SessionConfig, mode: CovertAttackMode) -> float:
+    """Feasibility gate: the reporter's thinning acceptance q, or a raise
+    before any sampling happens."""
     transmittance = config.channel.transmittance
     target = mode.target_report_rate
     if target is None:
@@ -379,12 +381,10 @@ def _covert_reporter(config: SessionConfig, mode: CovertAttackMode) -> CovertRep
             f"(transmittance {transmittance}, eta_true {mode.eta_true}, "
             f"readout success {mode.trojan.readout_success_prob})"
         )
-    return CovertReporter.for_rates(p_candidate, target, _key_stream(mode))
+    return thinning_acceptance(p_candidate, target)
 
 
-def _run_covert(
-    mode: CovertAttackMode, reporter: CovertReporter, t: Transcript, rng
-) -> None:
+def _run_covert(mode: CovertAttackMode, q: float, t: Transcript, rng) -> None:
     arr = t.arrived
     t.detected[arr] = rng.random(np.count_nonzero(arr)) < mode.eta_true
     candidates = np.nonzero(t.detected)[0]
@@ -392,7 +392,9 @@ def _run_covert(
     if p_readout < 1.0:
         # a detection whose encoder readout failed is never announced
         candidates = candidates[rng.random(len(candidates)) < p_readout]
-    announced = reporter.announce(candidates, t.bob_bit[candidates], rng)
+    announced = announce(
+        candidates, t.bob_bit[candidates], _key_bits(mode, len(candidates)), q, rng
+    )
     # outcomes pass through from honest measurement, never altered
     pair = 4 * _prep(t.alice_basis[announced], t.alice_bit[announced]) + _prep(
         t.bob_basis[announced], t.bob_bit[announced]
@@ -427,7 +429,7 @@ def _leak_fraction(config: SessionConfig, t: Transcript, sifted: np.ndarray, sin
     if isinstance(mode, CovertAttackMode):
         if len(singles) == 0:
             return 0.0
-        decoded = eve_decode(singles, _key_stream(mode))
+        decoded = eve_decode(singles, _key_bits(mode, len(singles) - 1))
         return np.count_nonzero(np.array(decoded) == t.bob_bit[singles[:-1]]) / len(singles)
     blinding = isinstance(mode, BlindingMode)
     if len(sifted) == 0 or not (blinding or isinstance(mode, InterceptResendMode)):
@@ -489,15 +491,15 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     readout and thinning trials, then one Bell outcome per announcement.
     """
     mode = config.mode
-    reporter = _covert_reporter(config, mode) if isinstance(mode, CovertAttackMode) else None
+    q = _covert_acceptance(config, mode) if isinstance(mode, CovertAttackMode) else None
     rng = np.random.Generator(np.random.PCG64(config.seed))
     t = _draw_settings(config, rng)
     plan: BlindingPlan | None = None
     if isinstance(mode, HonestMode):
         _detect(config, t, _pairs(t)[t.arrived], rng)
     elif isinstance(mode, CovertAttackMode):
-        assert reporter is not None
-        _run_covert(mode, reporter, t, rng)
+        assert q is not None
+        _run_covert(mode, q, t, rng)
     elif isinstance(mode, BlindingMode):
         plan = _run_blinding(config, mode, t, rng)
     elif isinstance(mode, InterceptResendMode):

@@ -14,10 +14,10 @@ import numpy as np
 from ddiqkd.channel import ChannelSpec
 from ddiqkd.cli import main
 from ddiqkd.covert import (
-    ParityKeyStream,
     achievable_report_rate,
     attack_feasible,
     eve_decode,
+    key_bits,
     thinning_acceptance,
 )
 from ddiqkd.devices import DetectorSpec, make_detectors
@@ -135,7 +135,7 @@ def test_acceptance_4_covert_attack_correctness():
             slots = transcript.reported_slots()
             m = len(slots)
             assert report.qber == 0.0
-            decoded = eve_decode(slots, ParityKeyStream(key_seed))
+            decoded = eve_decode(slots, key_bits(key_seed, m))
             assert np.array_equal(decoded, transcript.bob_bit[slots[:-1]])
             assert report.eve_leak_fraction == (m - 1) / m
             assert abs(report.reported_rate - 0.02) < binomial_3sigma(0.02, n)

@@ -251,3 +251,31 @@ def test_sweep_bad_grid_exits_1(tmp_path, capsys):
     assert main(["sweep", "--config", base, "--grid", bad, "--out", str(tmp_path / "s.csv")]) == 1
     bad2 = write_doc(tmp_path, {"parameters": {"eta_expected": []}}, "bad_grid2.json")
     assert main(["sweep", "--config", base, "--grid", bad2, "--out", str(tmp_path / "s.csv")]) == 1
+    capsys.readouterr()
+    bad3 = write_doc(tmp_path, {"parameters": {"seed": [1, 2]}}, "bad_grid3.json")
+    assert main(["sweep", "--config", base, "--grid", bad3, "--out", str(tmp_path / "s.csv")]) == 1
+    assert "'seed'" in capsys.readouterr().err
+    good = write_doc(tmp_path, {"parameters": {"eta_expected": [0.2]}}, "good_grid.json")
+    assert main(["sweep", "--config", base, "--grid", good, "--master-seed", "-1",
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert "--master-seed" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_unwritable_output_paths_exit_1(tmp_path, capsys):
+    config = write_doc(tmp_path, HONEST_DOC)
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    assert main(["run", "--config", config, "--out", str(occupied)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    grid = write_doc(tmp_path, {"parameters": {"eta_expected": [0.2]}}, "grid.json")
+    missing = tmp_path / "missing"
+    assert main(["sweep", "--config", config, "--grid", grid, "--out", str(missing / "s.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    code, out_dir = run_cli(tmp_path, HONEST_DOC)
+    assert code == 0
+    capsys.readouterr()
+    transcript = str(out_dir / "transcript.csv")
+    assert main(["analyze", "--transcript", transcript, "--out", str(missing / "a.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.exists()

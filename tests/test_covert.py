@@ -4,151 +4,110 @@ import numpy as np
 import pytest
 
 from ddiqkd.covert import (
-    CovertReporter,
-    NullKeyStream,
-    Parity,
-    ParityKeyStream,
     achievable_report_rate,
+    announce,
     attack_feasible,
     eve_decode,
-    required_parity,
+    key_bits,
     thinning_acceptance,
 )
 from ddiqkd.errors import InfeasibleRateError, ValidationError
 
 
-def test_required_parity_rule():
-    assert required_parity(1, 0) == Parity.EVEN
-    assert required_parity(0, 0) == Parity.ODD
-    assert required_parity(1, 1) == Parity.ODD
-    assert required_parity(0, 1) == Parity.EVEN
+def zeros(n):
+    return np.zeros(n, dtype=np.int64)
 
 
-def test_key_stream_deterministic_and_unbiased():
-    a = ParityKeyStream(123)
-    b = ParityKeyStream(123)
-    bits = [a.next_bit() for _ in range(1000)]
-    assert bits == [b.next_bit() for _ in range(1000)]
-    assert a.position == 1000
-    c = ParityKeyStream(777)
-    n = 100_000
-    ones = sum(c.next_bit() for _ in range(n))
-    assert abs(ones - n / 2) < 3 * math.sqrt(n * 0.25)
-
-
-def test_null_key_stream_all_zero():
-    s = NullKeyStream()
-    assert [s.next_bit() for _ in range(10)] == [0] * 10
-    assert s.position == 10
-
-
-def test_reporter_first_detection_always_reported():
+def test_announce_first_detection_always_reported():
     rng = np.random.default_rng(11)
-    rep = CovertReporter(thinning_prob=1.0, key_stream=NullKeyStream())
-    assert not rep.observe(3, False, 1, rng)
-    assert rep.observe(7, True, 1, rng)
-    assert rep.last_reported_slot == 7 and rep.pending_bit == 1
+    before = rng.bit_generator.state
+    # no thinning trial for the first announcement, however small q is
+    assert announce([7], [1], zeros(1), 0.01, rng).tolist() == [7]
+    assert rng.bit_generator.state == before
 
 
-def test_reporter_even_gap_encodes_bit_one():
+def test_announce_even_gap_encodes_bit_one():
     rng = np.random.default_rng(12)
-    rep = CovertReporter(
-        thinning_prob=1.0, key_stream=NullKeyStream(),
-        last_reported_slot=3, pending_bit=1, gap_key_bit=0,
-    )
-    assert rep.observe(5, True, 0, rng)  # gap 2, even, encodes the pending 1
+    # gap 2, even, encodes the pending 1
+    assert announce([3, 5], [1, 0], zeros(2), 1.0, rng).tolist() == [3, 5]
 
 
-def test_reporter_odd_gap_encodes_bit_zero():
+def test_announce_odd_gap_encodes_bit_zero():
     rng = np.random.default_rng(13)
-    rep = CovertReporter(
-        thinning_prob=1.0, key_stream=NullKeyStream(),
-        last_reported_slot=3, pending_bit=0, gap_key_bit=0,
-    )
-    assert not rep.observe(5, True, 1, rng)  # gap 2 is even, wrong parity
-    assert rep.observe(8, True, 1, rng)      # gap 5 is odd, matches
+    # gap 2 is even, wrong parity; gap 5 is odd, matches
+    assert announce([3, 5, 8], [0, 1, 1], zeros(3), 1.0, rng).tolist() == [3, 8]
 
 
-def test_reporter_skips_unknown_receiver_bit():
+@pytest.mark.parametrize("bit, key, gap", [(1, 0, 2), (0, 0, 1), (1, 1, 1), (0, 1, 2)])
+def test_announce_gap_parity_under_key_bit(bit, key, gap):
+    # key 0: bit 1 needs an even gap and bit 0 an odd one; key 1 flips it
     rng = np.random.default_rng(14)
-    rep = CovertReporter(thinning_prob=1.0, key_stream=NullKeyStream())
-    assert not rep.observe(2, True, None, rng)
-    assert rep.last_reported_slot is None
+    announced = announce([0, 1, 2], [bit, 0, 0], [key, 0, 0], 1.0, rng)
+    assert announced.tolist()[:2] == [0, gap]
 
 
-def test_reporter_rejects_out_of_order_slots():
+@pytest.mark.parametrize("slots", [[3, 3], [5, 4], [1, 7, 7]])
+def test_announce_rejects_slots_out_of_order(slots):
     rng = np.random.default_rng(15)
-    rep = CovertReporter(thinning_prob=1.0, key_stream=NullKeyStream())
-    rep.observe(5, True, 0, rng)
+    before = rng.bit_generator.state
     with pytest.raises(ValidationError):
-        rep.observe(5, True, 0, rng)
+        announce(slots, [0] * len(slots), zeros(len(slots)), 0.5, rng)
+    assert rng.bit_generator.state == before
 
 
-def test_reporter_thinning_prob_range():
+@pytest.mark.parametrize("q", [0.0, -0.1, 1.2])
+def test_announce_thinning_acceptance_range(q):
     with pytest.raises(ValidationError):
-        CovertReporter(thinning_prob=0.0, key_stream=NullKeyStream())
-    with pytest.raises(ValidationError):
-        CovertReporter(thinning_prob=1.2, key_stream=NullKeyStream())
+        announce([1], [0], zeros(1), q, np.random.default_rng(21))
+
+
+def test_key_bits_prefix_deterministic_and_unbiased():
+    full = key_bits(123, 100_000)
+    for k in (0, 1, 2, 3, 777):
+        assert key_bits(123, k).tolist() == full[:k].tolist()
+    assert not np.array_equal(key_bits(777, 1000), full[:1000])
+    n = len(full)
+    assert abs(int(full.sum()) - n / 2) < 3 * math.sqrt(n * 0.25)
 
 
 def test_decode_examples():
-    assert eve_decode([3, 5, 8, 9], NullKeyStream()) == [1, 0, 0]
-    assert eve_decode([7], NullKeyStream()) == []
-    assert eve_decode([], NullKeyStream()) == []
-
-    class OneStream:
-        def next_bit(self):
-            return 1
-
-        def next_bits(self, n):
-            return np.ones(n, dtype=np.int64)
-
-    assert eve_decode([3, 5], OneStream()) == [0]  # keyed flip of the leading 1
+    assert eve_decode([3, 5, 8, 9], zeros(3)) == [1, 0, 0]
+    assert eve_decode([7], zeros(0)) == []
+    assert eve_decode([], zeros(0)) == []
+    assert eve_decode([3, 5], np.ones(1, dtype=np.int64)) == [0]  # keyed flip of the leading 1
+    with pytest.raises(ValidationError):
+        eve_decode([3, 5, 8], zeros(1))
 
 
 def test_decode_rejects_non_monotonic():
     with pytest.raises(ValidationError):
-        eve_decode([3, 3], NullKeyStream())
+        eve_decode([3, 3], zeros(1))
     with pytest.raises(ValidationError):
-        eve_decode([5, 4], NullKeyStream())
+        eve_decode([5, 4], zeros(1))
 
 
 def test_round_trip_reproduces_all_but_last_bit():
     rng = np.random.default_rng(16)
     for seed in (1, 2, 3):
-        detections = np.nonzero(rng.random(5000) < 0.1)[0]
+        detections = np.flatnonzero(rng.random(5000) < 0.1)
         bob_bits = rng.integers(0, 2, size=5000)
-        rep = CovertReporter(thinning_prob=0.7, key_stream=ParityKeyStream(seed))
-        reported = [
-            int(s) for s in detections
-            if rep.observe(int(s), True, int(bob_bits[s]), rng)
-        ]
-        decoded = eve_decode(reported, ParityKeyStream(seed))
-        assert decoded == [int(bob_bits[s]) for s in reported[:-1]]
+        keys = key_bits(seed, len(detections))
+        reported = announce(detections, bob_bits[detections], keys, 0.7, rng)
+        decoded = eve_decode(reported, key_bits(seed, len(reported) - 1))
+        assert decoded == bob_bits[reported[:-1]].tolist()
 
 
-def test_every_reported_gap_satisfies_required_parity():
+def test_every_announced_gap_has_the_keyed_parity():
     rng = np.random.default_rng(17)
-    key_bits = []
-
-    class RecordingStream:
-        def __init__(self):
-            self._inner = ParityKeyStream(99)
-
-        def next_bit(self):
-            bit = self._inner.next_bit()
-            key_bits.append(bit)
-            return bit
-
-    rep = CovertReporter(thinning_prob=0.5, key_stream=RecordingStream())
     bob_bits = rng.integers(0, 2, size=20_000)
-    reported = []
-    for s in np.nonzero(rng.random(20_000) < 0.2)[0]:
-        if rep.observe(int(s), True, int(bob_bits[s]), rng):
-            reported.append(int(s))
+    candidates = np.flatnonzero(rng.random(20_000) < 0.2)
+    keys = key_bits(99, len(candidates))
+    reported = announce(candidates, bob_bits[candidates], keys, 0.5, rng).tolist()
+    assert len(reported) > 100
     for i in range(len(reported) - 1):
         gap = reported[i + 1] - reported[i]
-        assert Parity(gap % 2) == required_parity(int(bob_bits[reported[i]]), key_bits[i])
+        # even (0) when the pending bit XOR the key bit is 1
+        assert gap % 2 == int(bob_bits[reported[i]]) ^ int(keys[i]) ^ 1
 
 
 def test_achievable_rate_values():
@@ -166,9 +125,8 @@ def test_achievable_rate_values():
 def test_achievable_rate_exact_alternation_at_unit_detection():
     # p=1: gaps alternate 2 (even target) and 1 (odd target) under uniform bits
     rng = np.random.default_rng(18)
-    rep = CovertReporter(thinning_prob=1.0, key_stream=ParityKeyStream(4))
     bob_bits = rng.integers(0, 2, size=30_000)
-    reported = [s for s in range(30_000) if rep.observe(s, True, int(bob_bits[s]), rng)]
+    reported = announce(np.arange(30_000), bob_bits, key_bits(4, 30_000), 1.0, rng)
     gaps = np.diff(reported)
     assert set(gaps.tolist()) <= {1, 2}
     rate = len(reported) / 30_000
@@ -197,10 +155,3 @@ def test_attack_feasible_examples():
     assert attack_feasible(0.0, 0.9, 0.2)  # nothing expected, nothing needed
     with pytest.raises(ValidationError):
         attack_feasible(1.5, 0.9, 0.2)
-
-
-def test_for_rates_enforces_feasibility():
-    rep = CovertReporter.for_rates(0.09, 0.02, NullKeyStream())
-    assert rep.thinning_prob == pytest.approx(0.44004400440044006)
-    with pytest.raises(InfeasibleRateError):
-        CovertReporter.for_rates(0.09, 0.05, NullKeyStream())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ddiqkd.channel import ChannelSpec, TrojanProbe
-from ddiqkd.covert import ParityKeyStream, eve_decode
+from ddiqkd.covert import eve_decode, key_bits
 from ddiqkd.devices import make_detectors
 from ddiqkd.errors import InfeasibleRateError, ValidationError
 from ddiqkd.protocol import (
@@ -168,7 +168,7 @@ def test_covert_session_invariants():
     assert transcript.arrived[slots].all()
     assert report.qber == 0.0
     assert report.double_click_rate == 0.0
-    decoded = eve_decode(slots, ParityKeyStream(5))
+    decoded = eve_decode(slots, key_bits(5, m))
     assert np.array_equal(decoded, transcript.bob_bit[slots[:-1]])
     assert report.eve_leak_fraction == (m - 1) / m
     target = config.expected_report_rate()
@@ -187,7 +187,7 @@ def test_covert_partial_trojan_readout_still_decodes_cleanly():
     )
     transcript, report = run_session(config)
     slots = transcript.reported_slots()
-    decoded = eve_decode(slots, ParityKeyStream(6))
+    decoded = eve_decode(slots, key_bits(6, len(slots)))
     assert np.array_equal(decoded, transcript.bob_bit[slots[:-1]])
     assert report.qber == 0.0
 
