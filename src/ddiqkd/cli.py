@@ -305,6 +305,20 @@ def _set_path(doc: dict, dotted: str, value: Any) -> None:
     node[parts[-1]] = value
 
 
+_SWEEP_METRICS = (
+    "mode", "sent", "arrived", "reported", "sifted", "qber", "key_rate",
+    "reported_rate", "double_click_rate", "eve_leak_fraction", "expected_report_rate",
+)
+_SWEEP_MONITORS = ("gap_parity_p_value", "rate_z_score", "outcome_p_value")
+_SWEEP_VERDICTS = ("gap_parity", "rate", "outcome_uniformity", "double_click")
+# the header columns after the swept parameters; a parameter may not take
+# one of their names, nor "point" or "session"
+_SWEEP_RESULTS = (
+    ("feasible",) + _SWEEP_METRICS + _SWEEP_MONITORS
+    + tuple(f"verdict_{v}" for v in _SWEEP_VERDICTS)
+)
+
+
 def _load_grid(path: str) -> dict[str, list]:
     doc = read_json(path, "grid")
     params = doc.get("parameters") if isinstance(doc, dict) else None
@@ -316,17 +330,14 @@ def _load_grid(path: str) -> dict[str, list]:
                 "grid parameter 'seed' cannot be swept: each session's seed is "
                 "spawned from --master-seed"
             )
+        if key in ("point", "session") or key in _SWEEP_RESULTS:
+            raise ConfigError(
+                f"grid parameter {key!r} is the name of a sweep result column; "
+                "sweep a config field by its dotted path, such as 'mode.kind'"
+            )
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid parameter {key!r} must be a non-empty list")
     return params
-
-
-_SWEEP_METRICS = (
-    "mode", "sent", "arrived", "reported", "sifted", "qber", "key_rate",
-    "reported_rate", "double_click_rate", "eve_leak_fraction", "expected_report_rate",
-)
-_SWEEP_MONITORS = ("gap_parity_p_value", "rate_z_score", "outcome_p_value")
-_SWEEP_VERDICTS = ("gap_parity", "rate", "outcome_uniformity", "double_click")
 
 
 def _session_seed(master_seed: int, point: int, session: int) -> int:
@@ -343,37 +354,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("config root must be an object")
     params = _load_grid(args.grid)
     names = list(params)
-    header = (
-        ["point", "session", "seed"] + names + ["feasible"] + list(_SWEEP_METRICS)
-        + list(_SWEEP_MONITORS) + [f"verdict_{v}" for v in _SWEEP_VERDICTS]
-    )
-    rows = []
+    header = ["point", "session", "seed"] + names + list(_SWEEP_RESULTS)
+    # every config is parsed before --out is opened, and --out is opened
+    # before any session runs, so neither a bad grid nor a bad path wastes
+    # a simulation
+    sessions = []
     for point_idx, values in enumerate(itertools.product(*params.values())):
         doc = json.loads(json.dumps(base_doc))
         for name, value in zip(names, values):
             _set_path(doc, name, value)
         for session_idx in range(args.seeds):
             seed = _session_seed(args.master_seed, point_idx, session_idx)
-            row: list[Any] = [point_idx, session_idx, seed]
-            row += list(values)
-            config = parse_config(doc, seed=seed)
+            sessions.append(([point_idx, session_idx, seed, *values], parse_config(doc, seed=seed)))
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row, config in sessions:
             try:
                 _, report = run_session(config)
             except (InfeasibleRateError, NoViablePlanError):
-                row += [0] + [""] * (len(header) - len(row) - 1)
-                rows.append(row)
+                writer.writerow(row + [0] + [""] * (len(header) - len(row) - 1))
                 continue
             det = report.detectability
             row += [1]
             row += [getattr(report, name) for name in _SWEEP_METRICS]
             row += [getattr(det, name) for name in _SWEEP_MONITORS]
             row += [det.verdicts[v] for v in _SWEEP_VERDICTS]
-            rows.append([("" if v is None else v) for v in row])
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+            writer.writerow([("" if v is None else v) for v in row])
+    print(f"wrote {args.out} ({len(sessions)} rows)")
     return 0
 
 

@@ -13,7 +13,7 @@ unlisted wavelength use the nearest listed entry (lower wavelength on ties).
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -70,14 +70,4 @@ def make_detectors(
     eff = dict(efficiency) if isinstance(efficiency, Mapping) else {wavelength: float(efficiency)}
     thr = dict(blind_threshold) if isinstance(blind_threshold, Mapping) else {wavelength: float(blind_threshold)}
     return tuple(DetectorSpec(k, eff, dark_count_prob, thr) for k in BellOutcome)  # type: ignore[return-value]
-
-
-def sample_outcome(probabilities: Sequence[float], u: float) -> int:
-    """Map a uniform draw u in [0,1) to an outcome index by cumulative sums."""
-    acc = 0.0
-    for k, p in enumerate(probabilities):
-        acc += p
-        if u < acc:
-            return k
-    return len(probabilities) - 1
 

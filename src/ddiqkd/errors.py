@@ -6,7 +6,7 @@ class DdiQkdError(Exception):
 
 
 class ValidationError(DdiQkdError):
-    """A value or state violates a documented invariant (bad norm, range, shape)."""
+    """A value or state violates a documented invariant (range, shape)."""
 
 
 class ConfigError(ValidationError):

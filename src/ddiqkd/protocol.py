@@ -296,8 +296,9 @@ def _pairs(t: Transcript) -> np.ndarray:
 
 
 def _bell_outcomes(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sample_outcome over the Bell table, one uniform per slot, for the
-    preparation pair 4 * source + receiver (int8); see _OUTCOME_BY_RANK."""
+    """The per-slot cumulative-sum draw over the Bell table that the tests
+    hold as reference, one uniform per slot, for the preparation pair
+    4 * source + receiver (int8); see _OUTCOME_BY_RANK."""
     rank = _RANKS * pair
     for step in _CDF_STEPS:
         rank += u >= step
@@ -373,7 +374,7 @@ def _covert_acceptance(config: SessionConfig, mode: CovertAttackMode) -> float:
     transmittance = config.channel.transmittance
     target = mode.target_report_rate
     if target is None:
-        target = transmittance * config.eta_expected
+        target = config.expected_report_rate()
     p_candidate = transmittance * mode.eta_true * mode.trojan.readout_success_prob
     if p_candidate <= 0.0:
         raise InfeasibleRateError(

@@ -5,6 +5,10 @@ The photon carries two qubits: a polarization qubit prepared by the sender
 receiver's encoder. The untrusted measurement unit projects the joint state
 onto the four Bell states and announces one outcome per detector.
 
+States are plain tuples of complex amplitudes: a qubit is its (amp0, amp1)
+pair and the joint photon its 4-tuple. The pipeline never handles a state;
+it reads BELL_TABLE and XOR_TABLE, which this module builds once at import.
+
 Conventions (fixed here, used everywhere else):
   * bit 0 maps to H (polarization) and to mode a (spatial); the X-basis
     states are (|0> + |1>)/sqrt2 for bit 0 and (|0> - |1>)/sqrt2 for bit 1;
@@ -15,7 +19,6 @@ Conventions (fixed here, used everywhere else):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -23,7 +26,9 @@ import numpy as np
 from .errors import ValidationError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-NORM_TOL = 1e-12
+
+Qubit = tuple[complex, complex]
+Joint = tuple[complex, complex, complex, complex]
 
 
 class Basis(IntEnum):
@@ -46,52 +51,8 @@ def _check_bit(bit: int) -> int:
     return bit
 
 
-def _check_norm(label: str, *amplitudes: complex) -> None:
-    norm_sq = sum(abs(a) ** 2 for a in amplitudes)
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValidationError(f"{label} amplitudes not normalized: |.|^2 = {norm_sq!r}")
-
-
-@dataclass(frozen=True)
-class PolarizationQubit:
-    """Pure polarization state amp_h|H> + amp_v|V>; must be unit norm."""
-
-    amp_h: complex
-    amp_v: complex
-
-    def __post_init__(self) -> None:
-        _check_norm("polarization", self.amp_h, self.amp_v)
-
-
-@dataclass(frozen=True)
-class SpatialQubit:
-    """Pure spatial-mode state amp_a|a> + amp_b|b>; must be unit norm."""
-
-    amp_a: complex
-    amp_b: complex
-
-    def __post_init__(self) -> None:
-        _check_norm("spatial", self.amp_a, self.amp_b)
-
-
-@dataclass(frozen=True)
-class JointPhotonState:
-    """Joint two-qubit state with amplitudes ordered (H.a, H.b, V.a, V.b)."""
-
-    amplitudes: tuple[complex, complex, complex, complex]
-
-    def __post_init__(self) -> None:
-        if len(self.amplitudes) != 4:
-            raise ValidationError("joint state needs exactly 4 amplitudes")
-        _check_norm("joint", *self.amplitudes)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.amplitudes, dtype=complex)
-
-
 # bit -> (amp0, amp1) in the given basis; shared by both degrees of freedom
-_BB84_AMPLITUDES: dict[tuple[Basis, int], tuple[complex, complex]] = {
+_BB84_AMPLITUDES: dict[tuple[Basis, int], Qubit] = {
     (Basis.Z, 0): (1.0 + 0j, 0j),
     (Basis.Z, 1): (0j, 1.0 + 0j),
     (Basis.X, 0): (_SQRT1_2 + 0j, _SQRT1_2 + 0j),
@@ -99,51 +60,30 @@ _BB84_AMPLITUDES: dict[tuple[Basis, int], tuple[complex, complex]] = {
 }
 
 
-def prepare_polarization(basis: Basis, bit: int) -> PolarizationQubit:
-    """BB84 polarization preparation: (Z,0)=H, (Z,1)=V, (X,0)=D, (X,1)=A."""
-    a0, a1 = _BB84_AMPLITUDES[(Basis(basis), _check_bit(bit))]
-    return PolarizationQubit(a0, a1)
+def prepare_polarization(basis: Basis, bit: int) -> Qubit:
+    """BB84 polarization (amp_h, amp_v): (Z,0)=H, (Z,1)=V, (X,0)=D, (X,1)=A."""
+    return _BB84_AMPLITUDES[(Basis(basis), _check_bit(bit))]
 
 
-def prepare_spatial(basis: Basis, bit: int) -> SpatialQubit:
-    """Spatial-mode preparation with the same amplitude map over (a, b)."""
-    a0, a1 = _BB84_AMPLITUDES[(Basis(basis), _check_bit(bit))]
-    return SpatialQubit(a0, a1)
+def prepare_spatial(basis: Basis, bit: int) -> Qubit:
+    """Spatial-mode preparation (amp_a, amp_b), the same amplitude map."""
+    return _BB84_AMPLITUDES[(Basis(basis), _check_bit(bit))]
 
 
-def tensor(pol: PolarizationQubit, spa: SpatialQubit) -> JointPhotonState:
+def tensor(pol: Qubit, spa: Qubit) -> Joint:
     """Tensor product of the two qubits in (H.a, H.b, V.a, V.b) order."""
-    return JointPhotonState(
-        (
-            pol.amp_h * spa.amp_a,
-            pol.amp_h * spa.amp_b,
-            pol.amp_v * spa.amp_a,
-            pol.amp_v * spa.amp_b,
-        )
-    )
+    h, v = pol
+    a, b = spa
+    return (h * a, h * b, v * a, v * b)
 
 
-def bell_state(outcome: BellOutcome) -> JointPhotonState:
-    """The Bell state a given detector projects onto."""
-    ha, hb, va, vb = 0j, 0j, 0j, 0j
-    if outcome == BellOutcome.PHI_PLUS:
-        ha, vb = _SQRT1_2, _SQRT1_2
-    elif outcome == BellOutcome.PHI_MINUS:
-        ha, vb = _SQRT1_2, -_SQRT1_2
-    elif outcome == BellOutcome.PSI_PLUS:
-        hb, va = _SQRT1_2, _SQRT1_2
-    else:
-        hb, va = _SQRT1_2, -_SQRT1_2
-    return JointPhotonState((ha, hb, va, vb))
-
-
-def bell_probabilities(state: JointPhotonState) -> tuple[float, ...]:
+def bell_probabilities(amplitudes: Joint) -> tuple[float, ...]:
     """Born-rule probabilities of the four Bell outcomes, indexed by BellOutcome.
 
     Computed as |<Bell_k|state>|^2 with the module's mode pairing; states whose
     overlap cancels algebraically come out as exact floating-point zeros.
     """
-    ha, hb, va, vb = state.amplitudes
+    ha, hb, va, vb = amplitudes
     overlaps = (
         (ha + vb) * _SQRT1_2,
         (ha - vb) * _SQRT1_2,

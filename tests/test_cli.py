@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ddiqkd import cli
 from ddiqkd.cli import _build_parser, main, read_public_view
 from ddiqkd.covert import attack_feasible
 
@@ -255,6 +256,10 @@ def test_sweep_bad_grid_exits_1(tmp_path, capsys):
     bad3 = write_doc(tmp_path, {"parameters": {"seed": [1, 2]}}, "bad_grid3.json")
     assert main(["sweep", "--config", base, "--grid", bad3, "--out", str(tmp_path / "s.csv")]) == 1
     assert "'seed'" in capsys.readouterr().err
+    bad4 = write_doc(tmp_path, {"parameters": {"mode": [{"kind": "honest"}]}}, "bad_grid4.json")
+    assert main(["sweep", "--config", base, "--grid", bad4, "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "'mode'" in err and "mode.kind" in err
     good = write_doc(tmp_path, {"parameters": {"eta_expected": [0.2]}}, "good_grid.json")
     assert main(["sweep", "--config", base, "--grid", good, "--master-seed", "-1",
                  "--out", str(tmp_path / "s.csv")]) == 1
@@ -262,7 +267,15 @@ def test_sweep_bad_grid_exits_1(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
-def test_unwritable_output_paths_exit_1(tmp_path, capsys):
+def test_unwritable_output_paths_exit_1(tmp_path, capsys, monkeypatch):
+    calls = []
+    run_session = cli.run_session
+
+    def counted_run_session(config):
+        calls.append(config)
+        return run_session(config)
+
+    monkeypatch.setattr(cli, "run_session", counted_run_session)
     config = write_doc(tmp_path, HONEST_DOC)
     occupied = tmp_path / "occupied"
     occupied.write_text("")
@@ -270,8 +283,10 @@ def test_unwritable_output_paths_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     grid = write_doc(tmp_path, {"parameters": {"eta_expected": [0.2]}}, "grid.json")
     missing = tmp_path / "missing"
+    calls.clear()
     assert main(["sweep", "--config", config, "--grid", grid, "--out", str(missing / "s.csv")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []  # the path was refused before any session ran
     code, out_dir = run_cli(tmp_path, HONEST_DOC)
     assert code == 0
     capsys.readouterr()

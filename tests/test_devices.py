@@ -1,6 +1,6 @@
 import pytest
 
-from ddiqkd.devices import DetectorSpec, make_detectors, sample_outcome
+from ddiqkd.devices import DetectorSpec, make_detectors
 from ddiqkd.errors import ValidationError
 from ddiqkd.states import BellOutcome
 
@@ -33,13 +33,4 @@ def test_make_detectors_scalars():
     assert [d.outcome for d in dets] == list(BellOutcome)
     assert all(d.efficiency_at(1550.0) == 0.3 for d in dets)
     assert all(d.threshold_at(1310.0) == 1.2 for d in dets)
-
-
-def test_sample_outcome_cumulative():
-    probs = (0.5, 0.5, 0.0, 0.0)
-    assert sample_outcome(probs, 0.0) == 0
-    assert sample_outcome(probs, 0.499) == 0
-    assert sample_outcome(probs, 0.5) == 1
-    assert sample_outcome(probs, 0.999999) == 1
-    assert sample_outcome((0.25,) * 4, 0.8) == 3
 

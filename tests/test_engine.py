@@ -19,7 +19,7 @@ from ddiqkd.blinding import (
 )
 from ddiqkd.channel import ChannelSpec
 from ddiqkd.config import parse_config
-from ddiqkd.devices import DetectorSpec, make_detectors, sample_outcome
+from ddiqkd.devices import DetectorSpec, make_detectors
 from ddiqkd.protocol import (
     _BELL_CDF,
     BlindingMode,
@@ -57,6 +57,26 @@ def test_bell_table_rows_equal_bell_probabilities_exactly():
             probs = bell_probabilities(state)
             assert tuple(BELL_TABLE[i, j]) == probs
             assert tuple(_BELL_CDF[4 * i + j]) == tuple(np.cumsum(probs))
+
+
+def sample_outcome(probabilities, u):
+    """The per-slot draw _bell_outcomes replaced: map a uniform u in [0,1)
+    to an outcome index by cumulative sums."""
+    acc = 0.0
+    for k, p in enumerate(probabilities):
+        acc += p
+        if u < acc:
+            return k
+    return len(probabilities) - 1
+
+
+def test_sample_outcome_cumulative():
+    probs = (0.5, 0.5, 0.0, 0.0)
+    assert sample_outcome(probs, 0.0) == 0
+    assert sample_outcome(probs, 0.499) == 0
+    assert sample_outcome(probs, 0.5) == 1
+    assert sample_outcome(probs, 0.999999) == 1
+    assert sample_outcome((0.25,) * 4, 0.8) == 3
 
 
 def test_bell_outcomes_match_sample_outcome_at_every_breakpoint():

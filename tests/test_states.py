@@ -7,11 +7,7 @@ from ddiqkd.errors import ValidationError
 from ddiqkd.states import (
     Basis,
     BellOutcome,
-    JointPhotonState,
-    PolarizationQubit,
-    SpatialQubit,
     bell_probabilities,
-    bell_state,
     infer_bit,
     prepare_polarization,
     prepare_spatial,
@@ -34,38 +30,26 @@ _BELL_VECTORS = {
 }
 
 
-def reference_probabilities(state: JointPhotonState) -> list[float]:
-    amps = np.array(state.amplitudes, dtype=complex)
+def reference_probabilities(state: tuple) -> list[float]:
+    amps = np.array(state, dtype=complex)
     return [abs(np.vdot(_BELL_VECTORS[k], amps)) ** 2 for k in BellOutcome]
 
 
 def test_preparation_tables():
-    assert prepare_polarization(Basis.Z, 0).amp_h == 1.0
-    assert prepare_polarization(Basis.Z, 1).amp_v == 1.0
-    d = prepare_polarization(Basis.X, 0)
-    a = prepare_polarization(Basis.X, 1)
-    assert d.amp_h == pytest.approx(S) and d.amp_v == pytest.approx(S)
-    assert a.amp_h == pytest.approx(S) and a.amp_v == pytest.approx(-S)
-    s0 = prepare_spatial(Basis.Z, 0)
-    assert (s0.amp_a, s0.amp_b) == (1.0, 0.0)
+    assert prepare_polarization(Basis.Z, 0) == (1.0, 0.0)
+    assert prepare_polarization(Basis.Z, 1) == (0.0, 1.0)
+    assert prepare_polarization(Basis.X, 0) == pytest.approx((S, S))
+    assert prepare_polarization(Basis.X, 1) == pytest.approx((S, -S))
+    assert prepare_spatial(Basis.Z, 0) == (1.0, 0.0)
+    for basis, bit in ALL_SETTINGS:
+        assert prepare_spatial(basis, bit) == prepare_polarization(basis, bit)
 
 
 def test_tensor_amplitude_order():
     # ordering contract: (H*a, H*b, V*a, V*b)
-    joint = tensor(PolarizationQubit(1.0, 0.0), SpatialQubit(0.0, 1.0))
-    assert joint.amplitudes == (0.0, 1.0, 0.0, 0.0)
-    joint = tensor(PolarizationQubit(0.0, 1.0), SpatialQubit(1.0, 0.0))
-    assert joint.amplitudes == (0.0, 0.0, 1.0, 0.0)
-
-
-def test_norm_validation():
-    with pytest.raises(ValidationError):
-        PolarizationQubit(1.0, 1.0)
-    with pytest.raises(ValidationError):
-        SpatialQubit(0.5, 0.5)
-    with pytest.raises(ValidationError):
-        JointPhotonState((1.0, 1.0, 0.0, 0.0))
-    PolarizationQubit(S, S)  # unit norm passes
+    assert tensor((1.0, 0.0), (0.0, 1.0)) == (0.0, 1.0, 0.0, 0.0)
+    assert tensor((0.0, 1.0), (1.0, 0.0)) == (0.0, 0.0, 1.0, 0.0)
+    assert tensor((2.0, 3.0), (5.0, 7.0)) == (10.0, 14.0, 15.0, 21.0)
 
 
 def test_bell_probabilities_match_reference_on_all_preparations():
@@ -101,7 +85,7 @@ def test_cross_basis_uniform_quarter():
 
 def test_bell_states_are_measurement_eigenstates():
     for k in BellOutcome:
-        probs = bell_probabilities(bell_state(k))
+        probs = bell_probabilities(_BELL_VECTORS[k])
         assert probs[k] == pytest.approx(1.0)
         for j in BellOutcome:
             if j != k:
