@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from ddiqkd.errors import ValidationError
 from ddiqkd.states import (
+    BELL_TABLE,
+    XOR_TABLE,
     Basis,
     BellOutcome,
     bell_probabilities,
@@ -120,3 +123,17 @@ def test_invalid_bit_rejected():
         prepare_polarization(Basis.Z, 2)
     with pytest.raises(ValidationError):
         infer_bit(BellOutcome.PHI_PLUS, Basis.Z, -1)
+
+
+def test_table_bytes_pinned():
+    # the session kernels read only these two tables; their exact bytes fix
+    # every draw and every output file, so any change to the state algebra
+    # that moves a single ulp shows up here first
+    assert BELL_TABLE.dtype == np.float64 and BELL_TABLE.shape == (4, 4, 4)
+    assert hashlib.sha256(BELL_TABLE.tobytes()).hexdigest() == (
+        "1b24308a570ea64760a17437292517d06a7fecdc6215231b872df3f9ed765b54"
+    )
+    assert XOR_TABLE.dtype == np.int8 and XOR_TABLE.shape == (2, 4)
+    assert hashlib.sha256(XOR_TABLE.tobytes()).hexdigest() == (
+        "555c0d0cb8bdab0bd66b2c2c1e4a65ac4796468ca58b029c4e5471fa31b5fcbb"
+    )
