@@ -28,8 +28,9 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
-from typing import Any, Iterable, Mapping, NoReturn
+from contextlib import nullcontext
+from dataclasses import asdict, replace
+from typing import Any, Iterable, Mapping, NoReturn, TextIO
 
 import numpy as np
 
@@ -269,16 +270,22 @@ def report_payload(config: SessionConfig, report: SessionReport) -> dict[str, An
     }
 
 
+def _dump_json(fh: TextIO, payload: Mapping[str, Any]) -> None:
+    fh.write(json.dumps(payload, indent=2, sort_keys=True))
+    fh.write("\n")
+
+
 def write_json(path: str, payload: Mapping[str, Any]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
-        fh.write("\n")
+        _dump_json(fh, payload)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config, seed=args.seed)
-    transcript, report = run_session(config)
+    # the output directory is made before the session runs, so a path that
+    # cannot take it wastes no simulation
     os.makedirs(args.out, exist_ok=True)
+    transcript, report = run_session(config)
     transcript_path = os.path.join(args.out, "transcript.csv")
     report_path = os.path.join(args.out, "report.json")
     write_transcript_csv(transcript_path, transcript, _transcript_meta(config))
@@ -357,15 +364,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     header = ["point", "session", "seed"] + names + list(_SWEEP_RESULTS)
     # every config is parsed before --out is opened, and --out is opened
     # before any session runs, so neither a bad grid nor a bad path wastes
-    # a simulation
+    # a simulation; a point is parsed once, and its sessions differ only in
+    # their seed
     sessions = []
     for point_idx, values in enumerate(itertools.product(*params.values())):
         doc = json.loads(json.dumps(base_doc))
         for name, value in zip(names, values):
             _set_path(doc, name, value)
+        point = parse_config(doc, seed=0)
         for session_idx in range(args.seeds):
             seed = _session_seed(args.master_seed, point_idx, session_idx)
-            sessions.append(([point_idx, session_idx, seed, *values], parse_config(doc, seed=seed)))
+            sessions.append(([point_idx, session_idx, seed, *values], replace(point, seed=seed)))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -385,7 +394,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _analysis(args: argparse.Namespace) -> dict[str, Any]:
     view, meta = read_public_view(args.transcript)
     if args.expected_rate is not None:
         expected = args.expected_rate
@@ -410,11 +419,18 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     if view.announced_events == 0:
         payload["note"] = "no announced events; per-announcement monitors are absent"
+    return payload
+
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    # --out is opened before the transcript is read, as sweep opens its CSV
+    # before the first session, so a path that cannot be written wastes no
+    # analysis
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
+    with out as fh:
+        _dump_json(fh, _analysis(args))
     if args.out:
-        write_json(args.out, payload)
         print(f"wrote {args.out}")
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 

@@ -16,13 +16,17 @@ parities, the mean gap to the next usable detection is 2/p (even target) or
 each parity-valid candidate with acceptance q scales p to p*q inside that
 formula, which is inverted by thinning_acceptance.
 
-The key is one bulk draw, key_bits, that the reporter (announce) and the
-accomplice (eve_decode) each take from the same seed: key bit k masks the
-gap from announcement k to announcement k+1. announce applies the one-slot
-rule (first candidate announced; then a candidate whose gap has the keyed
-parity and passes a thinning trial) to a whole session's candidates at
-once; the tests hold that rule as a per-candidate loop and check announce
-against it, slots and generator state alike.
+The key is one bulk draw per session, key_bits, that the reporter
+(announce) and the accomplice (eve_decode) share: key bit k masks the gap
+from announcement k to announcement k+1, and the first k bits of any draw
+from one seed are the same. announce applies the one-slot rule (first
+candidate announced; then a candidate whose gap has the keyed parity and
+passes a thinning trial) to a whole session's candidates at once. It lays
+the candidates out flat, even slots first and then odd ones, and reads one
+code per announcement from a table per key bit, so its Python loop runs
+once per announcement, not once per candidate. The tests hold the rule as
+a per-candidate loop and check announce against it, slots and generator
+state alike.
 """
 
 from __future__ import annotations
@@ -97,16 +101,25 @@ def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
     past the last one a per-candidate loop would have taken. Each
     announcement is then a jump along the candidates of the wanted parity
     to the next accepted uniform.
+
+    The candidates are laid out flat, those at even slots first and then
+    those at odd slots, each in slot order, so the later candidates of one
+    parity are a run of flat positions. One code table per key bit holds,
+    for each flat position, 2 * (the flat position of the first later
+    candidate of the parity the rule then asks for) + that parity. So an
+    announcement costs one code read and one jump, and of the per-candidate
+    arrays only the skips and the key bits used become Python lists.
     """
     if not 0.0 < q <= 1.0:
         raise ValidationError(f"thinning acceptance must be in (0,1], got {q}")
     slots = np.asarray(slots, dtype=np.int64)
-    bits = np.asarray(bits)
     n = len(slots)
     if n == 0:
         return slots
     if np.any(np.diff(slots) <= 0):
         raise ValidationError("slots must be processed in ascending order")
+    if len(keys) < n:
+        raise ValidationError(f"need a key bit per candidate, got {len(keys)} for {n}")
     if q < 1.0:
         snapshot = rng.bit_generator.state
         accepted = np.flatnonzero(rng.random(n) < q)
@@ -117,32 +130,41 @@ def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
     # candidates of the wanted parity whose uniforms lie between the
     # accepted ones; past the last accepted uniform nothing is announced
     skips = (np.diff(accepted, prepend=-1) - 1).tolist() + [n]
-    odd = (slots & 1).astype(bool)
-    # members[p]: candidate indices with slot parity p; after[p][j + 1]:
-    # the position in members[p] of the first one after candidate j
-    members = (np.flatnonzero(~odd).tolist(), np.flatnonzero(odd).tolist())
-    sizes = (len(members[0]), len(members[1]))
-    after = tuple(np.concatenate(([0], np.cumsum(m))).tolist() for m in (~odd, odd))
-    # the slot parity the rule asks for next after announcing candidate
-    # j under key bit 0 (an even gap encodes bit 1); key bit 1 flips it
-    wanted = ((slots ^ bits ^ 1) & 1).tolist()
-    keys = np.asarray(keys[:n]).tolist()
-    j, announced = 0, [0]
-    parity = wanted[0] ^ keys[0]
-    k = 0  # announcements after the first, one accepted uniform each
-    while True:
-        pos = after[parity][j + 1]
-        hit = pos + skips[k]
-        if hit >= sizes[parity]:
+    odd = slots & 1
+    odd_upto = np.cumsum(odd)
+    n_even = n - int(odd_upto[-1])
+    # after candidate j, the first even candidate sits at flat position
+    # (evens up to j) and the first odd one at n_even + (odds up to j)
+    first_even = np.arange(1, n + 1) - odd_upto
+    first_odd = odd_upto + n_even
+    flat = np.where(odd, first_odd, first_even) - 1
+    # the slot parity the rule asks for next after announcing a candidate
+    # under key bit 0 (an even gap encodes bit 1); key bit 1 flips it
+    wanted = (odd ^ np.asarray(bits) ^ 1) & 1
+    even_code, odd_code = 2 * first_even, 2 * first_odd + 1
+    codes = np.empty((2, n), dtype=np.int64)
+    codes[0, flat] = np.where(wanted, odd_code, even_code)
+    codes[1, flat] = np.where(wanted, even_code, odd_code)
+    by_key = (memoryview(codes[0]), memoryview(codes[1]))
+    flat_slots = np.empty(n, dtype=np.int64)
+    flat_slots[flat] = slots
+    ends = (n_even, n)  # where the run of each parity ends
+    f = int(flat[0])
+    announced = [f]
+    # the skip and the key bit of the gap after announcement k; the last
+    # skip, n, always ends the loop
+    for skip, key in zip(skips, np.asarray(keys[:len(skips)]).tolist()):
+        code = by_key[key][f]
+        hit = (code >> 1) + skip
+        if hit >= ends[code & 1]:
             break
-        k += 1
-        j = members[parity][hit]
-        parity = wanted[j] ^ keys[len(announced)]
-        announced.append(j)
+        f = hit
+        announced.append(f)
     if q < 1.0:
         # up to the last accepted uniform taken, then the examined tail
-        rng.random((accepted[k - 1] + 1 if k else 0) + sizes[parity] - pos)
-    return slots[announced]
+        k = len(announced) - 1
+        rng.random((accepted[k - 1] + 1 if k else 0) + ends[code & 1] - (code >> 1))
+    return flat_slots[announced]
 
 
 def eve_decode(reported_slots: Sequence[int], keys) -> list[int]:

@@ -385,7 +385,9 @@ def _covert_acceptance(config: SessionConfig, mode: CovertAttackMode) -> float:
     return thinning_acceptance(p_candidate, target)
 
 
-def _run_covert(mode: CovertAttackMode, q: float, t: Transcript, rng) -> None:
+def _run_covert(mode: CovertAttackMode, q: float, t: Transcript, rng) -> np.ndarray:
+    """Covert detection and reporting; returns the session's key bits, one
+    per candidate, which the report's decoder reads as well."""
     arr = t.arrived
     t.detected[arr] = rng.random(np.count_nonzero(arr)) < mode.eta_true
     candidates = np.nonzero(t.detected)[0]
@@ -393,14 +395,14 @@ def _run_covert(mode: CovertAttackMode, q: float, t: Transcript, rng) -> None:
     if p_readout < 1.0:
         # a detection whose encoder readout failed is never announced
         candidates = candidates[rng.random(len(candidates)) < p_readout]
-    announced = announce(
-        candidates, t.bob_bit[candidates], _key_bits(mode, len(candidates)), q, rng
-    )
+    keys = _key_bits(mode, len(candidates))
+    announced = announce(candidates, t.bob_bit[candidates], keys, q, rng)
     # outcomes pass through from honest measurement, never altered
     pair = 4 * _prep(t.alice_basis[announced], t.alice_bit[announced]) + _prep(
         t.bob_basis[announced], t.bob_bit[announced]
     )
     t.reported[announced] = _bell_outcomes(pair, rng.random(len(announced)))
+    return keys
 
 
 def _run_blinding(
@@ -421,16 +423,22 @@ def _run_blinding(
     return plan
 
 
-def _leak_fraction(config: SessionConfig, t: Transcript, sifted: np.ndarray, singles: np.ndarray) -> float:
+def _leak_fraction(
+    config: SessionConfig, t: Transcript, sifted: np.ndarray, singles: np.ndarray,
+    keys: np.ndarray | None,
+) -> float:
     """Fraction of the relevant secret the in-channel or in-unit adversary
     actually recovered, from ground truth: per announced single (`singles`),
-    the receiver bits decoded from their gaps (covert); per sifted slot, the
-    bits the interceptor holds (intercept-resend, blinding)."""
+    the receiver bits decoded from their gaps under the covert key bits
+    `keys` (drawn here when None); per sifted slot, the bits the
+    interceptor holds (intercept-resend, blinding)."""
     mode = config.mode
     if isinstance(mode, CovertAttackMode):
         if len(singles) == 0:
             return 0.0
-        decoded = eve_decode(singles, _key_bits(mode, len(singles) - 1))
+        if keys is None:
+            keys = _key_bits(mode, len(singles) - 1)
+        decoded = eve_decode(singles, keys)
         return np.count_nonzero(np.array(decoded) == t.bob_bit[singles[:-1]]) / len(singles)
     blinding = isinstance(mode, BlindingMode)
     if len(sifted) == 0 or not (blinding or isinstance(mode, InterceptResendMode)):
@@ -444,11 +452,17 @@ def _leak_fraction(config: SessionConfig, t: Transcript, sifted: np.ndarray, sin
 
 
 def build_report(
-    config: SessionConfig, transcript: Transcript, plan: BlindingPlan | None = None
+    config: SessionConfig, transcript: Transcript, plan: BlindingPlan | None = None,
+    keys: np.ndarray | None = None,
 ) -> SessionReport:
     """The session report in one pass: the public view, the sifted slots and
     the expected rate are each taken once, and the counts, QBER, leak
-    fraction and monitors (double-click rate included) all read from them."""
+    fraction and monitors (double-click rate included) all read from them.
+
+    keys are a covert session's key bits, at least one per announced gap;
+    run_session passes the reporter's own draw, and when None the decoder
+    draws them from the mode's key_seed (the same bits, by the prefix
+    property of covert.key_bits)."""
     view = transcript.public_view()
     expected = config.expected_report_rate()
     # the monitors run before the sift, so their working arrays and the
@@ -469,7 +483,7 @@ def build_report(
         key_rate=rate,
         reported_rate=reported / n,
         double_click_rate=det.double_click_rate,
-        eve_leak_fraction=_leak_fraction(config, transcript, sifted, view.reported_slots),
+        eve_leak_fraction=_leak_fraction(config, transcript, sifted, view.reported_slots, keys),
         expected_report_rate=expected,
         detectability=det,
         plan=plan,
@@ -496,15 +510,16 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     t = _draw_settings(config, rng)
     plan: BlindingPlan | None = None
+    keys: np.ndarray | None = None
     if isinstance(mode, HonestMode):
         _detect(config, t, _pairs(t)[t.arrived], rng)
     elif isinstance(mode, CovertAttackMode):
         assert q is not None
-        _run_covert(mode, q, t, rng)
+        keys = _run_covert(mode, q, t, rng)
     elif isinstance(mode, BlindingMode):
         plan = _run_blinding(config, mode, t, rng)
     elif isinstance(mode, InterceptResendMode):
         _detect(config, t, _intercept(t, rng), rng)
     else:
         raise ConfigError(f"unknown session mode: {mode!r}")
-    return t, build_report(config, t, plan)
+    return t, build_report(config, t, plan, keys)

@@ -294,3 +294,35 @@ def test_unwritable_output_paths_exit_1(tmp_path, capsys, monkeypatch):
     assert main(["analyze", "--transcript", transcript, "--out", str(missing / "a.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not missing.exists()
+
+
+def test_refused_output_path_does_no_work(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("run_session", "read_public_view"):
+        def counted(*args, name=name, original=getattr(cli, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    config = write_doc(tmp_path, HONEST_DOC)
+    occupied = tmp_path / "occupied"
+    occupied.write_text("")
+    for out in (occupied, occupied / "sub"):
+        assert main(["run", "--config", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    code, out_dir = run_cli(tmp_path, HONEST_DOC)
+    assert code == 0 and calls == ["run_session"]
+    transcript = str(out_dir / "transcript.csv")
+    calls.clear()
+    for out in (tmp_path / "missing" / "a.json", out_dir):
+        assert main(["analyze", "--transcript", transcript, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+    # an infeasible scenario at a writable path still exits 2
+    capsys.readouterr()
+    infeasible = write_doc(tmp_path, dict(COVERT_DOC, eta_expected=0.5), "infeasible.json")
+    calls.clear()
+    assert main(["run", "--config", infeasible, "--out", str(tmp_path / "inf")]) == 2
+    assert calls == ["run_session"]
+    assert capsys.readouterr().err.startswith("infeasible: ")

@@ -5,11 +5,13 @@ seed; the digests of transcript.csv and report.json must match byte for
 byte. GOLDEN_MULTI pins the same scenarios at MULTI_SLOTS slots, where a
 transcript spans three 10,000-row blocks and the covert reporter makes
 several thousand announcements. GOLDEN_DARK pins, at both lengths, the
-sessions with dark counts that no config file has (DARK_DOCUMENTS). A
-change to the draw order, the transcript format or the report schema
-changes them on purpose: bump the transcript format tag, describe the new
-order in the README's "Determinism" section, and print the new GOLDEN,
-GOLDEN_MULTI and GOLDEN_DARK tables with
+sessions with dark counts that no config file has (DARK_DOCUMENTS).
+GOLDEN_SWEEP pins the CSV of one `ddiqkd sweep` (SWEEP_ARGS), which holds
+the order of its rows and the per-session seeds as well. A change to the
+draw order, the transcript format or the report schema changes them on
+purpose: bump the transcript format tag, describe the new order in the
+README's "Determinism" section, and print the new GOLDEN, GOLDEN_MULTI,
+GOLDEN_DARK and GOLDEN_SWEEP tables with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -150,6 +152,15 @@ DARK_DOCUMENTS["intercept_resend_mixed_detectors"] = {
 }
 DARK_CASES = [(name, n) for name in DARK_DOCUMENTS for n in (GOLDEN_SLOTS, MULTI_SLOTS)]
 
+# the keyed covert config, three sessions at each of the grid's six
+# transmittances
+SWEEP_ARGS = (
+    "--config", str(CONFIGS / "covert_keyed.json"),
+    "--grid", str(CONFIGS / "sweep_transmittance.json"),
+    "--seeds", "3", "--master-seed", "11",
+)
+GOLDEN_SWEEP = "76c5afbb5d172ed5132aa54df418d718515e936207feadeb37032f8a6e4cf136"
+
 
 def scenario_names():
     return sorted(
@@ -173,6 +184,14 @@ def run_digests(name, tmp_path, n_slots=GOLDEN_SLOTS, doc=None):
     )
 
 
+def sweep_digest(tmp_path):
+    """Digest of the CSV of `ddiqkd sweep` with SWEEP_ARGS."""
+    out = tmp_path / "sweep.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", *SWEEP_ARGS, "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_every_scenario_is_pinned():
     assert sorted(GOLDEN) == sorted(GOLDEN_MULTI) == scenario_names()
 
@@ -192,6 +211,10 @@ def test_golden_dark_digests(name, n_slots, tmp_path):
     assert run_digests(name, tmp_path, n_slots, DARK_DOCUMENTS[name]) == GOLDEN_DARK[name, n_slots]
 
 
+def test_golden_sweep_digest(tmp_path):
+    assert sweep_digest(tmp_path) == GOLDEN_SWEEP
+
+
 def print_table(table, cases):
     """Print `table = {...}` for cases of (key, name, n_slots, doc)."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
@@ -206,3 +229,5 @@ if __name__ == "__main__":
     for table, n_slots in (("GOLDEN", GOLDEN_SLOTS), ("GOLDEN_MULTI", MULTI_SLOTS)):
         print_table(table, [(name, name, n_slots, None) for name in scenario_names()])
     print_table("GOLDEN_DARK", [((name, n), name, n, DARK_DOCUMENTS[name]) for name, n in DARK_CASES])
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f'GOLDEN_SWEEP = "{sweep_digest(Path(tmp))}"')
