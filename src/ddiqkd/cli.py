@@ -28,7 +28,6 @@ import itertools
 import json
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import asdict, replace
 from typing import Any, Iterable, Mapping, NoReturn, TextIO
 
@@ -423,14 +422,20 @@ def _analysis(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if not args.out:
+        _dump_json(sys.stdout, _analysis(args))
+        return 0
     # --out is opened before the transcript is read, as sweep opens its CSV
     # before the first session, so a path that cannot be written wastes no
-    # analysis
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else nullcontext(sys.stdout)
-    with out as fh:
-        _dump_json(fh, _analysis(args))
-    if args.out:
-        print(f"wrote {args.out}")
+    # analysis; it is opened without truncation and an existing file is
+    # emptied only once the analysis succeeds, so a refused transcript
+    # leaves it as it was
+    with open(args.out, "a", encoding="utf-8", newline="") as fh:
+        payload = _analysis(args)
+        if fh.tell():
+            fh.truncate(0)
+        _dump_json(fh, payload)
+    print(f"wrote {args.out}")
     return 0
 
 

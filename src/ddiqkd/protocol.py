@@ -430,14 +430,13 @@ def _leak_fraction(
     """Fraction of the relevant secret the in-channel or in-unit adversary
     actually recovered, from ground truth: per announced single (`singles`),
     the receiver bits decoded from their gaps under the covert key bits
-    `keys` (drawn here when None); per sifted slot, the bits the
-    interceptor holds (intercept-resend, blinding)."""
+    `keys`; per sifted slot, the bits the interceptor holds
+    (intercept-resend, blinding)."""
     mode = config.mode
     if isinstance(mode, CovertAttackMode):
         if len(singles) == 0:
             return 0.0
-        if keys is None:
-            keys = _key_bits(mode, len(singles) - 1)
+        assert keys is not None
         decoded = eve_decode(singles, keys)
         return np.count_nonzero(np.array(decoded) == t.bob_bit[singles[:-1]]) / len(singles)
     blinding = isinstance(mode, BlindingMode)
@@ -459,10 +458,9 @@ def build_report(
     the expected rate are each taken once, and the counts, QBER, leak
     fraction and monitors (double-click rate included) all read from them.
 
-    keys are a covert session's key bits, at least one per announced gap;
-    run_session passes the reporter's own draw, and when None the decoder
-    draws them from the mode's key_seed (the same bits, by the prefix
-    property of covert.key_bits)."""
+    keys are a covert session's key bits, at least one per announced gap,
+    and are required in covert mode: run_session passes the reporter's own
+    draw, which the decoder reads too."""
     view = transcript.public_view()
     expected = config.expected_report_rate()
     # the monitors run before the sift, so their working arrays and the

@@ -326,3 +326,23 @@ def test_refused_output_path_does_no_work(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", infeasible, "--out", str(tmp_path / "inf")]) == 2
     assert calls == ["run_session"]
     assert capsys.readouterr().err.startswith("infeasible: ")
+
+
+def test_refused_transcript_keeps_existing_analyze_output(tmp_path, capsys):
+    code, out_dir = run_cli(tmp_path, HONEST_DOC)
+    assert code == 0
+    out = tmp_path / "analysis.json"
+    out.write_text("an earlier report\n" * 5000)
+    before = out.read_bytes()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("not a transcript\n")
+    for transcript in (bad, tmp_path / "absent.csv"):
+        assert main(["analyze", "--transcript", str(transcript), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == before
+    # an accepted transcript replaces the whole file, however long it was
+    transcript = str(out_dir / "transcript.csv")
+    assert main(["analyze", "--transcript", transcript, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--transcript", transcript]) == 0
+    assert out.read_text() == capsys.readouterr().out

@@ -80,9 +80,10 @@ def test_announce_matches_reference_at_sweep_size(transmittance, keyed, monkeypa
 @pytest.mark.parametrize("transmittance", [TRANSMITTANCES[0], TRANSMITTANCES[-1]])
 def test_report_key_draw_matches_a_fresh_draw(transmittance):
     # run_session hands build_report the reporter's key draw, one bit per
-    # candidate; a report that draws its own key, one bit per gap, from
-    # key_seed reads the same prefix and so the same report
+    # candidate; a fresh draw from key_seed of one bit per gap reads the
+    # same prefix and so gives the same report
     config = session_config(transmittance, keyed=True)
     transcript, report = protocol.run_session(config)
     assert report.reported > 10
-    assert protocol.build_report(config, transcript) == report
+    keys = protocol._key_bits(config.mode, report.reported - 1)
+    assert protocol.build_report(config, transcript, keys=keys) == report
