@@ -62,8 +62,8 @@ def gap_parity_uniformity(reported_slots: Sequence[int]) -> tuple[float, float] 
     gaps = np.diff(slots)
     if np.any(gaps <= 0):
         raise ValidationError("reported slots must be strictly increasing")
-    n_even = int(np.count_nonzero(gaps % 2 == 0))
-    n_odd = len(gaps) - n_even
+    n_odd = int(np.count_nonzero(gaps & 1))
+    n_even = len(gaps) - n_odd
     chi2 = (n_even - n_odd) ** 2 / len(gaps)
     return float(chi2), float(special.chdtrc(1, chi2))
 

@@ -8,11 +8,13 @@ then one row per slot in slot order. Every row has the same width: the slot
 zero-padded to the digit count of n_slots - 1, seven one-byte cells each after
 a comma (`-` for no outcome), and a newline. The writer and the reader work in
 blocks of 10,000 rows that share one cached frame of slot digits, commas and
-newlines; the reader rejects a file that disagrees with itself, naming the
-line (see read_public_view). The report JSON carries the same metadata plus
-the full serialized config and the session report. `analyze` reads only the
-public columns of a transcript (slot, bob_basis, reported_outcome,
-double_click), so its verdicts never peek at ground truth.
+newlines. The reader checks each block with one masked XOR against that
+frame and decodes its outcome cells by arithmetic; it rejects a file that
+disagrees with itself, naming the line (see read_public_view). The report
+JSON carries the same metadata plus the full serialized config and the
+session report. `analyze` reads only the public columns of a transcript
+(slot, bob_basis, reported_outcome, double_click), so its verdicts never
+peek at ground truth.
 
 Exit codes: 0 success, 1 usage/parse/validation problems and unwritable
 output paths, 2 structurally infeasible scenarios (covert target rate out of
@@ -46,12 +48,12 @@ TRANSCRIPT_COLUMNS = (
 TRANSCRIPT_FORMAT = "ddiqkd-transcript-3"
 
 
-def _transcript_meta(config: SessionConfig) -> dict[str, Any]:
+def _transcript_meta(config: SessionConfig, digest: str) -> dict[str, Any]:
     return {
         "format": TRANSCRIPT_FORMAT,
         "version": __version__,
         "seed": config.seed,
-        "config_sha256": config_digest(config),
+        "config_sha256": digest,
         "mode": config.mode.kind,
         "n_slots": config.n_slots,
         "expected_report_rate": config.expected_report_rate(),
@@ -68,12 +70,8 @@ _LOW_DIGITS = 4
 
 _HEADER = (",".join(TRANSCRIPT_COLUMNS) + "\n").encode("ascii")
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
-# the byte of each reported value -1..3 (-1, no outcome, indexes the last)
-_OUTCOME_BYTE = np.frombuffer(b"0123-", dtype=np.uint8)
-# outcome byte -> value: '0'..'3' -> 0..3, '-' -> 4, any other byte -> 5
-_OUTCOME_VALUE = np.full(256, 5, dtype=np.uint8)
-_OUTCOME_VALUE[_OUTCOME_BYTE] = np.arange(5)
-_NO_OUTCOME = 4
+# an outcome byte minus '0' in uint8: '0'..'3' read 0..3 and '-' wraps to this
+_NO_OUTCOME = (ord("-") - _ZERO) % 256
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,6 +92,24 @@ def _frame(digits: int) -> np.ndarray:
     frame[:, -1] = _NEWLINE
     frame.setflags(write=False)
     return frame
+
+
+@functools.lru_cache(maxsize=None)
+def _mask(digits: int) -> np.ndarray:
+    """The AND mask of a block of rows with this slot width: 0xFE on the six
+    0/1 cells, which turns '1' into the frame's '0' and keeps every other
+    byte distinct from it; 0x00 on the outcome cell, which the reader checks
+    by arithmetic; 0xFF elsewhere. So (rows & mask) ^ frame is zero outside
+    the high slot digits iff every byte there is right, and holds the high
+    digits as written. The row is tiled out to a whole block, since ANDing
+    with a broadcast row makes numpy loop once per row. One mask is kept
+    per slot width."""
+    row = np.full(digits + 15, 0xFF, dtype=np.uint8)
+    row[digits + 1:-1:2] = 0xFE
+    row[digits + 11] = 0
+    mask = np.tile(row, (_BLOCK_ROWS, 1))
+    mask.setflags(write=False)
+    return mask
 
 
 def _block_frame(digits: int, block: int, rows: int) -> np.ndarray:
@@ -128,7 +144,9 @@ def write_transcript_csv(path: str, transcript: Transcript, meta: Mapping[str, A
             rows = _block_frame(digits, block, stop - start)
             for col, values in bits.items():
                 rows[:, col] |= values[start:stop].view(np.uint8)
-            rows[:, digits + 11] = _OUTCOME_BYTE[transcript.reported[start:stop]]
+            # -1 is 255 in uint8, and 255 + '0' - 2 wraps to '-'
+            reported = transcript.reported[start:stop].view(np.uint8)
+            rows[:, digits + 11] = reported + _ZERO - 2 * (reported >> 7)
             fh.write(rows)
 
 
@@ -191,8 +209,10 @@ def read_public_view(path: str) -> tuple[PublicView, dict[str, str]]:
     repeats, the format tag is TRANSCRIPT_FORMAT, the header is
     TRANSCRIPT_COLUMNS, and there are exactly n_slots rows, row i being
     what write_transcript_csv writes for slot i. Each block of rows is
-    checked at once against its frame and a cell lookup; anything else
-    raises ValidationError naming the line."""
+    checked at once: its bytes ANDed with _mask and XORed with the frame
+    and its high slot digits must all be zero, and each outcome byte minus
+    '0' must be below 4 or be '-'. Only a block that fails is walked row by
+    row; anything else raises ValidationError naming the line."""
     meta: dict[str, str] = {}
     parts: list[tuple] = []
     try:
@@ -227,24 +247,34 @@ def read_public_view(path: str) -> tuple[PublicView, dict[str, str]]:
         if not 1 <= n_slots < 2**63:
             raise ValidationError(f"{path}: metadata n_slots: {n_slots} is not >= 1 and < 2**63")
         digits = len(str(n_slots - 1))
-        # frame | (row & keep) equals the row iff every byte outside the
-        # outcome cell is right; the six 0/1 cells keep their low bit
-        keep = np.zeros(digits + 15, dtype=np.uint8)
-        keep[digits + 1:-1:2] = 1
-        keep[digits + 11] = 0xFF
+        width = digits + 15
+        frame, mask = _frame(digits), _mask(digits)
         first_line = lineno + 1
         for block, start in enumerate(range(0, n_slots, _BLOCK_ROWS)):
-            frame = _block_frame(digits, block, min(_BLOCK_ROWS, n_slots - start))
-            data = fh.read(frame.size)
-            if len(data) < frame.size:
-                _reject_block(path, data, frame, first_line + start, start, n_slots)
-            rows = np.frombuffer(data, dtype=np.uint8).reshape(frame.shape)
-            frame |= rows & keep
-            outcome = _OUTCOME_VALUE[rows[:, digits + 11]]
-            announced = outcome < _NO_OUTCOME
-            double = rows[:, -2] == _ZERO + 1
-            if frame.tobytes() != data or (outcome > _NO_OUTCOME).any() or (announced & double).any():
-                _reject_block(path, data, frame, first_line + start, start, n_slots)
+            count = min(_BLOCK_ROWS, n_slots - start)
+            data = fh.read(count * width)
+            valid = len(data) == count * width
+            if valid:
+                rows = np.frombuffer(data, dtype=np.uint8).reshape(count, width)
+                diff = rows & mask[:count]
+                diff ^= frame[:count]
+                if digits > _LOW_DIGITS:
+                    # one column at a time: a broadcast row would loop per row
+                    for col, digit in enumerate(str(block).zfill(digits - _LOW_DIGITS)):
+                        diff[:, col] ^= ord(digit)
+                # strided columns are copied first, as numpy does arithmetic
+                # far faster on contiguous bytes; on uint8, max() is a much
+                # faster any()
+                outcome = rows[:, digits + 11].copy()
+                outcome -= _ZERO
+                announced = outcome < 4
+                double = rows[:, -2].copy() == _ZERO + 1
+                valid = (
+                    not diff.max() and (announced | (outcome == _NO_OUTCOME)).all()
+                    and not (announced & double).any()
+                )
+            if not valid:
+                _reject_block(path, data, _block_frame(digits, block, count), first_line + start, start, n_slots)
             singles = np.flatnonzero(announced)
             parts.append((
                 start + singles, outcome[singles], rows[singles, digits + 5] - _ZERO,
@@ -259,11 +289,13 @@ def read_public_view(path: str) -> tuple[PublicView, dict[str, str]]:
     return PublicView(n_slots, *columns), meta
 
 
-def report_payload(config: SessionConfig, report: SessionReport) -> dict[str, Any]:
+def report_payload(config: SessionConfig, report: SessionReport, digest: str) -> dict[str, Any]:
+    """The report JSON; digest is config_digest(config), which the caller
+    has already computed for the transcript metadata."""
     return {
         "version": __version__,
         "seed": config.seed,
-        "config_sha256": config_digest(config),
+        "config_sha256": digest,
         "config": serialize_config(config),
         "report": asdict(report),
     }
@@ -287,8 +319,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     transcript, report = run_session(config)
     transcript_path = os.path.join(args.out, "transcript.csv")
     report_path = os.path.join(args.out, "report.json")
-    write_transcript_csv(transcript_path, transcript, _transcript_meta(config))
-    write_json(report_path, report_payload(config, report))
+    digest = config_digest(config)
+    write_transcript_csv(transcript_path, transcript, _transcript_meta(config, digest))
+    write_json(report_path, report_payload(config, report, digest))
     print(f"wrote {transcript_path}")
     print(f"wrote {report_path}")
     qber = "n/a" if report.qber is None else f"{report.qber:.6f}"

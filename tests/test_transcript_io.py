@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddiqkd import cli
 from ddiqkd.cli import (
     _BLOCK_ROWS,
     TRANSCRIPT_COLUMNS,
@@ -119,6 +120,50 @@ def test_round_trip_with_six_slot_digits(tmp_path):
     lines = path.read_bytes().split(b"\n")
     assert lines[FIRST_ROW_LINE - 1].startswith(b"000000,") and lines[-2].startswith(b"123456,")
     assert_round_trip(path, transcript, meta_for(n))
+
+
+@pytest.fixture(scope="module")
+def two_high_digit_bytes(tmp_path_factory):
+    """A 200,001-slot transcript: six slot digits, of which the block index
+    sets the first two."""
+    n = 20 * BLOCK + 1
+    path = tmp_path_factory.mktemp("wide") / "t.csv"
+    write_transcript_csv(str(path), random_transcript(n, 13, 0.1, 0.05), meta_for(n))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("row,pos", [
+    (10 * BLOCK, 0), (10 * BLOCK, 1), (123_456, 0), (123_456, 1), (19 * BLOCK + 9_999, 1), (20 * BLOCK, 0),
+])
+def test_reader_names_the_line_of_a_mutated_high_slot_digit(tmp_path, two_high_digit_bytes, row, pos):
+    data = bytearray(two_high_digit_bytes)
+    offset = data.index(b"\n000000,") + 1 + row * 21 + pos
+    assert data[offset:offset + 6 - pos] == f"{row:06d}".encode()[pos:]
+    data[offset] = ord("0") + (data[offset] - ord("0") + 1) % 10
+    path = tmp_path / "t.csv"
+    path.write_bytes(bytes(data))
+    assert_rejected(path, FIRST_ROW_LINE + row, "slot differs from its row index")
+
+
+def test_reader_walks_rows_only_of_a_failing_block(tmp_path, monkeypatch):
+    n = 2 * BLOCK + 1
+    path = tmp_path / "t.csv"
+    write_transcript_csv(str(path), random_transcript(n, 17, 0.1, 0.05), meta_for(n))
+    calls = []
+
+    def counted(*args, original=cli._block_frame):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, "_block_frame", counted)
+    read_public_view(str(path))
+    assert calls == []
+    data = bytearray(path.read_bytes())
+    data[-(BLOCK // 2) * 20] ^= 0x01  # one byte in the middle block
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValidationError):
+        read_public_view(str(path))
+    assert [args[1] for args in calls] == [1]
 
 
 @settings(max_examples=30, deadline=None)
