@@ -42,7 +42,8 @@ class PublicView:
             raise ValidationError(f"n_slots must be >= 1, got {self.n_slots}")
         if not (len(self.reported_slots) == len(self.outcomes) == len(self.bob_basis_at_reported)):
             raise ValidationError("reported slots, outcomes and bases must be aligned")
-        if len(self.reported_slots) > 1 and not np.all(np.diff(self.reported_slots) > 0):
+        slots = np.asarray(self.reported_slots)
+        if (slots[1:] <= slots[:-1]).any():
             raise ValidationError("reported slots must be strictly increasing")
 
     @property
@@ -59,8 +60,8 @@ def gap_parity_uniformity(reported_slots: Sequence[int]) -> tuple[float, float] 
     slots = np.asarray(reported_slots)
     if len(slots) < 2:
         return None
-    gaps = np.diff(slots)
-    if np.any(gaps <= 0):
+    gaps = slots[1:] - slots[:-1]
+    if (gaps <= 0).any():
         raise ValidationError("reported slots must be strictly increasing")
     n_odd = int(np.count_nonzero(gaps & 1))
     n_even = len(gaps) - n_odd
@@ -87,10 +88,10 @@ def outcome_histogram(outcomes: Sequence[int]) -> tuple[np.ndarray, float, float
     aggregate expectation, uniform over the four outcomes. Returns
     (counts, statistic, p-value), or None without announcements. Tailored
     blinding concentrates all mass on the low-threshold outcomes."""
-    arr = np.asarray(outcomes, dtype=np.int64)
+    arr = np.asarray(outcomes)
     if len(arr) == 0:
         return None
-    if np.any(arr < 0) or np.any(arr > 3):
+    if arr.min() < 0 or arr.max() > 3:
         raise ValidationError("outcomes must be Bell outcome indices 0..3")
     counts = np.bincount(arr, minlength=4)
     expected = counts.sum() / 4

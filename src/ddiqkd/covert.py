@@ -116,7 +116,7 @@ def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
     n = len(slots)
     if n == 0:
         return slots
-    if np.any(np.diff(slots) <= 0):
+    if (slots[1:] <= slots[:-1]).any():
         raise ValidationError("slots must be processed in ascending order")
     if len(keys) < n:
         raise ValidationError(f"need a key bit per candidate, got {len(keys)} for {n}")
@@ -128,32 +128,43 @@ def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
         accepted = np.arange(n)
     # announcement k takes the next accepted uniform, so it skips the
     # candidates of the wanted parity whose uniforms lie between the
-    # accepted ones; past the last accepted uniform nothing is announced
-    skips = (np.diff(accepted, prepend=-1) - 1).tolist() + [n]
+    # accepted ones (accepted[k] - accepted[k - 1] - 1, and accepted[0]
+    # first); past the last accepted uniform nothing is announced, so the
+    # last skip, n, always ends the loop
+    skips = np.empty(len(accepted) + 1, dtype=np.int64)
+    skips[:-1] = accepted
+    np.add(accepted[1:], ~accepted[:-1], out=skips[1:-1])
+    skips[-1] = n
     odd = slots & 1
-    odd_upto = np.cumsum(odd)
-    n_even = n - int(odd_upto[-1])
+    first_odd = np.cumsum(odd)
+    n_even = n - int(first_odd[-1])
     # after candidate j, the first even candidate sits at flat position
     # (evens up to j) and the first odd one at n_even + (odds up to j)
-    first_even = np.arange(1, n + 1) - odd_upto
-    first_odd = odd_upto + n_even
-    flat = np.where(odd, first_odd, first_even) - 1
+    first_even = np.arange(1, n + 1) - first_odd
+    first_odd += n_even
+    flat = np.where(odd, first_odd, first_even)
+    flat -= 1
     # the slot parity the rule asks for next after announcing a candidate
-    # under key bit 0 (an even gap encodes bit 1); key bit 1 flips it
-    wanted = (odd ^ np.asarray(bits) ^ 1) & 1
-    even_code, odd_code = 2 * first_even, 2 * first_odd + 1
+    # under key bit 0 (an even gap encodes bit 1); key bit 1 flips it. Its
+    # code is 2 * (flat position of that first candidate) + parity, and the
+    # two codes of candidate j add up to 2 * (j + 1 + n_even) + 1, so key
+    # bit 1's code is that sum less key bit 0's
+    wanted = ((odd ^ bits) & 1) == 0
+    row = np.where(wanted, first_odd, first_even)
+    row <<= 1
+    row += wanted
     codes = np.empty((2, n), dtype=np.int64)
-    codes[0, flat] = np.where(wanted, odd_code, even_code)
-    codes[1, flat] = np.where(wanted, even_code, odd_code)
+    codes[0, flat] = row
+    np.subtract(np.arange(2 * n_even + 3, 2 * (n + n_even) + 3, 2), row, out=row)
+    codes[1, flat] = row
     by_key = (memoryview(codes[0]), memoryview(codes[1]))
     flat_slots = np.empty(n, dtype=np.int64)
     flat_slots[flat] = slots
     ends = (n_even, n)  # where the run of each parity ends
     f = int(flat[0])
     announced = [f]
-    # the skip and the key bit of the gap after announcement k; the last
-    # skip, n, always ends the loop
-    for skip, key in zip(skips, np.asarray(keys[:len(skips)]).tolist()):
+    # the skip and the key bit of the gap after announcement k
+    for skip, key in zip(skips.tolist(), np.asarray(keys[:len(skips)]).tolist()):
         code = by_key[key][f]
         hit = (code >> 1) + skip
         if hit >= ends[code & 1]:
@@ -167,19 +178,24 @@ def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
     return flat_slots[announced]
 
 
-def eve_decode(reported_slots: Sequence[int], keys) -> list[int]:
-    """Recover the encoded bits from announced slot indices.
+def eve_decode(reported_slots: Sequence[int], keys) -> np.ndarray:
+    """Recover the encoded bits from announced slot indices, as an int64
+    array.
 
     m announcements carry m-1 bits: for each consecutive pair the gap parity
     gives (even -> 1, odd -> 0), XORed with that gap's key bit. keys holds at
     least m-1 key bits, from the same key the reporter used.
     """
     slots = np.asarray(reported_slots, dtype=np.int64)
-    gaps = np.diff(slots)
-    bad = np.flatnonzero(gaps <= 0)
-    if len(bad):
-        a, b = slots[bad[0]], slots[bad[0] + 1]
-        raise ValidationError(f"reported slots must be strictly increasing, got {a} then {b}")
+    gaps = slots[1:] - slots[:-1]
+    if (gaps <= 0).any():
+        i = int(np.argmax(gaps <= 0))
+        raise ValidationError(
+            f"reported slots must be strictly increasing, got {slots[i]} then {slots[i + 1]}"
+        )
     if len(keys) < len(gaps):
         raise ValidationError(f"need a key bit per gap, got {len(keys)} for {len(gaps)}")
-    return ((gaps & 1) ^ 1 ^ np.asarray(keys[:len(gaps)], dtype=np.int64)).tolist()
+    gaps &= 1
+    gaps ^= 1
+    gaps ^= keys[:len(gaps)]
+    return gaps

@@ -10,6 +10,7 @@ from ddiqkd.analysis import (
     outcome_histogram,
     rate_consistency,
 )
+from ddiqkd.covert import announce, eve_decode
 from ddiqkd.errors import ValidationError
 
 
@@ -57,6 +58,46 @@ def test_gap_parity_needs_two_reports():
 def test_gap_parity_rejects_unordered_slots():
     with pytest.raises(ValidationError):
         gap_parity_uniformity(np.array([5, 3, 8]))
+
+
+def public_view_of(slots):
+    n = len(slots)
+    zeros = np.zeros(n, dtype=np.int8)
+    return PublicView(100, slots, zeros, zeros, np.array([], dtype=np.int64))
+
+
+# each check on slot order or outcome range, with a valid input and the
+# inputs it must refuse
+ORDER_AND_RANGE_CHECKS = {
+    "PublicView": public_view_of,
+    "gap_parity_uniformity": gap_parity_uniformity,
+    "eve_decode": lambda slots: eve_decode(slots, np.zeros(len(slots), dtype=np.int64)),
+    "announce": lambda slots: announce(
+        slots, np.zeros(len(slots), dtype=np.int8), np.zeros(len(slots), dtype=np.int64),
+        0.5, np.random.default_rng(0),
+    ),
+    "outcome_histogram": outcome_histogram,
+}
+ORDER_AND_RANGE_CASES = [
+    pytest.param(check, [3, 5, 8, 9], bad, id=f"{check}-{kind}")
+    for check in ("PublicView", "gap_parity_uniformity", "eve_decode", "announce")
+    for kind, bad in (("equal", [3, 5, 9, 9]), ("decreasing", [5, 3, 8, 9]))
+] + [
+    pytest.param("outcome_histogram", [0, 1, 2, 3], bad, id=f"outcome_histogram-{kind}")
+    for kind, bad in (("minus_one", [0, -1, 2, 3]), ("four", [0, 1, 2, 4]))
+]
+
+
+@pytest.mark.parametrize("as_input", [list, np.int8, np.int64], ids=["list", "int8", "int64"])
+@pytest.mark.parametrize("check, valid, bad", ORDER_AND_RANGE_CASES)
+def test_order_and_range_checks_refuse_bad_input(check, valid, bad, as_input):
+    def given(values):
+        return values if as_input is list else np.array(values, dtype=as_input)
+
+    run = ORDER_AND_RANGE_CHECKS[check]
+    run(given(valid))
+    with pytest.raises(ValidationError):
+        run(given(bad))
 
 
 def test_rate_consistency_z_score():

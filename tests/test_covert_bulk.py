@@ -120,8 +120,8 @@ def test_eve_decode_matches_per_pair_reference(slots, keyed, key_seed):
     n = max(len(slots) - 1, 0)
     keys = key_bits(key_seed, n) if keyed else np.zeros(n, dtype=np.int64)
     decoded = eve_decode(slots, keys)
-    assert decoded == reference_decode(slots, keys.tolist())
-    assert all(type(b) is int for b in decoded)
+    assert decoded.tolist() == reference_decode(slots, keys.tolist())
+    assert decoded.dtype == np.int64
 
 
 def transcript_arrays(t: Transcript):
