@@ -120,10 +120,6 @@ class DetectabilityReport:
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must be in [0,1], got {v}")
 
-    @property
-    def all_pass(self) -> bool:
-        return all(v != "reject" for v in self.verdicts.values())
-
 
 def _p_verdict(p: float | None, alpha: float) -> str:
     if p is None:

@@ -13,8 +13,9 @@ Every number must be finite. The one case a dataclass default cannot
 express is the detector tables: the parser accepts one detector block
 applied to all four detectors, and a scalar efficiency/threshold, which
 becomes a single-entry table at signal_wavelength_nm (as does an absent
-one). serialize_config emits the canonical form: four explicit detector
-blocks with wavelength-keyed tables.
+one). A detector's position in the list is the Bell outcome it serves.
+serialize_config emits the canonical form: four explicit detector blocks
+with wavelength-keyed tables.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .protocol import (
     Mode,
     SessionConfig,
 )
-from .states import BellOutcome
 
 
 def _fail(path: str, message: str) -> ConfigError:
@@ -223,7 +223,7 @@ def _parse_detector_blocks(data: Any, path: str) -> tuple[tuple[str, dict[str, A
     return tuple((f"{path}[{i}]", _parse_fields(b, _DETECTOR, f"{path}[{i}]")) for i, b in enumerate(data))
 
 
-def _detector(outcome: BellOutcome, path: str, block: Mapping[str, Any], anchor_nm: float) -> DetectorSpec:
+def _detector(path: str, block: Mapping[str, Any], anchor_nm: float) -> DetectorSpec:
     """A table given as a number becomes a single-entry table at the signal
     wavelength; so does an absent one, with the value of the dataclass
     default's single entry."""
@@ -233,7 +233,7 @@ def _detector(outcome: BellOutcome, path: str, block: Mapping[str, Any], anchor_
             (kwargs[attr],) = default.values()
         if not isinstance(kwargs[attr], Mapping):
             kwargs[attr] = {anchor_nm: kwargs[attr]}
-    return _build(DetectorSpec, path, {"outcome": outcome, **kwargs})
+    return _build(DetectorSpec, path, kwargs)
 
 
 _DETECTORS = _Kind(
@@ -270,9 +270,7 @@ def parse_config(data: Mapping[str, Any], seed: int | None = None) -> SessionCon
     kwargs = _parse_fields(data, _SESSION, "")
     anchor_nm = kwargs.get("signal_wavelength_nm", _default(SessionConfig, "signal_wavelength_nm"))
     blocks = kwargs.get("detectors", (("detectors", {}),) * 4)
-    kwargs["detectors"] = tuple(
-        _detector(outcome, path, block, anchor_nm) for outcome, (path, block) in zip(BellOutcome, blocks)
-    )
+    kwargs["detectors"] = tuple(_detector(path, block, anchor_nm) for path, block in blocks)
     return _build(SessionConfig, "config", kwargs)
 
 

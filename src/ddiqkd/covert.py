@@ -68,20 +68,6 @@ def thinning_acceptance(detection_prob: float, target_report_rate: float) -> flo
     return min(q, 1.0)
 
 
-def attack_feasible(transmittance: float, eta_true: float, eta_expected: float) -> bool:
-    """Whether the covert channel can match the receiver's expected rate:
-    2p/(4-p) >= T*eta_expected with p = T*eta_true."""
-    for name, v in (("transmittance", transmittance), ("eta_true", eta_true),
-                    ("eta_expected", eta_expected)):
-        if not 0.0 <= v <= 1.0:
-            raise ValidationError(f"{name} must be in [0,1], got {v}")
-    p = transmittance * eta_true
-    expected = transmittance * eta_expected
-    if p <= 0.0:
-        return expected <= 0.0
-    return achievable_report_rate(p) >= expected
-
-
 def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
     """The slots the unit announces out of a session's candidate detections.
 

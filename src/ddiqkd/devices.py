@@ -7,8 +7,10 @@ single photons entirely and click only when the classical optical power they
 receive meets a per-detector threshold; blinding.click_table tabulates that
 response for the 16 pulse/receiver pairs.
 
-Efficiencies and thresholds are wavelength-dependent tables; lookups at an
-unlisted wavelength use the nearest listed entry (lower wavelength on ties).
+A detector's position in SessionConfig.detectors is the Bell outcome it
+serves. Efficiencies and thresholds are wavelength-dependent tables; lookups
+at an unlisted wavelength use the nearest listed entry (lower wavelength on
+ties).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .states import BellOutcome
 
 DEFAULT_WAVELENGTH_NM = 1550.0
 
@@ -28,12 +29,10 @@ def _nearest(table: Mapping[float, float], wavelength: float) -> float:
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """One single-photon detector: which Bell outcome it serves, its
-    wavelength-indexed quantum efficiency, per-slot dark-count probability,
-    and the wavelength-indexed classical power threshold it obeys when
-    blinded (mW)."""
+    """One single-photon detector: its wavelength-indexed quantum
+    efficiency, per-slot dark-count probability, and the wavelength-indexed
+    classical power threshold it obeys when blinded (mW)."""
 
-    outcome: BellOutcome
     efficiency: Mapping[float, float] = field(default_factory=lambda: {DEFAULT_WAVELENGTH_NM: 0.2})
     dark_count_prob: float = 0.0
     blind_threshold: Mapping[float, float] = field(default_factory=lambda: {DEFAULT_WAVELENGTH_NM: 1.0})
@@ -57,17 +56,3 @@ class DetectorSpec:
 
     def threshold_at(self, wavelength: float) -> float:
         return _nearest(self.blind_threshold, wavelength)
-
-
-def make_detectors(
-    efficiency: float | Mapping[float, float] = 0.2,
-    dark_count_prob: float = 0.0,
-    blind_threshold: float | Mapping[float, float] = 1.0,
-    wavelength: float = DEFAULT_WAVELENGTH_NM,
-) -> tuple[DetectorSpec, DetectorSpec, DetectorSpec, DetectorSpec]:
-    """Four identical detectors, one per Bell outcome; scalars become
-    single-entry wavelength tables at `wavelength`."""
-    eff = dict(efficiency) if isinstance(efficiency, Mapping) else {wavelength: float(efficiency)}
-    thr = dict(blind_threshold) if isinstance(blind_threshold, Mapping) else {wavelength: float(blind_threshold)}
-    return tuple(DetectorSpec(k, eff, dark_count_prob, thr) for k in BellOutcome)  # type: ignore[return-value]
-

@@ -32,7 +32,7 @@ from .analysis import DetectabilityReport, PublicView, detectability_report
 from .blinding import BlindingPlan, blinding_session_stats, click_table, optimize_pulse  # noqa: F401
 from .channel import ChannelSpec, TrojanProbe
 from .covert import announce, eve_decode, key_bits, thinning_acceptance
-from .devices import DEFAULT_WAVELENGTH_NM, DetectorSpec, make_detectors
+from .devices import DEFAULT_WAVELENGTH_NM, DetectorSpec
 from .errors import ConfigError, InfeasibleRateError, ValidationError
 from .states import BELL_TABLE, XOR_TABLE
 
@@ -92,6 +92,8 @@ class BlindingMode:
         if self.optimize:
             if len(self.wavelength_grid) == 0 or len(self.power_grid) == 0:
                 raise ValidationError("optimize=True needs non-empty wavelength and power grids")
+            if min(self.power_grid) <= 0.0:
+                raise ValidationError(f"power_grid entries must be > 0, got {min(self.power_grid)}")
         elif self.pulse_power <= 0.0:
             raise ValidationError(f"pulse_power must be > 0, got {self.pulse_power}")
 
@@ -122,7 +124,7 @@ class SessionConfig:
     n_slots: int = 10_000
     seed: int = 0
     channel: ChannelSpec = field(default_factory=ChannelSpec)
-    detectors: tuple[DetectorSpec, ...] = field(default_factory=make_detectors)
+    detectors: tuple[DetectorSpec, ...] = field(default_factory=lambda: (DetectorSpec(),) * 4)
     eta_expected: float = 0.2
     basis_choice_prob: float = 0.5
     bob_bit_bias: float = 0.5
@@ -288,11 +290,12 @@ def _prep(basis: np.ndarray, bit: np.ndarray) -> np.ndarray:
     return 2 * basis + bit
 
 
-def _pairs(t: Transcript) -> np.ndarray:
-    """Per slot, the index 4 * source + receiver of the parties' preparation
-    pair; its bits are, high to low, sender basis and bit, receiver basis
-    and bit."""
-    return 4 * _prep(t.alice_basis, t.alice_bit) + _prep(t.bob_basis, t.bob_bit)
+def _pairs(t: Transcript, slots: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """Per selected slot (every slot by default), the index 4 * source +
+    receiver of the parties' preparation pair; its bits are, high to low,
+    sender basis and bit, receiver basis and bit."""
+    source = _prep(t.alice_basis[slots], t.alice_bit[slots])
+    return 4 * source + _prep(t.bob_basis[slots], t.bob_bit[slots])
 
 
 def _bell_outcomes(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -403,10 +406,7 @@ def _run_covert(mode: CovertAttackMode, q: float, t: Transcript, rng) -> np.ndar
     keys = _key_bits(mode, len(candidates))
     announced = announce(candidates, t.bob_bit[candidates], keys, q, rng)
     # outcomes pass through from honest measurement, never altered
-    pair = 4 * _prep(t.alice_basis[announced], t.alice_bit[announced]) + _prep(
-        t.bob_basis[announced], t.bob_bit[announced]
-    )
-    t.reported[announced] = _bell_outcomes(pair, rng.random(len(announced)))
+    t.reported[announced] = _bell_outcomes(_pairs(t, announced), rng.random(len(announced)))
     return keys
 
 

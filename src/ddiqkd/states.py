@@ -6,8 +6,9 @@ receiver's encoder. The untrusted measurement unit projects the joint state
 onto the four Bell states and announces one outcome per detector.
 
 States are plain tuples of complex amplitudes: a qubit is its (amp0, amp1)
-pair and the joint photon its 4-tuple. The pipeline never handles a state;
-it reads BELL_TABLE and XOR_TABLE, which this module builds once at import.
+pair, prepared by one function for both degrees of freedom, and the joint
+photon its 4-tuple. The pipeline never handles a state; it reads BELL_TABLE
+and XOR_TABLE, which this module builds once at import.
 
 Conventions (fixed here, used everywhere else):
   * bit 0 maps to H (polarization) and to mode a (spatial); the X-basis
@@ -51,7 +52,7 @@ def _check_bit(bit: int) -> int:
     return bit
 
 
-# bit -> (amp0, amp1) in the given basis; shared by both degrees of freedom
+# bit -> (amp0, amp1) in the given basis
 _BB84_AMPLITUDES: dict[tuple[Basis, int], Qubit] = {
     (Basis.Z, 0): (1.0 + 0j, 0j),
     (Basis.Z, 1): (0j, 1.0 + 0j),
@@ -60,13 +61,9 @@ _BB84_AMPLITUDES: dict[tuple[Basis, int], Qubit] = {
 }
 
 
-def prepare_polarization(basis: Basis, bit: int) -> Qubit:
-    """BB84 polarization (amp_h, amp_v): (Z,0)=H, (Z,1)=V, (X,0)=D, (X,1)=A."""
-    return _BB84_AMPLITUDES[(Basis(basis), _check_bit(bit))]
-
-
-def prepare_spatial(basis: Basis, bit: int) -> Qubit:
-    """Spatial-mode preparation (amp_a, amp_b), the same amplitude map."""
+def prepare(basis: Basis, bit: int) -> Qubit:
+    """A BB84 qubit (amp0, amp1), as polarization (amp_h, amp_v): (Z,0)=H,
+    (Z,1)=V, (X,0)=D, (X,1)=A; or as spatial mode (amp_a, amp_b)."""
     return _BB84_AMPLITUDES[(Basis(basis), _check_bit(bit))]
 
 
@@ -109,8 +106,7 @@ PREPARATIONS = tuple((basis, bit) for basis in Basis for bit in (0, 1))
 
 # Bell probabilities of every preparation pair, [polarization, spatial, outcome]
 BELL_TABLE = np.array([
-    [bell_probabilities(tensor(prepare_polarization(*pol), prepare_spatial(*spa)))
-     for spa in PREPARATIONS]
+    [bell_probabilities(tensor(prepare(*pol), prepare(*spa))) for spa in PREPARATIONS]
     for pol in PREPARATIONS
 ])
 
@@ -118,8 +114,3 @@ BELL_TABLE = np.array([
 XOR_TABLE = np.array(
     [[xor_from_outcome(o, b) for o in BellOutcome] for b in Basis], dtype=np.int8
 )
-
-
-def infer_bit(outcome: BellOutcome, basis: Basis, known_bit: int) -> int:
-    """Recover the other party's bit from the outcome and one known bit."""
-    return _check_bit(known_bit) ^ xor_from_outcome(outcome, basis)

@@ -7,7 +7,7 @@ from ddiqkd.blinding import (
     evaluate_pulse,
     optimize_pulse,
 )
-from ddiqkd.devices import DetectorSpec, make_detectors
+from ddiqkd.devices import DetectorSpec
 from ddiqkd.errors import NoViablePlanError, ValidationError
 from ddiqkd.protocol import BlindingMode, SessionConfig, run_session
 from ddiqkd.states import BellOutcome
@@ -17,8 +17,7 @@ TAILORED = (0.9, 1.3, 1.3, 0.9)
 
 def tailored_detectors(thresholds=TAILORED, wavelength=1550.0):
     return tuple(
-        DetectorSpec(BellOutcome(i), {wavelength: 0.2}, 0.0, {wavelength: th})
-        for i, th in enumerate(thresholds)
+        DetectorSpec({wavelength: 0.2}, 0.0, {wavelength: th}) for th in thresholds
     )
 
 
@@ -31,7 +30,9 @@ def test_plan_requires_zero_cross_clicks():
 
 
 def test_click_table_symmetric_thresholds_double_on_matched_basis():
-    outcome, double = click_table(make_detectors(blind_threshold=1.0), 1550.0, 2.2)
+    outcome, double = click_table(
+        (DetectorSpec(blind_threshold={1550.0: 1.0}),) * 4, 1550.0, 2.2
+    )
     # H x a splits 1.1/1.1 across the Phi pair: both fire
     assert outcome[0, 0] == -1 and double[0, 0]
     # basis mismatch splits 0.55 four ways: silence
@@ -46,16 +47,20 @@ def test_click_table_tailored_thresholds_single_click():
 
 def test_click_table_rejects_nonpositive_power():
     with pytest.raises(ValidationError):
-        click_table(make_detectors(), 1550.0, 0.0)
+        click_table((DetectorSpec(),) * 4, 1550.0, 0.0)
 
 
 def test_evaluate_pulse_symmetric_all_doubles():
-    single, double, cross = evaluate_pulse(make_detectors(blind_threshold=1.0), 1550.0, 2.2)
+    single, double, cross = evaluate_pulse(
+        (DetectorSpec(blind_threshold={1550.0: 1.0}),) * 4, 1550.0, 2.2
+    )
     assert (single, double, cross) == (0.0, 1.0, 0.0)
 
 
 def test_evaluate_pulse_symmetric_underpowered_silent():
-    single, double, cross = evaluate_pulse(make_detectors(blind_threshold=1.0), 1550.0, 1.7)
+    single, double, cross = evaluate_pulse(
+        (DetectorSpec(blind_threshold={1550.0: 1.0}),) * 4, 1550.0, 1.7
+    )
     assert (single, double, cross) == (0.0, 0.0, 0.0)
 
 
@@ -80,7 +85,9 @@ def test_optimizer_finds_tailored_plan():
 
 
 def test_optimizer_symmetric_cannot_avoid_doubles():
-    plan = optimize_pulse(make_detectors(blind_threshold=1.0), [1550.0], [1.0, 2.1, 2.2, 3.0])
+    plan = optimize_pulse(
+        (DetectorSpec(blind_threshold={1550.0: 1.0}),) * 4, [1550.0], [1.0, 2.1, 2.2, 3.0]
+    )
     assert plan.single_click_prob == 0.0
     assert plan.double_click_prob == 1.0
     assert plan.peak_power == 2.1  # ties broken toward the lowest power
@@ -89,11 +96,7 @@ def test_optimizer_symmetric_cannot_avoid_doubles():
 def test_optimizer_prefers_wavelength_with_split_thresholds():
     # thresholds coincide at 1550 but split at 1310: the split point wins
     detectors = tuple(
-        DetectorSpec(
-            BellOutcome(i), {1550.0: 0.2}, 0.0,
-            {1550.0: 1.0, 1310.0: TAILORED[i]},
-        )
-        for i in range(4)
+        DetectorSpec({1550.0: 0.2}, 0.0, {1550.0: 1.0, 1310.0: th}) for th in TAILORED
     )
     plan = optimize_pulse(detectors, [1550.0, 1310.0], [2.0, 2.2])
     assert plan.wavelength == 1310.0
@@ -102,11 +105,13 @@ def test_optimizer_prefers_wavelength_with_split_thresholds():
 
 def test_optimizer_no_viable_plan():
     with pytest.raises(NoViablePlanError):
-        optimize_pulse(make_detectors(blind_threshold=1.0), [1550.0], [1.0, 1.5, 1.7])
+        optimize_pulse(
+            (DetectorSpec(blind_threshold={1550.0: 1.0}),) * 4, [1550.0], [1.0, 1.5, 1.7]
+        )
     with pytest.raises(ValidationError):
-        optimize_pulse(make_detectors(), [], [2.0])
+        optimize_pulse((DetectorSpec(),) * 4, [], [2.0])
     with pytest.raises(ValidationError):
-        optimize_pulse(make_detectors(), [1550.0], [2.0, -1.0])
+        optimize_pulse((DetectorSpec(),) * 4, [1550.0], [2.0, -1.0])
 
 
 def test_session_stats_tailored_full_leak_no_errors():

@@ -5,7 +5,8 @@ import pytest
 
 from ddiqkd import cli
 from ddiqkd.cli import _build_parser, main, read_public_view
-from ddiqkd.covert import attack_feasible
+from ddiqkd.covert import thinning_acceptance
+from ddiqkd.errors import InfeasibleRateError
 
 HONEST_DOC = {
     "n_slots": 4000,
@@ -240,10 +241,28 @@ def test_sweep_feasibility_column_matches_rate_law(tmp_path):
     assert len(rows) == 12
     for row in rows:
         t = float(row["channel.transmittance"])
-        expected = attack_feasible(t, 0.9, 0.2)
+        try:
+            thinning_acceptance(t * 0.9, t * 0.2)
+            expected = True
+        except InfeasibleRateError:
+            expected = False
         assert row["feasible"] == ("1" if expected else "0"), row
         if not expected:
             assert row["qber"] == ""  # infeasible rows carry no metrics
+
+
+def test_nonpositive_power_grid_entry_refused_before_any_session(tmp_path, capsys):
+    blinding = {"kind": "blinding", "optimize": True, "wavelength_grid": [1550.0], "power_grid": [2.0]}
+    base = write_doc(tmp_path, dict(HONEST_DOC, mode=blinding))
+    grid = write_doc(tmp_path, {"parameters": {"mode.power_grid": [[2.0], [0.0]]}}, "grid.json")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", base, "--grid", grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: mode: ")
+    assert not out.exists()
+    bad = write_doc(tmp_path, dict(HONEST_DOC, mode=dict(blinding, power_grid=[2.0, -1.0])), "bad.json")
+    assert main(["run", "--config", bad, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith("error: mode: ")
+    assert not (tmp_path / "run").exists()
 
 
 def test_sweep_bad_grid_exits_1(tmp_path, capsys):

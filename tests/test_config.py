@@ -41,6 +41,26 @@ def test_empty_doc_gives_defaults():
     assert parse_config({}) == SessionConfig()
 
 
+def test_scalar_or_absent_table_anchors_at_the_signal_wavelength():
+    shared = parse_config({"signal_wavelength_nm": 1310.0,
+                           "detectors": {"efficiency": 0.3, "blind_threshold": 1.2}})
+    assert all(d.efficiency == {1310.0: 0.3} and d.blind_threshold == {1310.0: 1.2}
+               for d in shared.detectors)
+    # an absent table takes the value of the dataclass default, at 1310 nm
+    listed = parse_config({"signal_wavelength_nm": 1310.0, "detectors": [
+        {"efficiency": 0.3}, {}, {"blind_threshold": 1.2}, {"efficiency": {"800": 0.1}},
+    ]})
+    assert [d.efficiency for d in listed.detectors] == [
+        {1310.0: 0.3}, {1310.0: 0.2}, {1310.0: 0.2}, {800.0: 0.1},
+    ]
+    assert [d.blind_threshold for d in listed.detectors] == [{1310.0: 1.0}] * 2 + [
+        {1310.0: 1.2}, {1310.0: 1.0},
+    ]
+    absent = parse_config({"signal_wavelength_nm": 1310.0})
+    assert all(d.efficiency == {1310.0: 0.2} and d.blind_threshold == {1310.0: 1.0}
+               for d in absent.detectors)
+
+
 def test_field_range_error_names_the_field():
     with pytest.raises(ConfigError, match="efficiency"):
         parse_config({"detectors": {"efficiency": 1.5}})

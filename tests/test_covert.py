@@ -6,12 +6,13 @@ import pytest
 from ddiqkd.covert import (
     achievable_report_rate,
     announce,
-    attack_feasible,
     eve_decode,
     key_bits,
     thinning_acceptance,
 )
+from ddiqkd.channel import ChannelSpec
 from ddiqkd.errors import InfeasibleRateError, ValidationError
+from ddiqkd.protocol import CovertAttackMode, SessionConfig, run_session
 
 
 def zeros(n):
@@ -147,11 +148,22 @@ def test_thinning_acceptance_values():
 
 
 def test_attack_feasible_examples():
-    assert attack_feasible(0.1, 0.9, 0.2)
-    assert not attack_feasible(0.1, 0.9, 0.5)
+    # the gate run_session applies before it simulates anything
+    def session(transmittance, eta_true, eta_expected):
+        return run_session(SessionConfig(
+            n_slots=100, channel=ChannelSpec(transmittance=transmittance),
+            eta_expected=eta_expected, mode=CovertAttackMode(eta_true=eta_true),
+        ))
+
+    session(0.1, 0.9, 0.2)
+    with pytest.raises(InfeasibleRateError):
+        session(0.1, 0.9, 0.5)
     # matching the SPD efficiency the unit actually has is never possible
     for t in (0.05, 0.3, 1.0):
-        assert not attack_feasible(t, 0.4, 0.4)
-    assert attack_feasible(0.0, 0.9, 0.2)  # nothing expected, nothing needed
+        with pytest.raises(InfeasibleRateError):
+            session(t, 0.4, 0.4)
+    # no photon arrives, so there is nothing to announce
+    with pytest.raises(InfeasibleRateError):
+        session(0.0, 0.9, 0.2)
     with pytest.raises(ValidationError):
-        attack_feasible(1.5, 0.9, 0.2)
+        session(1.5, 0.9, 0.2)

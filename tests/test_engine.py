@@ -19,7 +19,7 @@ from ddiqkd.blinding import (
 )
 from ddiqkd.channel import ChannelSpec
 from ddiqkd.config import parse_config
-from ddiqkd.devices import DetectorSpec, make_detectors
+from ddiqkd.devices import DetectorSpec
 from ddiqkd.protocol import (
     _BELL_CDF,
     BlindingMode,
@@ -35,8 +35,7 @@ from ddiqkd.states import (
     Basis,
     BellOutcome,
     bell_probabilities,
-    prepare_polarization,
-    prepare_spatial,
+    prepare,
     tensor,
     xor_from_outcome,
 )
@@ -53,7 +52,7 @@ def test_preparation_index_is_two_basis_plus_bit():
 def test_bell_table_rows_equal_bell_probabilities_exactly():
     for i, pol in enumerate(PREPARATIONS):
         for j, spa in enumerate(PREPARATIONS):
-            state = tensor(prepare_polarization(*pol), prepare_spatial(*spa))
+            state = tensor(prepare(*pol), prepare(*spa))
             probs = bell_probabilities(state)
             assert tuple(BELL_TABLE[i, j]) == probs
             assert tuple(_BELL_CDF[4 * i + j]) == tuple(np.cumsum(probs))
@@ -113,7 +112,7 @@ def reference_click_table(detectors, wavelength, power):
     double = np.zeros((4, 4), dtype=bool)
     for i, eve in enumerate(PREPARATIONS):
         for j, bob in enumerate(PREPARATIONS):
-            probs = bell_probabilities(tensor(prepare_polarization(*eve), prepare_spatial(*bob)))
+            probs = bell_probabilities(tensor(prepare(*eve), prepare(*bob)))
             clicked = [
                 k for k, (p, d) in enumerate(zip(probs, detectors))
                 if power * p >= d.threshold_at(wavelength)
@@ -190,7 +189,7 @@ def blinding_cases(draw):
                 table = dict.fromkeys(keys, float(share))
         tables.append(table)
     detectors = tuple(
-        DetectorSpec(BellOutcome(k), {1550.0: 0.2}, 0.0, table) for k, table in enumerate(tables)
+        DetectorSpec({1550.0: 0.2}, 0.0, table) for table in tables
     )
     return detectors, draw(st.floats(min_value=700.0, max_value=1700.0)), power
 
@@ -209,8 +208,7 @@ def test_blinding_leak_matches_per_slot_reference():
     # one threshold just under a quarter of the pulse: basis-mismatched
     # rounds click singly on that detector, so her inference is imperfect
     detectors = tuple(
-        DetectorSpec(BellOutcome(i), {1550.0: 0.2}, 0.0, {1550.0: th})
-        for i, th in enumerate((0.9, 1.3, 1.3, 1.0))
+        DetectorSpec({1550.0: 0.2}, 0.0, {1550.0: th}) for th in (0.9, 1.3, 1.3, 1.0)
     )
     config = SessionConfig(
         n_slots=8000, seed=42, detectors=detectors,
@@ -259,7 +257,7 @@ DARK_SLOTS = 1_000_000
 def test_dark_count_click_rates_match_closed_form(mode, transmittance, efficiency, dark):
     config = SessionConfig(
         n_slots=DARK_SLOTS, seed=41, channel=ChannelSpec(transmittance=transmittance),
-        detectors=make_detectors(efficiency=efficiency, dark_count_prob=dark),
+        detectors=(DetectorSpec({1550.0: efficiency}, dark),) * 4,
         eta_expected=efficiency, mode=mode,
     )
     t, report = run_session(config)

@@ -6,7 +6,7 @@ import pytest
 
 from ddiqkd.channel import ChannelSpec, TrojanProbe
 from ddiqkd.covert import eve_decode, key_bits
-from ddiqkd.devices import make_detectors
+from ddiqkd.devices import DetectorSpec
 from ddiqkd.errors import InfeasibleRateError, ValidationError
 from ddiqkd.protocol import (
     BlindingMode,
@@ -36,7 +36,7 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         SessionConfig(seed=2**64)
     with pytest.raises(ValidationError):
-        SessionConfig(detectors=make_detectors()[:3])
+        SessionConfig(detectors=(DetectorSpec(),) * 3)
     with pytest.raises(ValidationError):
         SessionConfig(basis_choice_prob=1.1)
     with pytest.raises(ValidationError):
@@ -85,7 +85,7 @@ def test_key_rate_reference_points():
 def test_honest_perfect_devices():
     config = SessionConfig(
         n_slots=10000, seed=7,
-        detectors=make_detectors(efficiency=1.0), eta_expected=1.0,
+        detectors=(DetectorSpec({1550.0: 1.0}),) * 4, eta_expected=1.0,
     )
     transcript, report = run_session(config)
     assert report.qber == 0.0
@@ -99,7 +99,7 @@ def test_honest_perfect_devices():
 def test_sift_all_bases_aligned():
     config = SessionConfig(
         n_slots=2000, seed=8, basis_choice_prob=0.0,
-        detectors=make_detectors(efficiency=1.0), eta_expected=1.0,
+        detectors=(DetectorSpec({1550.0: 1.0}),) * 4, eta_expected=1.0,
     )
     transcript, report = run_session(config)
     assert report.sifted == report.reported == config.n_slots
@@ -109,7 +109,7 @@ def test_sift_all_bases_aligned():
 def test_count_monotonicity_lossy():
     config = SessionConfig(
         n_slots=5000, seed=9, channel=ChannelSpec(transmittance=0.6),
-        detectors=make_detectors(efficiency=0.5), eta_expected=0.5,
+        detectors=(DetectorSpec({1550.0: 0.5}),) * 4, eta_expected=0.5,
     )
     transcript, report = run_session(config)
     assert report.sent >= report.arrived >= report.reported >= report.sifted
@@ -130,7 +130,7 @@ def test_compute_qber_empty_is_none():
 def test_injected_bit_flips_show_up_as_qber():
     config = SessionConfig(
         n_slots=20000, seed=11,
-        detectors=make_detectors(efficiency=1.0), eta_expected=1.0,
+        detectors=(DetectorSpec({1550.0: 1.0}),) * 4, eta_expected=1.0,
     )
     transcript, _ = run_session(config)
     sifted = sift(transcript)
@@ -145,7 +145,7 @@ def test_injected_bit_flips_show_up_as_qber():
 def test_dark_counts_produce_counted_doubles():
     config = SessionConfig(
         n_slots=5000, seed=13,
-        detectors=make_detectors(efficiency=1.0, dark_count_prob=0.05), eta_expected=1.0,
+        detectors=(DetectorSpec({1550.0: 1.0}, 0.05),) * 4, eta_expected=1.0,
     )
     transcript, report = run_session(config)
     doubles = int(np.count_nonzero(transcript.double_click))
@@ -217,7 +217,7 @@ def test_run_session_deterministic():
 def test_intercept_resend_qber_quarter():
     config = SessionConfig(
         n_slots=40000, seed=19,
-        detectors=make_detectors(efficiency=1.0), eta_expected=1.0,
+        detectors=(DetectorSpec({1550.0: 1.0}),) * 4, eta_expected=1.0,
         mode=InterceptResendMode(),
     )
     transcript, report = run_session(config)

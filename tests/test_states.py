@@ -11,9 +11,7 @@ from ddiqkd.states import (
     Basis,
     BellOutcome,
     bell_probabilities,
-    infer_bit,
-    prepare_polarization,
-    prepare_spatial,
+    prepare,
     tensor,
     xor_from_outcome,
 )
@@ -39,13 +37,10 @@ def reference_probabilities(state: tuple) -> list[float]:
 
 
 def test_preparation_tables():
-    assert prepare_polarization(Basis.Z, 0) == (1.0, 0.0)
-    assert prepare_polarization(Basis.Z, 1) == (0.0, 1.0)
-    assert prepare_polarization(Basis.X, 0) == pytest.approx((S, S))
-    assert prepare_polarization(Basis.X, 1) == pytest.approx((S, -S))
-    assert prepare_spatial(Basis.Z, 0) == (1.0, 0.0)
-    for basis, bit in ALL_SETTINGS:
-        assert prepare_spatial(basis, bit) == prepare_polarization(basis, bit)
+    assert prepare(Basis.Z, 0) == (1.0, 0.0)
+    assert prepare(Basis.Z, 1) == (0.0, 1.0)
+    assert prepare(Basis.X, 0) == pytest.approx((S, S))
+    assert prepare(Basis.X, 1) == pytest.approx((S, -S))
 
 
 def test_tensor_amplitude_order():
@@ -58,7 +53,7 @@ def test_tensor_amplitude_order():
 def test_bell_probabilities_match_reference_on_all_preparations():
     for ab, av in ALL_SETTINGS:
         for bb, bv in ALL_SETTINGS:
-            state = tensor(prepare_polarization(ab, av), prepare_spatial(bb, bv))
+            state = tensor(prepare(ab, av), prepare(bb, bv))
             got = bell_probabilities(state)
             ref = reference_probabilities(state)
             assert got == pytest.approx(ref, abs=1e-12)
@@ -69,7 +64,7 @@ def test_same_basis_structure_half_half_and_exact_zeros():
     for basis in Basis:
         for av in (0, 1):
             for bv in (0, 1):
-                state = tensor(prepare_polarization(basis, av), prepare_spatial(basis, bv))
+                state = tensor(prepare(basis, av), prepare(basis, bv))
                 probs = bell_probabilities(state)
                 nonzero = sorted(p for p in probs if p != 0.0)
                 zeros = [p for p in probs if p == 0.0]
@@ -82,7 +77,7 @@ def test_cross_basis_uniform_quarter():
         other = Basis.X if basis == Basis.Z else Basis.Z
         for av in (0, 1):
             for bv in (0, 1):
-                state = tensor(prepare_polarization(basis, av), prepare_spatial(other, bv))
+                state = tensor(prepare(basis, av), prepare(other, bv))
                 assert bell_probabilities(state) == pytest.approx([0.25] * 4)
 
 
@@ -100,7 +95,7 @@ def test_xor_rule_consistent_with_probabilities():
     for basis in Basis:
         for av in (0, 1):
             for bv in (0, 1):
-                state = tensor(prepare_polarization(basis, av), prepare_spatial(basis, bv))
+                state = tensor(prepare(basis, av), prepare(basis, bv))
                 probs = bell_probabilities(state)
                 for k in BellOutcome:
                     implied = xor_from_outcome(k, basis)
@@ -110,19 +105,9 @@ def test_xor_rule_consistent_with_probabilities():
                         assert implied != (av ^ bv)
 
 
-def test_infer_bit_inverts_xor():
-    for basis in Basis:
-        for k in BellOutcome:
-            for bit in (0, 1):
-                other = infer_bit(k, basis, bit)
-                assert other ^ bit == xor_from_outcome(k, basis)
-
-
 def test_invalid_bit_rejected():
     with pytest.raises(ValidationError):
-        prepare_polarization(Basis.Z, 2)
-    with pytest.raises(ValidationError):
-        infer_bit(BellOutcome.PHI_PLUS, Basis.Z, -1)
+        prepare(Basis.Z, 2)
 
 
 def test_table_bytes_pinned():
