@@ -16,26 +16,40 @@ parities, the mean gap to the next usable detection is 2/p (even target) or
 each parity-valid candidate with acceptance q scales p to p*q inside that
 formula, which is inverted by thinning_acceptance.
 
-The key is one bulk draw per session, key_bits, that the reporter
-(announce) and the accomplice (eve_decode) share: key bit k masks the gap
-from announcement k to announcement k+1, and the first k bits of any draw
-from one seed are the same. announce applies the one-slot rule (first
-candidate announced; then a candidate whose gap has the keyed parity and
-passes a thinning trial) to a whole session's candidates at once. It lays
-the candidates out flat, even slots first and then odd ones, and reads one
-code per announcement from a table per key bit, so its Python loop runs
-once per announcement, not once per candidate. The tests hold the rule as
-a per-candidate loop and check announce against it, slots and generator
-state alike.
+The key bits (key_bits) mask gap k, from announcement k to k+1; the first
+k bits of any draw from one seed are the same, so the reporter (announce)
+and the accomplice (eve_decode) may read prefixes of one longer draw.
+announce applies the one-slot rule (first candidate announced; then a
+candidate whose gap has the keyed parity and passes a thinning trial) to a
+whole session's candidates at once, with one Python step per announcement.
+The tests hold the rule as a per-candidate loop and check announce against
+it, slots and generator state alike.
+
+Each Bernoulli trial compares a raw generator word w (below, trials): numpy's
+uniform (w >> 11) * 2**-53 is below p exactly when w < ceil(p * 2**53) << 11,
+so trials equal rng.random(n) < p, generator state too.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InfeasibleRateError, ValidationError
+
+
+def below(words: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Per raw generator word, whether numpy's uniform from it is below p in [0, 1]."""
+    if p >= 1.0:
+        return np.greater_equal(words, 0, out=out)  # 2**64 is past uint64
+    return np.less(words, math.ceil(p * 2**53) << 11, out=out)
+
+
+def trials(rng, n: int, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """rng.random(n) < p from n raw words, generator state included."""
+    return below(rng.bit_generator.random_raw(n), p, out)
 
 
 def key_bits(key_seed: int, n: int) -> np.ndarray:
@@ -108,7 +122,7 @@ def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
         raise ValidationError(f"need a key bit per candidate, got {len(keys)} for {n}")
     if q < 1.0:
         snapshot = rng.bit_generator.state
-        accepted = np.flatnonzero(rng.random(n) < q)
+        accepted = np.flatnonzero(trials(rng, n, q))
         rng.bit_generator.state = snapshot
     else:
         accepted = np.arange(n)
@@ -158,9 +172,10 @@ def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
         f = hit
         announced.append(f)
     if q < 1.0:
-        # up to the last accepted uniform taken, then the examined tail
+        # up to the last accepted trial taken, then the examined tail, as whole words
         k = len(announced) - 1
-        rng.random((accepted[k - 1] + 1 if k else 0) + ends[code & 1] - (code >> 1))
+        taken = (accepted[k - 1] + 1 if k else 0) + ends[code & 1] - (code >> 1)
+        rng.bit_generator.random_raw(taken, output=False)
     return flat_slots[announced]
 
 

@@ -15,7 +15,9 @@ pairs. A preparation's index is 2*basis + bit.
 
 Determinism contract: a session is fully determined by (config, seed). Party
 settings and arrivals are drawn in bulk in a fixed order, then each mode's
-draws follow, also in bulk and in a fixed order (see run_session).
+draws follow, also in bulk and in a fixed order (see run_session), read off
+raw words with the values of numpy's float and int8 draws (covert.trials,
+the sender bits). The covert key is drawn once per key seed (_key_bits).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .analysis import DetectabilityReport, PublicView, detectability_report
 # rebinds it on this module
 from .blinding import BlindingPlan, blinding_session_stats, click_table, optimize_pulse  # noqa: F401
 from .channel import ChannelSpec, TrojanProbe
-from .covert import announce, eve_decode, key_bits, thinning_acceptance
+from .covert import announce, below, eve_decode, key_bits, thinning_acceptance, trials
 from .devices import DEFAULT_WAVELENGTH_NM, DetectorSpec
 from .errors import ConfigError, InfeasibleRateError, ValidationError
 from .states import BELL_TABLE, XOR_TABLE
@@ -267,17 +269,20 @@ def _draw_settings(config: SessionConfig, rng) -> Transcript:
     """Bulk-draw party settings and arrivals in a fixed order."""
     n = config.n_slots
 
-    def trials(p: float) -> np.ndarray:
-        # a uniform below p, compared straight into int8 0/1
-        return np.less(rng.random(n), p, out=np.empty(n, dtype=np.int8))
+    def flags(p: float) -> np.ndarray:
+        return trials(rng, n, p, out=np.empty(n, dtype=np.int8))
 
     return Transcript(
         n_slots=n,
-        alice_basis=trials(config.basis_choice_prob),
-        alice_bit=rng.integers(0, 2, size=n, dtype=np.int8),
-        bob_basis=trials(config.basis_choice_prob),
-        bob_bit=trials(config.bob_bit_bias),
-        arrived=rng.random(n) < config.channel.transmittance,
+        alice_basis=flags(config.basis_choice_prob),
+        # rng.integers(0, 2, n, int8): the top bit of each of the first n bytes
+        # of ceil(n / 8) words. numpy would buffer the last word's unread 32-bit
+        # half, which no later draw reads: they all take whole 64-bit words
+        alice_bit=(rng.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False)
+                   .view(np.uint8)[:n] >> 7).view(np.int8),
+        bob_basis=flags(config.basis_choice_prob),
+        bob_bit=flags(config.bob_bit_bias),
+        arrived=trials(rng, n, config.channel.transmittance),
         detected=np.zeros(n, dtype=bool),
         reported=np.full(n, -1, dtype=np.int8),
         double_click=np.zeros(n, dtype=bool),
@@ -322,10 +327,10 @@ def _detect(config: SessionConfig, t: Transcript, pair: np.ndarray, rng) -> None
     # the outcome where its detector's efficiency trial passes, else -1;
     # a trial per detector over the outcomes, which numpy runs faster than
     # a gather of the efficiencies by int8 outcome
-    u = rng.random(len(k))
+    words = rng.bit_generator.random_raw(len(k))
     passed = np.zeros(len(k), dtype=bool)
     for i, d in enumerate(config.detectors):
-        passed |= (k == i) & (u < d.efficiency_at(config.signal_wavelength_nm))
+        passed |= (k == i) & below(words, d.efficiency_at(config.signal_wavelength_nm))
     k = passed * (k + 1) - 1
     photon = np.full(t.n_slots, -1, dtype=np.int8)
     photon[t.arrived] = k
@@ -340,7 +345,7 @@ def _detect(config: SessionConfig, t: Transcript, pair: np.ndarray, rng) -> None
     which = np.maximum(photon, 0)
     fired = np.empty(t.n_slots, dtype=np.int8)
     for i, p in dark:
-        np.less(rng.random(t.n_slots), p, out=fired)
+        trials(rng, t.n_slots, p, out=fired)
         fired &= photon != i
         clicks += fired
         fired *= i
@@ -357,8 +362,8 @@ def _intercept(t: Transcript, rng) -> np.ndarray:
     4 * her resent preparation + the receiver's preparation per arrived slot."""
     arr = t.arrived
     m = int(np.count_nonzero(arr))
-    basis = rng.random(m) >= 0.5
-    coin = rng.random(m) >= 0.5
+    basis = ~trials(rng, m, 0.5)
+    coin = ~trials(rng, m, 0.5)
     pair = _pairs(t)[arr]
     # her bit: the sender's where her basis is the sender's (bit 3 of the
     # pair), else the coin
@@ -370,10 +375,19 @@ def _intercept(t: Transcript, rng) -> np.ndarray:
     return pair
 
 
+_key_draw = (0, np.zeros(0, dtype=np.int64))  # the last key seed's longest draw
+
+
 def _key_bits(mode: CovertAttackMode, n: int) -> np.ndarray:
-    """The first n bits of the key the reporter and the accomplice share;
-    all zero when keying is off."""
-    return key_bits(mode.key_seed, n) if mode.keyed else np.zeros(n, dtype=np.int64)
+    """The first n bits of the shared key, a read-only prefix of one draw per
+    key seed, grown by doubling; all zero when keying is off."""
+    global _key_draw
+    seed, draw = _key_draw
+    if mode.keyed and (seed != mode.key_seed or len(draw) < n):
+        draw = key_bits(mode.key_seed, max(n, 2 * len(draw) * (seed == mode.key_seed)))
+        draw.flags.writeable = False
+        _key_draw = (mode.key_seed, draw)
+    return draw[:n] if mode.keyed else np.zeros(n, dtype=np.int64)
 
 
 def _covert_acceptance(config: SessionConfig, mode: CovertAttackMode) -> float:
@@ -381,8 +395,7 @@ def _covert_acceptance(config: SessionConfig, mode: CovertAttackMode) -> float:
     before any sampling happens."""
     transmittance = config.channel.transmittance
     target = mode.target_report_rate
-    if target is None:
-        target = config.expected_report_rate()
+    target = config.expected_report_rate() if target is None else target
     p_candidate = transmittance * mode.eta_true * mode.trojan.readout_success_prob
     if p_candidate <= 0.0:
         raise InfeasibleRateError(
@@ -390,6 +403,8 @@ def _covert_acceptance(config: SessionConfig, mode: CovertAttackMode) -> float:
             f"(transmittance {transmittance}, eta_true {mode.eta_true}, "
             f"readout success {mode.trojan.readout_success_prob})"
         )
+    if target <= 0.0:
+        raise InfeasibleRateError(f"the receiver expects no announcements (target rate {target})")
     return thinning_acceptance(p_candidate, target)
 
 
@@ -397,12 +412,12 @@ def _run_covert(mode: CovertAttackMode, q: float, t: Transcript, rng) -> np.ndar
     """Covert detection and reporting; returns the session's key bits, one
     per candidate, which the report's decoder reads as well."""
     arrived = np.flatnonzero(t.arrived)
-    candidates = arrived[rng.random(len(arrived)) < mode.eta_true]
+    candidates = arrived[trials(rng, len(arrived), mode.eta_true)]
     t.detected[candidates] = True
     p_readout = mode.trojan.readout_success_prob
     if p_readout < 1.0:
         # a detection whose encoder readout failed is never announced
-        candidates = candidates[rng.random(len(candidates)) < p_readout]
+        candidates = candidates[trials(rng, len(candidates), p_readout)]
     keys = _key_bits(mode, len(candidates))
     announced = announce(candidates, t.bob_bit[candidates], keys, q, rng)
     # outcomes pass through from honest measurement, never altered

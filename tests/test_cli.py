@@ -120,6 +120,30 @@ def test_infeasible_covert_exits_2(tmp_path, capsys):
     assert "exceeds achievable rate" in err
 
 
+def test_covert_expecting_no_announcements_exits_2(tmp_path, capsys):
+    # eta_expected 0 and no target rate: the receiver expects silence, so
+    # no covert announcement rate is feasible
+    code, _ = run_cli(tmp_path, dict(COVERT_DOC, eta_expected=0.0))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ")
+    assert "expects no announcements" in err
+
+
+def test_sweep_point_expecting_no_announcements_is_infeasible(tmp_path):
+    base = write_doc(tmp_path, dict(COVERT_DOC, n_slots=500))
+    grid_path = write_doc(tmp_path, {"parameters": {"eta_expected": [0.2, 0.0]}}, "grid.json")
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", base, "--grid", grid_path, "--seeds", "2", "--out", str(out)])
+    assert code == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["eta_expected"], row["feasible"]) for row in rows] == [
+        ("0.2", "1"), ("0.2", "1"), ("0.0", "0"), ("0.0", "0"),
+    ]
+    assert all(row["qber"] == "" for row in rows[2:])
+
+
 def test_no_viable_blinding_plan_exits_2(tmp_path, capsys):
     doc = {
         "n_slots": 100,
