@@ -7,11 +7,13 @@ transcript spans three 10,000-row blocks and the covert reporter makes
 several thousand announcements. GOLDEN_DARK pins, at both lengths, the
 sessions with dark counts that no config file has (DARK_DOCUMENTS).
 GOLDEN_SWEEP pins the CSV of one `ddiqkd sweep` (SWEEP_ARGS), which holds
-the order of its rows and the per-session seeds as well. A change to the
+the order of its rows and the per-session seeds as well. GOLDEN_ANALYZE
+pins the JSON `ddiqkd analyze --out` writes for each scenario's transcript
+at both lengths. A change to the
 draw order, the transcript format or the report schema changes them on
 purpose: bump the transcript format tag, describe the new order in the
 README's "Determinism" section, and print the new GOLDEN, GOLDEN_MULTI,
-GOLDEN_DARK and GOLDEN_SWEEP tables with
+GOLDEN_DARK, GOLDEN_SWEEP and GOLDEN_ANALYZE tables with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -162,6 +164,23 @@ SWEEP_ARGS = (
 GOLDEN_SWEEP = "76c5afbb5d172ed5132aa54df418d718515e936207feadeb37032f8a6e4cf136"
 
 
+# the JSON `ddiqkd analyze --out` writes for each scenario's transcript
+GOLDEN_ANALYZE = {
+    ("blinding_symmetric", 2000): "6f5c0768c39f520940f513580dd2dc20dec1434937deb3a416ddbe92bf6a56a8",
+    ("blinding_symmetric", 23456): "e5360956bce1019a1b76ec48cc985c49e095c81e218fd514dd1275accb195451",
+    ("blinding_tailored", 2000): "1a6c70ca70f8e1e0670fb528f48d71e3dd8fc49e07bc25f91c9a5cb7a0aa3bd3",
+    ("blinding_tailored", 23456): "f75df30ce1168dc9ff842abef6546600085524e1a1871e0d78cb22fd4d4d6dd7",
+    ("covert_keyed", 2000): "5fa0697ca9f6c12271f4ea16091d374dedf274f5e1ade32220c940e2b587002d",
+    ("covert_keyed", 23456): "20c7c855e60c105c7b7a702caf3f47fa2c7ddc4eef5fea9ab20540e9ab569d7d",
+    ("covert_unkeyed_biased", 2000): "45fcb36ee0b4795deaf107a4e885cbbc819bde8b49104baf0e5a02524eb941c0",
+    ("covert_unkeyed_biased", 23456): "03ce268518bf2854175c45c7c83c3d25db445ac1f833cdf778ff52b5d8715a5e",
+    ("honest", 2000): "c5b35590c2c51b6956d36f9fc033a3bfd29f3477c3283c78c41117370fdb7902",
+    ("honest", 23456): "33f05a04a151e08d514bbc9b89914c1f51a2e62c5156db3cf403d255b51c1929",
+    ("intercept_resend", 2000): "073bcc3baef5abf855040eb7bbf3b6369b107327e46736666d49ce72f6652842",
+    ("intercept_resend", 23456): "a004e15ab98ab8173b4f80952121a0493107320545b2151be16b058b358864d2",
+}
+
+
 def scenario_names():
     return sorted(
         p.stem for p in CONFIGS.glob("*.json")
@@ -182,6 +201,18 @@ def run_digests(name, tmp_path, n_slots=GOLDEN_SLOTS, doc=None):
         hashlib.sha256((out / f).read_bytes()).hexdigest()
         for f in ("transcript.csv", "report.json")
     )
+
+
+def run_and_analyze(name, tmp_path, n_slots):
+    """`ddiqkd run` on configs/<name>.json at n_slots slots, then `ddiqkd
+    analyze --out` on its transcript: the report JSON, parsed, and the
+    analysis JSON's bytes."""
+    run_digests(name, tmp_path, n_slots)
+    out = tmp_path / name
+    analysis = out / "analysis.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", "--transcript", str(out / "transcript.csv"), "--out", str(analysis)]) == 0
+    return json.loads((out / "report.json").read_text()), analysis.read_bytes()
 
 
 def sweep_digest(tmp_path):
@@ -215,6 +246,23 @@ def test_golden_sweep_digest(tmp_path):
     assert sweep_digest(tmp_path) == GOLDEN_SWEEP
 
 
+ANALYZE_CASES = [(name, n) for name in scenario_names() for n in (GOLDEN_SLOTS, MULTI_SLOTS)]
+
+
+@pytest.mark.parametrize("name, n_slots", ANALYZE_CASES)
+def test_golden_analyze_digests(name, n_slots, tmp_path):
+    _, analysis = run_and_analyze(name, tmp_path, n_slots)
+    assert hashlib.sha256(analysis).hexdigest() == GOLDEN_ANALYZE[name, n_slots]
+
+
+@pytest.mark.parametrize("name, n_slots", ANALYZE_CASES)
+def test_analyze_detectability_equals_run_report(name, n_slots, tmp_path):
+    """The monitors over the transcript's public columns reach the report's
+    numbers and verdicts, whichever path reads the announcements."""
+    report, analysis = run_and_analyze(name, tmp_path, n_slots)
+    assert json.loads(analysis)["detectability"] == report["report"]["detectability"]
+
+
 def print_table(table, cases):
     """Print `table = {...}` for cases of (key, name, n_slots, doc)."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
@@ -231,3 +279,12 @@ if __name__ == "__main__":
     print_table("GOLDEN_DARK", [((name, n), name, n, DARK_DOCUMENTS[name]) for name, n in DARK_CASES])
     with tempfile.TemporaryDirectory() as tmp:
         print(f'GOLDEN_SWEEP = "{sweep_digest(Path(tmp))}"')
+        with contextlib.redirect_stdout(io.StringIO()):
+            pinned = {
+                (name, n): hashlib.sha256(run_and_analyze(name, Path(tmp), n)[1]).hexdigest()
+                for name, n in ANALYZE_CASES
+            }
+    print("GOLDEN_ANALYZE = {")
+    for key, digest in pinned.items():
+        print(f'    {key!r}: "{digest}",'.replace("'", '"'))
+    print("}")
