@@ -1,10 +1,12 @@
 """Statistical monitors over the public announcement record.
 
 Everything here is a pure function of what an outside observer of the
-protocol sees: total slot count, which slots were announced with which Bell
-outcome, the receiver's bases for those slots, and which slots produced
-double clicks. Ground-truth transcript columns are deliberately not accepted,
-so the legitimate receiver could run every monitor as-is.
+protocol sees: which slots were announced with which Bell outcome, and which
+produced double clicks. The monitors read those two columns only through
+their counts, one MonitorStats record; the records of adjacent spans merge
+into the record of both, so a long transcript is counted block by block.
+Ground-truth columns are never read, so the legitimate receiver could run
+every monitor as-is.
 
 Verdict conventions: a test "rejects" when its p-value falls below alpha (or
 |z| exceeds the two-sided normal quantile); a test is "absent" when the
@@ -26,46 +28,63 @@ from .errors import ValidationError
 
 
 @dataclass(frozen=True)
-class PublicView:
-    """The announcement record: slot indices with a single announced outcome,
-    the outcome values and receiver bases aligned to them, and the slots that
-    produced double clicks."""
+class MonitorStats:
+    """The counts the monitors read from a span of slots: its length, the
+    announced single clicks and the double clicks, the first and last
+    announced single (relative to the span's start, -1 when there is none),
+    how many gaps between consecutive announced singles are odd, and how
+    often each Bell outcome was announced."""
 
     n_slots: int
-    reported_slots: np.ndarray
-    outcomes: np.ndarray
-    bob_basis_at_reported: np.ndarray
-    double_click_slots: np.ndarray
+    singles: int
+    doubles: int
+    first: int
+    last: int
+    odd_gaps: int
+    outcome_counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n_slots < 1:
-            raise ValidationError(f"n_slots must be >= 1, got {self.n_slots}")
-        if not (len(self.reported_slots) == len(self.outcomes) == len(self.bob_basis_at_reported)):
-            raise ValidationError("reported slots, outcomes and bases must be aligned")
-        slots = np.asarray(self.reported_slots)
-        if (slots[1:] <= slots[:-1]).any():
-            raise ValidationError("reported slots must be strictly increasing")
+    @classmethod
+    def of(cls, reported: np.ndarray, double_click: np.ndarray) -> MonitorStats:
+        """The record of a span's two public columns: one outcome byte per
+        slot, announced iff its uint8 view is below 4 (so an int8 -1 means
+        none, as does any byte from 4 up), and one double-click flag per
+        slot."""
+        codes = reported.view(np.uint8)
+        slots = np.flatnonzero(codes < 4)
+        first, last = (int(slots[0]), int(slots[-1])) if len(slots) else (-1, -1)
+        odd = int(np.count_nonzero((slots[1:] - slots[:-1]) & 1))
+        counts = tuple(np.bincount(codes[slots], minlength=4).tolist())
+        return cls(len(codes), len(slots), int(np.count_nonzero(double_click)), first, last, odd, counts)
+
+    def merge(self, later: MonitorStats) -> MonitorStats:
+        """The record of this span directly followed by `later`'s; the gap
+        from this span's last announced single to later's first counts."""
+        seam = self.n_slots
+        first, last, odd = self.first, self.last, self.odd_gaps + later.odd_gaps
+        if later.singles:
+            if self.singles:
+                odd += (seam + later.first - last) & 1
+            else:
+                first = seam + later.first
+            last = seam + later.last
+        counts = tuple(a + b for a, b in zip(self.outcome_counts, later.outcome_counts))
+        return MonitorStats(seam + later.n_slots, self.singles + later.singles,
+                            self.doubles + later.doubles, first, last, odd, counts)
 
     @property
     def announced_events(self) -> int:
         """Announced detection events: single clicks plus double clicks."""
-        return len(self.reported_slots) + len(self.double_click_slots)
+        return self.singles + self.doubles
 
 
-def gap_parity_uniformity(reported_slots: Sequence[int]) -> tuple[float, float] | None:
-    """Chi-square test (1 dof) of even/odd balance among gaps between
-    consecutive announced slots. Returns (statistic, p-value), or None with
-    fewer than two announcements. Flags the unkeyed gap-parity encoding,
-    where one parity class dominates."""
-    slots = np.asarray(reported_slots)
-    if len(slots) < 2:
+def gap_parity_uniformity(odd_gaps: int, gaps: int) -> tuple[float, float] | None:
+    """Chi-square test (1 dof) of even/odd balance among the gaps between
+    consecutive announced slots, odd_gaps of them odd. Returns (statistic,
+    p-value), or None without a gap (fewer than two announcements). Flags
+    the unkeyed gap-parity encoding, where one parity class dominates."""
+    if gaps < 1:
         return None
-    gaps = slots[1:] - slots[:-1]
-    if (gaps <= 0).any():
-        raise ValidationError("reported slots must be strictly increasing")
-    n_odd = int(np.count_nonzero(gaps & 1))
-    n_even = len(gaps) - n_odd
-    chi2 = (n_even - n_odd) ** 2 / len(gaps)
+    chi2 = (gaps - 2 * odd_gaps) ** 2 / gaps  # (even - odd)^2 / gaps
     return float(chi2), float(special.chdtrc(1, chi2))
 
 
@@ -83,17 +102,14 @@ def rate_consistency(observed_reports: int, n_slots: int, expected_rate: float) 
     return float(diff / math.sqrt(n_slots * expected_rate * (1.0 - expected_rate)))
 
 
-def outcome_histogram(outcomes: Sequence[int]) -> tuple[np.ndarray, float, float] | None:
-    """Counts per Bell outcome plus a chi-square test against the honest
+def outcome_histogram(counts: Sequence[int]) -> tuple[np.ndarray, float, float] | None:
+    """The counts per Bell outcome plus a chi-square test against the honest
     aggregate expectation, uniform over the four outcomes. Returns
     (counts, statistic, p-value), or None without announcements. Tailored
     blinding concentrates all mass on the low-threshold outcomes."""
-    arr = np.asarray(outcomes)
-    if len(arr) == 0:
+    counts = np.array(counts, dtype=np.int64)
+    if not counts.any():
         return None
-    if arr.min() < 0 or arr.max() > 3:
-        raise ValidationError("outcomes must be Bell outcome indices 0..3")
-    counts = np.bincount(arr, minlength=4)
     expected = counts.sum() / 4
     chi2 = ((counts - expected) ** 2 / expected).sum()
     return counts, float(chi2), float(special.chdtrc(3, chi2))
@@ -128,15 +144,15 @@ def _p_verdict(p: float | None, alpha: float) -> str:
 
 
 def detectability_report(
-    view: PublicView, expected_rate: float, alpha: float = 0.01
+    stats: MonitorStats, expected_rate: float, alpha: float = 0.01
 ) -> DetectabilityReport:
     """Run all monitors on one announcement record."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0,1), got {alpha}")
-    gp = gap_parity_uniformity(view.reported_slots)
-    z = rate_consistency(view.announced_events, view.n_slots, expected_rate)
-    oh = outcome_histogram(view.outcomes)
-    dcr = len(view.double_click_slots) / view.n_slots
+    gp = gap_parity_uniformity(stats.odd_gaps, stats.singles - 1)
+    z = rate_consistency(stats.announced_events, stats.n_slots, expected_rate)
+    oh = outcome_histogram(stats.outcome_counts)
+    dcr = stats.doubles / stats.n_slots
     z_crit = float(-special.ndtri(alpha / 2.0))
     verdicts = {
         "gap_parity": _p_verdict(gp[1] if gp else None, alpha),

@@ -12,9 +12,9 @@ newlines. The reader checks each block with one masked XOR against that
 frame and decodes its outcome cells by arithmetic; it rejects a file that
 disagrees with itself, naming the line (see read_public_view). The report
 JSON carries the same metadata plus the full serialized config and the
-session report. `analyze` reads only the public columns of a transcript
-(slot, bob_basis, reported_outcome, double_click), so its verdicts never
-peek at ground truth.
+session report. `analyze` checks every byte of a transcript, but its
+monitors read only the slot order, the announced outcomes and the double
+clicks, so its verdicts never peek at ground truth.
 
 Exit codes: 0 success, 1 usage/parse/validation problems and unwritable
 output paths, 2 structurally infeasible scenarios (covert target rate out of
@@ -36,7 +36,7 @@ from typing import Any, Iterable, Mapping, NoReturn, TextIO
 import numpy as np
 
 from . import __version__
-from .analysis import PublicView, detectability_report
+from .analysis import MonitorStats, detectability_report
 from .config import config_digest, load_config, parse_config, read_json, serialize_config
 from .errors import ConfigError, InfeasibleRateError, NoViablePlanError, ValidationError
 from .protocol import SessionConfig, SessionReport, Transcript, run_session
@@ -203,18 +203,17 @@ def _meta_value(path: str, meta: Mapping[str, str], key: str, kind: type, defaul
         ) from None
 
 
-def read_public_view(path: str) -> tuple[PublicView, dict[str, str]]:
-    """Parse a transcript back into the announcement record, reading only
-    the public columns. The file must agree with itself: no metadata key
-    repeats, the format tag is TRANSCRIPT_FORMAT, the header is
-    TRANSCRIPT_COLUMNS, and there are exactly n_slots rows, row i being
+def read_public_view(path: str) -> tuple[MonitorStats, dict[str, str]]:
+    """The monitors' count record of a transcript's public columns, merged
+    block by block, and its metadata. The file must agree with itself: no
+    metadata key repeats, the format tag is TRANSCRIPT_FORMAT, the header
+    is TRANSCRIPT_COLUMNS, and there are exactly n_slots rows, row i being
     what write_transcript_csv writes for slot i. Each block of rows is
     checked at once: its bytes ANDed with _mask and XORed with the frame
     and its high slot digits must all be zero, and each outcome byte minus
     '0' must be below 4 or be '-'. Only a block that fails is walked row by
     row; anything else raises ValidationError naming the line."""
     meta: dict[str, str] = {}
-    parts: list[tuple] = []
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -275,18 +274,13 @@ def read_public_view(path: str) -> tuple[PublicView, dict[str, str]]:
                 )
             if not valid:
                 _reject_block(path, data, _block_frame(digits, block, count), first_line + start, start, n_slots)
-            singles = np.flatnonzero(announced)
-            parts.append((
-                start + singles, outcome[singles], rows[singles, digits + 5] - _ZERO,
-                start + np.flatnonzero(double),
-            ))
+            counted = MonitorStats.of(outcome, double)
+            stats = counted if start == 0 else stats.merge(counted)
         if fh.read(1):
             raise ValidationError(
                 f"{path}:{first_line + n_slots}: malformed row: slot beyond metadata n_slots {n_slots}"
             )
-    # single-click slots, their outcomes, their bob_basis, double-click slots
-    columns = (np.concatenate([p[i] for p in parts]).astype(np.int64) for i in range(4))
-    return PublicView(n_slots, *columns), meta
+    return stats, meta
 
 
 def report_payload(config: SessionConfig, report: SessionReport, digest: str) -> dict[str, Any]:
@@ -427,7 +421,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _analysis(args: argparse.Namespace) -> dict[str, Any]:
-    view, meta = read_public_view(args.transcript)
+    stats, meta = read_public_view(args.transcript)
     if args.expected_rate is not None:
         expected = args.expected_rate
     elif "expected_report_rate" in meta:
@@ -440,16 +434,16 @@ def _analysis(args: argparse.Namespace) -> dict[str, Any]:
         alpha = args.alpha
     else:
         alpha = _meta_value(args.transcript, meta, "alpha", float, default=0.01)
-    det = detectability_report(view, expected, alpha)
+    det = detectability_report(stats, expected, alpha)
     payload = {
         "version": __version__,
         "transcript": os.path.basename(args.transcript),
-        "n_slots": view.n_slots,
-        "announced_events": view.announced_events,
+        "n_slots": stats.n_slots,
+        "announced_events": stats.announced_events,
         "expected_report_rate": expected,
         "detectability": asdict(det),
     }
-    if view.announced_events == 0:
+    if stats.announced_events == 0:
         payload["note"] = "no announced events; per-announcement monitors are absent"
     return payload
 

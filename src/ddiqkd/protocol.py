@@ -4,9 +4,10 @@ A session is slot-synchronous: per slot the sender draws a BB84 basis/bit and
 emits one polarization-encoded photon, the lossy channel forwards it, the
 receiver draws his own basis/bit and encodes them on the photon's spatial
 mode, and the measurement unit announces (or withholds) a Bell outcome. The
-transcript records ground truth per slot; the public view is the subset anyone
-outside the link sees. Sifting keeps announced single clicks where the bases
-matched, double clicks are discarded from key material but counted.
+transcript records ground truth per slot; anyone outside the link sees only
+its announced outcomes and double clicks. Sifting keeps announced single
+clicks where the bases matched, double clicks are discarded from key
+material but counted.
 
 Every mode runs on two small tables instead of per-slot state algebra: the
 Bell probabilities of the 16 (source, receiver) preparation pairs, and for
@@ -28,7 +29,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .analysis import DetectabilityReport, PublicView, detectability_report
+from .analysis import DetectabilityReport, MonitorStats, detectability_report
 # blinding_session_stats is not called here; the traced benchmark run
 # rebinds it on this module
 from .blinding import BlindingPlan, blinding_session_stats, click_table, optimize_pulse  # noqa: F401
@@ -179,16 +180,6 @@ class Transcript:
 
     def reported_slots(self) -> np.ndarray:
         return np.nonzero(self.reported >= 0)[0]
-
-    def public_view(self) -> PublicView:
-        singles = self.reported_slots()
-        return PublicView(
-            n_slots=self.n_slots,
-            reported_slots=singles,
-            outcomes=self.reported[singles],
-            bob_basis_at_reported=self.bob_basis[singles],
-            double_click_slots=np.nonzero(self.double_click)[0],
-        )
 
 
 @dataclass(frozen=True)
@@ -375,19 +366,19 @@ def _intercept(t: Transcript, rng) -> np.ndarray:
     return pair
 
 
-_key_draw = (0, np.zeros(0, dtype=np.int64))  # the last key seed's longest draw
+_key_draw = (0, np.zeros(0, dtype=np.int8))  # the last key seed's longest draw
 
 
 def _key_bits(mode: CovertAttackMode, n: int) -> np.ndarray:
-    """The first n bits of the shared key, a read-only prefix of one draw per
-    key seed, grown by doubling; all zero when keying is off."""
+    """The first n bits of the shared key as int8, a read-only prefix of one
+    draw per key seed, grown by doubling; all zero when keying is off."""
     global _key_draw
     seed, draw = _key_draw
     if mode.keyed and (seed != mode.key_seed or len(draw) < n):
-        draw = key_bits(mode.key_seed, max(n, 2 * len(draw) * (seed == mode.key_seed)))
+        draw = key_bits(mode.key_seed, max(n, 2 * len(draw) * (seed == mode.key_seed))).astype(np.int8)
         draw.flags.writeable = False
         _key_draw = (mode.key_seed, draw)
-    return draw[:n] if mode.keyed else np.zeros(n, dtype=np.int64)
+    return draw[:n] if mode.keyed else np.zeros(n, dtype=np.int8)
 
 
 def _covert_acceptance(config: SessionConfig, mode: CovertAttackMode) -> float:
@@ -444,16 +435,16 @@ def _run_blinding(
 
 
 def _leak_fraction(
-    config: SessionConfig, t: Transcript, sifted: np.ndarray, singles: np.ndarray,
-    keys: np.ndarray | None,
+    config: SessionConfig, t: Transcript, sifted: np.ndarray, keys: np.ndarray | None,
 ) -> float:
     """Fraction of the relevant secret the in-channel or in-unit adversary
-    actually recovered, from ground truth: per announced single (`singles`),
-    the receiver bits decoded from their gaps under the covert key bits
-    `keys`; per sifted slot, the bits the interceptor holds
-    (intercept-resend, blinding)."""
+    actually recovered, from ground truth: per announced single, the
+    receiver bits decoded from their gaps under the covert key bits `keys`;
+    per sifted slot, the bits the interceptor holds (intercept-resend,
+    blinding)."""
     mode = config.mode
     if isinstance(mode, CovertAttackMode):
+        singles = t.reported_slots()
         if len(singles) == 0:
             return 0.0
         assert keys is not None
@@ -474,22 +465,21 @@ def build_report(
     config: SessionConfig, transcript: Transcript, plan: BlindingPlan | None = None,
     keys: np.ndarray | None = None,
 ) -> SessionReport:
-    """The session report in one pass: the public view, the sifted slots and
-    the expected rate are each taken once, and the counts, QBER, leak
-    fraction and monitors (double-click rate included) all read from them.
+    """The session report in one pass: the monitors' count record, the
+    sifted slots and the expected rate are each taken once, and the counts,
+    QBER, leak fraction and monitors (double-click rate included) all read
+    from them.
 
     keys are a covert session's key bits, at least one per announced gap,
     and are required in covert mode: run_session passes the reporter's own
     draw, which the decoder reads too."""
-    view = transcript.public_view()
+    stats = MonitorStats.of(transcript.reported, transcript.double_click)
     expected = config.expected_report_rate()
-    # the monitors run before the sift, so their working arrays and the
-    # sifted slots are never alive at once
-    det = detectability_report(view, expected, config.alpha)
+    det = detectability_report(stats, expected, config.alpha)
     sifted = sift(transcript)
     qber = compute_qber(transcript, sifted)
     n = config.n_slots
-    reported = view.announced_events
+    reported = stats.announced_events
     rate = 0.0 if qber is None else key_rate(qber, len(sifted) / n)
     return SessionReport(
         mode=config.mode.kind,
@@ -501,7 +491,7 @@ def build_report(
         key_rate=rate,
         reported_rate=reported / n,
         double_click_rate=det.double_click_rate,
-        eve_leak_fraction=_leak_fraction(config, transcript, sifted, view.reported_slots, keys),
+        eve_leak_fraction=_leak_fraction(config, transcript, sifted, keys),
         expected_report_rate=expected,
         detectability=det,
         plan=plan,

@@ -4,9 +4,12 @@ import json
 import pytest
 
 from ddiqkd import cli
+from ddiqkd.analysis import MonitorStats
 from ddiqkd.cli import _build_parser, main, read_public_view
+from ddiqkd.config import parse_config
 from ddiqkd.covert import thinning_acceptance
 from ddiqkd.errors import InfeasibleRateError
+from ddiqkd.protocol import run_session
 
 HONEST_DOC = {
     "n_slots": 4000,
@@ -225,11 +228,12 @@ def test_analyze_malformed_row_reports_line_number(tmp_path, capsys):
 
 def test_read_public_view_roundtrip(tmp_path):
     _, out_dir = run_cli(tmp_path, COVERT_DOC)
-    view, meta = read_public_view(str(out_dir / "transcript.csv"))
-    assert view.n_slots == COVERT_DOC["n_slots"]
+    stats, meta = read_public_view(str(out_dir / "transcript.csv"))
+    assert stats.n_slots == COVERT_DOC["n_slots"]
     assert meta["mode"] == "covert"
     assert float(meta["expected_report_rate"]) == pytest.approx(0.02)
-    assert len(view.reported_slots) == len(view.outcomes)
+    transcript, _ = run_session(parse_config(COVERT_DOC))
+    assert stats == MonitorStats.of(transcript.reported, transcript.double_click)
 
 
 def test_sweep_rows_and_determinism(tmp_path):

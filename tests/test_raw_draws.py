@@ -104,7 +104,7 @@ def test_key_bits_one_draw_per_key_seed():
     for mode, n in [(a, 10), (a, 11), (a, 3_000), (a, 5), (b, 3), (a, 4_001),
                     (b, 2_000), (b, 1), (a, 0), (a, 17)]:
         got = protocol._key_bits(mode, n)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int8
         assert np.array_equal(got, key_bits(mode.key_seed, n))
         assert not got.flags.writeable
         with pytest.raises(ValueError):
@@ -122,5 +122,5 @@ def test_key_bits_one_draw_per_key_seed():
     assert len(protocol._key_draw[1]) == 20
     unkeyed = replace(a, keyed=False)
     zeros = protocol._key_bits(unkeyed, 50)
-    assert zeros.dtype == np.int64 and len(zeros) == 50 and not zeros.any()
+    assert zeros.dtype == np.int8 and len(zeros) == 50 and not zeros.any()
     assert protocol._key_draw[0] == a.key_seed

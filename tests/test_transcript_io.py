@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddiqkd import cli
+from ddiqkd.analysis import MonitorStats
 from ddiqkd.cli import (
     _BLOCK_ROWS,
     TRANSCRIPT_COLUMNS,
@@ -90,11 +91,8 @@ transcripts = st.builds(
 
 
 def assert_round_trip(path, transcript, meta):
-    view, read_meta = read_public_view(str(path))
-    expected = transcript.public_view()
-    assert view.n_slots == expected.n_slots
-    for name in ("reported_slots", "outcomes", "bob_basis_at_reported", "double_click_slots"):
-        assert np.array_equal(getattr(view, name), getattr(expected, name)), name
+    stats, read_meta = read_public_view(str(path))
+    assert stats == MonitorStats.of(transcript.reported, transcript.double_click)
     assert read_meta == {key: str(value) for key, value in meta.items()}
 
 
@@ -120,6 +118,29 @@ def test_round_trip_with_six_slot_digits(tmp_path):
     lines = path.read_bytes().split(b"\n")
     assert lines[FIRST_ROW_LINE - 1].startswith(b"000000,") and lines[-2].startswith(b"123456,")
     assert_round_trip(path, transcript, meta_for(n))
+
+
+@pytest.mark.parametrize("cleared, announced", [
+    # one announcement on each side of each seam, an odd and an even gap
+    ([(BLOCK - 10, BLOCK + 10), (2 * BLOCK - 10, 2 * BLOCK + 10)],
+     [BLOCK - 5, BLOCK + 2, 2 * BLOCK - 4, 2 * BLOCK]),
+    # the middle block announces nothing: one gap spans both seams
+    ([(BLOCK - 10, 2 * BLOCK + 10)], [BLOCK - 5, 2 * BLOCK + 2]),
+], ids=["straddling", "empty_middle_block"])
+def test_read_record_counts_the_gaps_across_block_seams(tmp_path, cleared, announced):
+    n = 23_456
+    transcript = random_transcript(n, 19, 0.02, 0.01)
+    for lo, hi in cleared:
+        transcript.reported[lo:hi] = -1
+        transcript.double_click[lo:hi] = False
+    transcript.reported[announced] = [1, 2, 3, 0][:len(announced)]
+    path = tmp_path / "t.csv"
+    write_transcript_csv(str(path), transcript, meta_for(n))
+    stats, _ = read_public_view(str(path))
+    assert stats == MonitorStats.of(transcript.reported, transcript.double_click)
+    slots = np.flatnonzero(transcript.reported >= 0)
+    assert stats.odd_gaps == np.count_nonzero(np.diff(slots) & 1)
+    assert (stats.first, stats.last, stats.singles) == (slots[0], slots[-1], len(slots))
 
 
 @pytest.fixture(scope="module")
