@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .devices import DetectorSpec
+from .config import DetectorSpec
 from .errors import NoViablePlanError, ValidationError
 from .states import BELL_TABLE, PREPARATIONS, XOR_TABLE
 

@@ -30,16 +30,16 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from typing import Any, Iterable, Mapping, NoReturn, TextIO
 
 import numpy as np
 
 from . import __version__
 from .analysis import MonitorStats, detectability_report
-from .config import config_digest, load_config, parse_config, read_json, serialize_config
+from .config import SessionConfig, config_digest, load_config, parse_config, read_json, serialize_config
 from .errors import ConfigError, InfeasibleRateError, NoViablePlanError, ValidationError
-from .protocol import SessionConfig, SessionReport, Transcript, run_session
+from .protocol import SessionReport, Transcript, run_session
 
 TRANSCRIPT_COLUMNS = (
     "slot", "alice_basis", "alice_bit", "bob_basis", "bob_bit",
@@ -327,21 +327,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _set_path(doc: dict, dotted: str, value: Any) -> None:
+    """Set the field at a dotted grid path, creating a missing object on the
+    way; a component that holds anything but an object is refused, since
+    replacing it would drop what the base config put there."""
     parts = dotted.split(".")
     node = doc
-    for part in parts[:-1]:
-        child = node.get(part)
-        if not isinstance(child, dict):
-            child = {}
-            node[part] = child
-        node = child
+    for i, part in enumerate(parts[:-1]):
+        if part not in node:
+            node[part] = {}
+        node = node[part]
+        if not isinstance(node, dict):
+            raise ConfigError(
+                f"grid parameter {dotted!r}: config field {'.'.join(parts[:i + 1])!r} "
+                f"is not an object, so it has no field {parts[i + 1]!r}"
+            )
     node[parts[-1]] = value
 
 
-_SWEEP_METRICS = (
-    "mode", "sent", "arrived", "reported", "sifted", "qber", "key_rate",
-    "reported_rate", "double_click_rate", "eve_leak_fraction", "expected_report_rate",
-)
+# the report's scalar fields, in their declared order
+_SWEEP_METRICS = tuple(f.name for f in fields(SessionReport) if f.name not in ("detectability", "plan"))
 _SWEEP_MONITORS = ("gap_parity_p_value", "rate_z_score", "outcome_p_value")
 _SWEEP_VERDICTS = ("gap_parity", "rate", "outcome_uniformity", "double_click")
 # the header columns after the swept parameters; a parameter may not take

@@ -1,21 +1,31 @@
-"""JSON configuration: parsing with field-path errors, canonical
-serialization, and the config digest stamped into every output.
+"""The session model and its JSON form: parsing with field-path errors,
+canonical serialization, and the config digest stamped into every output.
 
-One schema drives both directions. Each config object (the SessionConfig
-top level, ChannelSpec, TrojanProbe, a detector block, and each of the four
-modes) has a field table of (JSON key, dataclass attribute, kind) rows. A
-kind checks and converts one JSON value and writes it back. parse_config
-reads the keys a document has and leaves every absent field to its
-dataclass default; serialize_config writes every field. So parse(serialize(c))
-reproduces c by construction, and a new field takes one table row.
+The dataclasses below are the schema. A field's JSON key is its name, and
+its kind (how one JSON value is checked, converted and written back) follows
+from its annotation text through _KINDS. Each class's (name, kind) list is
+resolved once, at import, so an annotation with no kind fails there.
+parse_config reads the keys a document has and leaves every absent field to
+its dataclass default; serialize_config writes every field. So
+parse(serialize(c)) reproduces c by construction, and a new field is one
+annotated line on its dataclass.
 
 Every number must be finite. The one case a dataclass default cannot
 express is the detector tables: the parser accepts one detector block
 applied to all four detectors, and a scalar efficiency/threshold, which
 becomes a single-entry table at signal_wavelength_nm (as does an absent
-one). A detector's position in the list is the Bell outcome it serves.
-serialize_config emits the canonical form: four explicit detector blocks
-with wavelength-keyed tables.
+one). serialize_config emits the canonical form: four explicit detector
+blocks with wavelength-keyed tables.
+
+Detectors respond in two regimes. In quantum mode a single photon is
+projected onto the Bell basis and the matching detector fires subject to
+its efficiency; dark counts fire independently. In blinded (linear) mode the
+detectors ignore single photons and click only when the classical optical
+power they receive meets a per-detector threshold; blinding.click_table
+tabulates that response for the 16 pulse/receiver pairs. A detector's
+position in SessionConfig.detectors is the Bell outcome it serves.
+Efficiencies and thresholds are wavelength-indexed tables; a lookup at an
+unlisted wavelength uses the nearest listed entry (the lower on ties).
 """
 
 from __future__ import annotations
@@ -25,19 +35,190 @@ import hashlib
 import json
 import math
 from collections.abc import Mapping, Sequence
-from typing import Any, Callable, NamedTuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, NamedTuple, Union, get_args
 
-from .channel import ChannelSpec, TrojanProbe
-from .devices import DetectorSpec
 from .errors import ConfigError, ValidationError
-from .protocol import (
-    BlindingMode,
-    CovertAttackMode,
-    HonestMode,
-    InterceptResendMode,
-    Mode,
-    SessionConfig,
-)
+
+DEFAULT_WAVELENGTH_NM = 1550.0
+
+
+@dataclass(frozen=True)
+class ChannelSpec:
+    """Lossy quantum channel; a photon survives with probability transmittance."""
+
+    transmittance: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.transmittance <= 1.0:
+            raise ValidationError(f"transmittance must be in [0,1], got {self.transmittance}")
+
+
+@dataclass(frozen=True)
+class TrojanProbe:
+    """Encoder-readout oracle inside the measurement unit: reveals the
+    receiver's exact (basis, bit) setting with probability
+    readout_success_prob per slot."""
+
+    readout_success_prob: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.readout_success_prob <= 1.0:
+            raise ValidationError(
+                f"readout_success_prob must be in [0,1], got {self.readout_success_prob}"
+            )
+
+
+def _nearest(table: Mapping[float, float], wavelength: float) -> float:
+    return table[min(table, key=lambda wl: (abs(wl - wavelength), wl))]
+
+
+@dataclass(frozen=True)
+class DetectorSpec:
+    """One single-photon detector: its wavelength-indexed quantum
+    efficiency, per-slot dark-count probability, and the wavelength-indexed
+    classical power threshold it obeys when blinded (mW)."""
+
+    efficiency: Mapping[float, float] = field(default_factory=lambda: {DEFAULT_WAVELENGTH_NM: 0.2})
+    dark_count_prob: float = 0.0
+    blind_threshold: Mapping[float, float] = field(default_factory=lambda: {DEFAULT_WAVELENGTH_NM: 1.0})
+
+    def __post_init__(self) -> None:
+        if not self.efficiency:
+            raise ValidationError("efficiency table must not be empty")
+        if not self.blind_threshold:
+            raise ValidationError("blind_threshold table must not be empty")
+        for wl, eta in self.efficiency.items():
+            if not 0.0 <= eta <= 1.0:
+                raise ValidationError(f"efficiency at {wl} nm must be in [0,1], got {eta}")
+        for wl, p_th in self.blind_threshold.items():
+            if p_th <= 0.0:
+                raise ValidationError(f"blind_threshold at {wl} nm must be > 0, got {p_th}")
+        if not 0.0 <= self.dark_count_prob <= 1.0:
+            raise ValidationError(f"dark_count_prob must be in [0,1], got {self.dark_count_prob}")
+
+    def efficiency_at(self, wavelength: float) -> float:
+        return _nearest(self.efficiency, wavelength)
+
+    def threshold_at(self, wavelength: float) -> float:
+        return _nearest(self.blind_threshold, wavelength)
+
+
+@dataclass(frozen=True)
+class HonestMode:
+    """No adversary; the measurement unit announces what it measures."""
+
+    kind: ClassVar[str] = "honest"
+
+
+@dataclass(frozen=True)
+class CovertAttackMode:
+    """Malicious measurement unit leaking receiver bits through gap parity.
+
+    The unit's real detectors have efficiency eta_true, typically far above
+    the eta_expected the receiver was sold; the surplus detections are the
+    silence budget the encoding spends; the encoder readout probe tells the
+    unit the bits it leaks. target_report_rate defaults to the rate the
+    receiver expects, transmittance * eta_expected.
+    """
+
+    kind: ClassVar[str] = "covert"
+    eta_true: float = 0.9
+    key_seed: int = 0
+    keyed: bool = True
+    target_report_rate: float | None = None
+    trojan: TrojanProbe = field(default_factory=TrojanProbe)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.eta_true <= 1.0:
+            raise ValidationError(f"eta_true must be in (0,1], got {self.eta_true}")
+        if not 0 <= self.key_seed < 2**64:
+            raise ValidationError(f"key_seed must be a 64-bit unsigned integer, got {self.key_seed}")
+        if self.target_report_rate is not None and self.target_report_rate <= 0.0:
+            raise ValidationError(
+                f"target_report_rate must be > 0, got {self.target_report_rate}"
+            )
+
+
+@dataclass(frozen=True)
+class BlindingMode:
+    """Bright-pulse intercept-resend against blinded detectors.
+
+    Either a fixed (wavelength_nm, pulse_power) working point, or
+    optimize=True to grid-search one. An attack-off run is an honest session.
+    """
+
+    kind: ClassVar[str] = "blinding"
+    pulse_power: float = 2.0
+    wavelength_nm: float = DEFAULT_WAVELENGTH_NM
+    optimize: bool = False
+    wavelength_grid: tuple[float, ...] = ()
+    power_grid: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.optimize:
+            if len(self.wavelength_grid) == 0 or len(self.power_grid) == 0:
+                raise ValidationError("optimize=True needs non-empty wavelength and power grids")
+            if min(self.power_grid) <= 0.0:
+                raise ValidationError(f"power_grid entries must be > 0, got {min(self.power_grid)}")
+        elif self.pulse_power <= 0.0:
+            raise ValidationError(f"pulse_power must be > 0, got {self.pulse_power}")
+
+
+@dataclass(frozen=True)
+class InterceptResendMode:
+    """Textbook single-photon intercept-resend on the sender-receiver link;
+    the error-rate baseline the covert and blinding attacks are measured
+    against."""
+
+    kind: ClassVar[str] = "intercept_resend"
+
+
+Mode = Union[HonestMode, CovertAttackMode, BlindingMode, InterceptResendMode]
+_MODES = {cls.kind: cls for cls in get_args(Mode)}
+
+
+@dataclass(frozen=True)
+class SessionConfig:
+    """Everything a session run depends on; hash of this plus the seed pins
+    the outputs byte for byte.
+
+    basis_choice_prob is each party's probability of picking the diagonal
+    basis; bob_bit_bias is the receiver's probability of encoding bit 1 (0.5
+    unless exercising degenerate scenarios); eta_expected is the efficiency
+    the receiver believes his measurement unit has.
+    """
+
+    n_slots: int = 10_000
+    seed: int = 0
+    channel: ChannelSpec = field(default_factory=ChannelSpec)
+    detectors: tuple[DetectorSpec, ...] = field(default_factory=lambda: (DetectorSpec(),) * 4)
+    eta_expected: float = 0.2
+    basis_choice_prob: float = 0.5
+    bob_bit_bias: float = 0.5
+    signal_wavelength_nm: float = DEFAULT_WAVELENGTH_NM
+    alpha: float = 0.01
+    mode: Mode = field(default_factory=HonestMode)
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.n_slots < 2**63:
+            raise ValidationError(f"n_slots must be >= 1 and < 2**63, got {self.n_slots}")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if len(self.detectors) != 4:
+            raise ValidationError(f"need exactly 4 detectors, got {len(self.detectors)}")
+        for name in ("eta_expected", "basis_choice_prob", "bob_bit_bias"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValidationError(f"{name} must be in [0,1], got {v}")
+        if self.signal_wavelength_nm <= 0.0:
+            raise ValidationError(f"signal_wavelength_nm must be > 0, got {self.signal_wavelength_nm}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValidationError(f"alpha must be in (0,1), got {self.alpha}")
+
+    def expected_report_rate(self) -> float:
+        """Announcements per slot the receiver expects from an honest unit."""
+        return self.channel.transmittance * self.eta_expected
 
 
 def _fail(path: str, message: str) -> ConfigError:
@@ -64,10 +245,6 @@ class _Kind(NamedTuple):
 
     parse: Callable[[Any, str], Any]
     dump: Callable[[Any], Any] = lambda value: value
-
-
-# a field table row: (JSON key, dataclass attribute, kind)
-_Fields = Sequence[tuple[str, str, _Kind]]
 
 
 def _parse_number(v: Any, path: str) -> float:
@@ -131,70 +308,27 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _parse_fields(data: Any, fields: _Fields, path: str, extra: Sequence[str] = ()) -> dict[str, Any]:
-    """Constructor arguments for the fields data holds; an absent field is
-    left to the dataclass default. extra names keys handled by the caller."""
+def _parse_fields(data: Any, cls: type, path: str, extra: Sequence[str] = ()) -> dict[str, Any]:
+    """Constructor arguments of cls for the fields data holds; an absent
+    field is left to the dataclass default. extra names keys handled by the
+    caller."""
     if not isinstance(data, Mapping):
         raise _fail(path, f"expected an object, got {data!r}")
-    known = [*extra, *(key for key, _, _ in fields)]
+    fields = _SCHEMA[cls]
+    known = [*extra, *(name for name, _ in fields)]
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise _fail(path or "config", f"unknown field(s) {unknown}; known fields: {sorted(known)}")
-    return {attr: kind.parse(data[key], _join(path, key)) for key, attr, kind in fields if key in data}
+    return {name: kind.parse(data[name], _join(path, name)) for name, kind in fields if name in data}
 
 
-def _dump_fields(obj: Any, fields: _Fields) -> dict[str, Any]:
-    return {key: kind.dump(getattr(obj, attr)) for key, attr, kind in fields}
+def _dump_fields(obj: Any) -> dict[str, Any]:
+    return {name: kind.dump(getattr(obj, name)) for name, kind in _SCHEMA[type(obj)]}
 
 
-def _object(cls: type, fields: _Fields) -> _Kind:
+def _object(cls: type) -> _Kind:
     """A nested JSON object holding one dataclass."""
-    return _Kind(
-        lambda v, path: _build(cls, path, _parse_fields(v, fields, path)),
-        lambda obj: _dump_fields(obj, fields),
-    )
-
-
-_NUMBER = _Kind(_parse_number)
-_INTEGER = _Kind(_parse_integer)
-_BOOLEAN = _Kind(_parse_boolean)
-_OPTIONAL_NUMBER = _Kind(lambda v, path: None if v is None else _parse_number(v, path))
-_NUMBERS = _Kind(_parse_numbers, list)
-_TABLE = _Kind(_wavelength_table, _table_dict)
-
-_CHANNEL: _Fields = (("transmittance", "transmittance", _NUMBER),)
-
-_TROJAN: _Fields = (("readout_success_prob", "readout_success_prob", _NUMBER),)
-
-_DETECTOR: _Fields = (
-    ("efficiency", "efficiency", _TABLE),
-    ("dark_count_prob", "dark_count_prob", _NUMBER),
-    ("blind_threshold", "blind_threshold", _TABLE),
-)
-# the dataclass default of each table, read once
-_TABLE_DEFAULTS = {attr: _default(DetectorSpec, attr) for _, attr, kind in _DETECTOR if kind is _TABLE}
-
-_MODES: dict[str, tuple[type, _Fields]] = {
-    cls.kind: (cls, fields)
-    for cls, fields in (
-        (HonestMode, ()),
-        (CovertAttackMode, (
-            ("eta_true", "eta_true", _NUMBER),
-            ("key_seed", "key_seed", _INTEGER),
-            ("keyed", "keyed", _BOOLEAN),
-            ("target_report_rate", "target_report_rate", _OPTIONAL_NUMBER),
-            ("trojan", "trojan", _object(TrojanProbe, _TROJAN)),
-        )),
-        (BlindingMode, (
-            ("pulse_power", "pulse_power", _NUMBER),
-            ("wavelength_nm", "wavelength", _NUMBER),
-            ("optimize", "optimize", _BOOLEAN),
-            ("wavelength_grid", "wavelength_grid", _NUMBERS),
-            ("power_grid", "power_grid", _NUMBERS),
-        )),
-        (InterceptResendMode, ()),
-    )
-}
+    return _Kind(lambda v, path: _build(cls, path, _parse_fields(v, cls, path)), _dump_fields)
 
 
 def _parse_mode(data: Any, path: str) -> Mode:
@@ -203,24 +337,20 @@ def _parse_mode(data: Any, path: str) -> Mode:
     kind = data.get("kind", _default(SessionConfig, "mode").kind)
     if not isinstance(kind, str) or kind not in _MODES:
         raise _fail(f"{path}.kind", f"unknown mode {kind!r}; valid kinds: {list(_MODES)}")
-    cls, fields = _MODES[kind]
-    return _build(cls, path, _parse_fields(data, fields, path, extra=("kind",)))
-
-
-def _dump_mode(mode: Mode) -> dict[str, Any]:
-    return {"kind": mode.kind, **_dump_fields(mode, _MODES[mode.kind][1])}
+    cls = _MODES[kind]
+    return _build(cls, path, _parse_fields(data, cls, path, extra=("kind",)))
 
 
 def _parse_detector_blocks(data: Any, path: str) -> tuple[tuple[str, dict[str, Any]], ...]:
     """The path and parsed fields of four detector blocks, from one shared
     block or a list of four; _detector builds each detector from them."""
     if isinstance(data, Mapping):
-        return ((path, _parse_fields(data, _DETECTOR, path)),) * 4
+        return ((path, _parse_fields(data, DetectorSpec, path)),) * 4
     if not isinstance(data, Sequence) or isinstance(data, str):
         raise _fail(path, f"expected an object or a list of 4 objects, got {data!r}")
     if len(data) != 4:
         raise _fail(path, f"need 1 shared or 4 per-detector blocks, got {len(data)}")
-    return tuple((f"{path}[{i}]", _parse_fields(b, _DETECTOR, f"{path}[{i}]")) for i, b in enumerate(data))
+    return tuple((f"{path}[{i}]", _parse_fields(b, DetectorSpec, f"{path}[{i}]")) for i, b in enumerate(data))
 
 
 def _detector(path: str, block: Mapping[str, Any], anchor_nm: float) -> DetectorSpec:
@@ -236,23 +366,36 @@ def _detector(path: str, block: Mapping[str, Any], anchor_nm: float) -> Detector
     return _build(DetectorSpec, path, kwargs)
 
 
-_DETECTORS = _Kind(
-    _parse_detector_blocks,
-    lambda detectors: [_dump_fields(d, _DETECTOR) for d in detectors],
-)
+_TABLE = _Kind(_wavelength_table, _table_dict)
 
-_SESSION: _Fields = (
-    ("n_slots", "n_slots", _INTEGER),
-    ("seed", "seed", _INTEGER),
-    ("channel", "channel", _object(ChannelSpec, _CHANNEL)),
-    ("detectors", "detectors", _DETECTORS),
-    ("eta_expected", "eta_expected", _NUMBER),
-    ("basis_choice_prob", "basis_choice_prob", _NUMBER),
-    ("bob_bit_bias", "bob_bit_bias", _NUMBER),
-    ("signal_wavelength_nm", "signal_wavelength_nm", _NUMBER),
-    ("alpha", "alpha", _NUMBER),
-    ("mode", "mode", _Kind(_parse_mode, _dump_mode)),
-)
+# a field's kind, by its annotation text
+_KINDS: dict[str, _Kind] = {
+    "int": _Kind(_parse_integer),
+    "float": _Kind(_parse_number),
+    "bool": _Kind(_parse_boolean),
+    "float | None": _Kind(lambda v, path: None if v is None else _parse_number(v, path)),
+    "tuple[float, ...]": _Kind(_parse_numbers, list),
+    "Mapping[float, float]": _TABLE,
+    "ChannelSpec": _object(ChannelSpec),
+    "TrojanProbe": _object(TrojanProbe),
+    "tuple[DetectorSpec, ...]": _Kind(
+        _parse_detector_blocks, lambda detectors: [_dump_fields(d) for d in detectors]
+    ),
+    "Mode": _Kind(_parse_mode, lambda mode: {"kind": mode.kind, **_dump_fields(mode)}),
+}
+
+
+def _schema(cls: type) -> tuple[tuple[str, _Kind], ...]:
+    """The (name, kind) of each field of cls."""
+    try:
+        return tuple((f.name, _KINDS[f.type]) for f in dataclasses.fields(cls))
+    except KeyError as exc:
+        raise TypeError(f"{cls.__name__}: no config kind for annotation {exc.args[0]!r}") from None
+
+
+_SCHEMA = {cls: _schema(cls) for cls in (ChannelSpec, TrojanProbe, DetectorSpec, *_MODES.values(), SessionConfig)}
+# the dataclass default of each table, read once
+_TABLE_DEFAULTS = {name: _default(DetectorSpec, name) for name, kind in _SCHEMA[DetectorSpec] if kind is _TABLE}
 
 
 def parse_config(data: Mapping[str, Any], seed: int | None = None) -> SessionConfig:
@@ -267,7 +410,7 @@ def parse_config(data: Mapping[str, Any], seed: int | None = None) -> SessionCon
         raise ConfigError(f"config root must be an object, got {data!r}")
     if seed is not None:
         data = {**data, "seed": seed}
-    kwargs = _parse_fields(data, _SESSION, "")
+    kwargs = _parse_fields(data, SessionConfig, "")
     anchor_nm = kwargs.get("signal_wavelength_nm", _default(SessionConfig, "signal_wavelength_nm"))
     blocks = kwargs.get("detectors", (("detectors", {}),) * 4)
     kwargs["detectors"] = tuple(_detector(path, block, anchor_nm) for path, block in blocks)
@@ -292,7 +435,7 @@ def load_config(path: str, seed: int | None = None) -> SessionConfig:
 def serialize_config(config: SessionConfig) -> dict[str, Any]:
     """Canonical JSON-shaped form: defaults spelled out, detectors as four
     explicit blocks, wavelength tables keyed by stringified nm values."""
-    return _dump_fields(config, _SESSION)
+    return _dump_fields(config)
 
 
 def config_digest(config: SessionConfig) -> str:

@@ -1,4 +1,5 @@
-"""Session orchestration: honest runs and the three attack configurations.
+"""The session engine: run_session simulates one SessionConfig and
+build_report summarizes it; the model itself lives in config.
 
 A session is slot-synchronous: per slot the sender draws a BB84 basis/bit and
 emits one polarization-encoded photon, the lossy channel forwards it, the
@@ -24,8 +25,7 @@ the sender bits). The covert key is drawn once per key seed (_key_bits).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar, Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,127 +33,10 @@ from .analysis import DetectabilityReport, MonitorStats, detectability_report
 # blinding_session_stats is not called here; the traced benchmark run
 # rebinds it on this module
 from .blinding import BlindingPlan, blinding_session_stats, click_table, optimize_pulse  # noqa: F401
-from .channel import ChannelSpec, TrojanProbe
+from .config import BlindingMode, CovertAttackMode, HonestMode, InterceptResendMode, SessionConfig
 from .covert import announce, below, eve_decode, key_bits, thinning_acceptance, trials
-from .devices import DEFAULT_WAVELENGTH_NM, DetectorSpec
 from .errors import ConfigError, InfeasibleRateError, ValidationError
 from .states import BELL_TABLE, XOR_TABLE
-
-
-@dataclass(frozen=True)
-class HonestMode:
-    """No adversary; the measurement unit announces what it measures."""
-
-    kind: ClassVar[str] = "honest"
-
-
-@dataclass(frozen=True)
-class CovertAttackMode:
-    """Malicious measurement unit leaking receiver bits through gap parity.
-
-    The unit's real detectors have efficiency eta_true, typically far above
-    the eta_expected the receiver was sold; the surplus detections are the
-    silence budget the encoding spends; the encoder readout probe tells the
-    unit the bits it leaks. target_report_rate defaults to the rate the
-    receiver expects, transmittance * eta_expected.
-    """
-
-    kind: ClassVar[str] = "covert"
-    eta_true: float = 0.9
-    key_seed: int = 0
-    keyed: bool = True
-    target_report_rate: float | None = None
-    trojan: TrojanProbe = field(default_factory=TrojanProbe)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta_true <= 1.0:
-            raise ValidationError(f"eta_true must be in (0,1], got {self.eta_true}")
-        if not 0 <= self.key_seed < 2**64:
-            raise ValidationError(f"key_seed must be a 64-bit unsigned integer, got {self.key_seed}")
-        if self.target_report_rate is not None and self.target_report_rate <= 0.0:
-            raise ValidationError(
-                f"target_report_rate must be > 0, got {self.target_report_rate}"
-            )
-
-
-@dataclass(frozen=True)
-class BlindingMode:
-    """Bright-pulse intercept-resend against blinded detectors.
-
-    Either a fixed (wavelength, pulse_power) working point, or optimize=True
-    to grid-search one. An attack-off run is an honest session.
-    """
-
-    kind: ClassVar[str] = "blinding"
-    pulse_power: float = 2.0
-    wavelength: float = DEFAULT_WAVELENGTH_NM
-    optimize: bool = False
-    wavelength_grid: tuple[float, ...] = ()
-    power_grid: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.optimize:
-            if len(self.wavelength_grid) == 0 or len(self.power_grid) == 0:
-                raise ValidationError("optimize=True needs non-empty wavelength and power grids")
-            if min(self.power_grid) <= 0.0:
-                raise ValidationError(f"power_grid entries must be > 0, got {min(self.power_grid)}")
-        elif self.pulse_power <= 0.0:
-            raise ValidationError(f"pulse_power must be > 0, got {self.pulse_power}")
-
-
-@dataclass(frozen=True)
-class InterceptResendMode:
-    """Textbook single-photon intercept-resend on the sender-receiver link;
-    the error-rate baseline the covert and blinding attacks are measured
-    against."""
-
-    kind: ClassVar[str] = "intercept_resend"
-
-
-Mode = Union[HonestMode, CovertAttackMode, BlindingMode, InterceptResendMode]
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """Everything a session run depends on; hash of this plus the seed pins
-    the outputs byte for byte.
-
-    basis_choice_prob is each party's probability of picking the diagonal
-    basis; bob_bit_bias is the receiver's probability of encoding bit 1 (0.5
-    unless exercising degenerate scenarios); eta_expected is the efficiency
-    the receiver believes his measurement unit has.
-    """
-
-    n_slots: int = 10_000
-    seed: int = 0
-    channel: ChannelSpec = field(default_factory=ChannelSpec)
-    detectors: tuple[DetectorSpec, ...] = field(default_factory=lambda: (DetectorSpec(),) * 4)
-    eta_expected: float = 0.2
-    basis_choice_prob: float = 0.5
-    bob_bit_bias: float = 0.5
-    signal_wavelength_nm: float = DEFAULT_WAVELENGTH_NM
-    alpha: float = 0.01
-    mode: Mode = field(default_factory=HonestMode)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.n_slots < 2**63:
-            raise ValidationError(f"n_slots must be >= 1 and < 2**63, got {self.n_slots}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if len(self.detectors) != 4:
-            raise ValidationError(f"need exactly 4 detectors, got {len(self.detectors)}")
-        for name in ("eta_expected", "basis_choice_prob", "bob_bit_bias"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must be in [0,1], got {v}")
-        if self.signal_wavelength_nm <= 0.0:
-            raise ValidationError(f"signal_wavelength_nm must be > 0, got {self.signal_wavelength_nm}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"alpha must be in (0,1), got {self.alpha}")
-
-    def expected_report_rate(self) -> float:
-        """Announcements per slot the receiver expects from an honest unit."""
-        return self.channel.transmittance * self.eta_expected
 
 
 @dataclass
@@ -424,7 +307,7 @@ def _run_blinding(
         wavelength, power = plan.wavelength, plan.peak_power
     else:
         plan = None
-        wavelength, power = mode.wavelength, mode.pulse_power
+        wavelength, power = mode.wavelength_nm, mode.pulse_power
     outcome, double = click_table(config.detectors, wavelength, power)
     arr = t.arrived
     pair = _intercept(t, rng).astype(np.intp)

@@ -11,24 +11,24 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ddiqkd.channel import ChannelSpec
 from ddiqkd.cli import main
+from ddiqkd.config import (
+    BlindingMode,
+    ChannelSpec,
+    CovertAttackMode,
+    DetectorSpec,
+    HonestMode,
+    InterceptResendMode,
+    SessionConfig,
+)
 from ddiqkd.covert import (
     achievable_report_rate,
     eve_decode,
     key_bits,
     thinning_acceptance,
 )
-from ddiqkd.devices import DetectorSpec
 from ddiqkd.errors import InfeasibleRateError
-from ddiqkd.protocol import (
-    BlindingMode,
-    CovertAttackMode,
-    HonestMode,
-    InterceptResendMode,
-    SessionConfig,
-    run_session,
-)
+from ddiqkd.protocol import run_session
 from ddiqkd.states import (
     XOR_TABLE,
     Basis,
@@ -214,7 +214,7 @@ def test_acceptance_7_blinding_symmetric_detectors():
     with criterion(7, "blinding symmetric detectors"):
         config = SessionConfig(
             n_slots=20_000, seed=700, channel=ChannelSpec(transmittance=0.9),
-            mode=BlindingMode(pulse_power=2.2, wavelength=1550.0),
+            mode=BlindingMode(pulse_power=2.2, wavelength_nm=1550.0),
         )
         transcript, report = run_session(config)
         doubles = int(np.count_nonzero(transcript.double_click))

@@ -7,9 +7,9 @@ from ddiqkd.blinding import (
     evaluate_pulse,
     optimize_pulse,
 )
-from ddiqkd.devices import DetectorSpec
+from ddiqkd.config import BlindingMode, DetectorSpec, SessionConfig
 from ddiqkd.errors import NoViablePlanError, ValidationError
-from ddiqkd.protocol import BlindingMode, SessionConfig, run_session
+from ddiqkd.protocol import run_session
 from ddiqkd.states import BellOutcome
 
 TAILORED = (0.9, 1.3, 1.3, 0.9)
@@ -117,7 +117,7 @@ def test_optimizer_no_viable_plan():
 def test_session_stats_tailored_full_leak_no_errors():
     config = SessionConfig(
         n_slots=4000, seed=20, detectors=tailored_detectors(),
-        mode=BlindingMode(pulse_power=2.0, wavelength=1550.0),
+        mode=BlindingMode(pulse_power=2.0, wavelength_nm=1550.0),
     )
     transcript, _ = run_session(config)
     stats = blinding_session_stats(transcript)
@@ -129,7 +129,7 @@ def test_session_stats_tailored_full_leak_no_errors():
 
 def test_session_stats_symmetric_doubles_only():
     config = SessionConfig(
-        n_slots=4000, seed=21, mode=BlindingMode(pulse_power=2.2, wavelength=1550.0),
+        n_slots=4000, seed=21, mode=BlindingMode(pulse_power=2.2, wavelength_nm=1550.0),
     )
     transcript, _ = run_session(config)
     stats = blinding_session_stats(transcript)

@@ -1,6 +1,6 @@
 import pytest
 
-from ddiqkd.channel import ChannelSpec
+from ddiqkd.config import ChannelSpec
 from ddiqkd.errors import ValidationError
 
 

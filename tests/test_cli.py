@@ -314,6 +314,28 @@ def test_sweep_bad_grid_exits_1(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+def test_sweep_refuses_a_dotted_path_through_a_non_object(tmp_path, capsys):
+    tailored = {
+        "n_slots": 1000,
+        "detectors": [{"blind_threshold": th} for th in (0.9, 1.3, 1.3, 0.9)],
+        "mode": {"kind": "blinding", "optimize": True, "wavelength_grid": [1550.0],
+                 "power_grid": [1.0, 1.5, 2.0, 2.5, 3.0]},
+    }
+    base = write_doc(tmp_path, tailored)
+    grid = write_doc(tmp_path, {"parameters": {"detectors.efficiency": [0.2]}}, "grid.json")
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", base, "--grid", grid, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'detectors.efficiency'" in err and "'detectors'" in err
+    assert not out.exists()
+    # a missing object on the path is still created
+    grid = write_doc(tmp_path, {"parameters": {"channel.transmittance": [0.5]}}, "grid2.json")
+    assert main(["sweep", "--config", base, "--grid", grid, "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["channel.transmittance"] == "0.5" and row["feasible"] == "1"
+
+
 def test_unwritable_output_paths_exit_1(tmp_path, capsys, monkeypatch):
     calls = []
     run_session = cli.run_session

@@ -2,9 +2,8 @@ import json
 
 import pytest
 
-from ddiqkd.config import config_digest, load_config, parse_config, serialize_config
+from ddiqkd.config import SessionConfig, config_digest, load_config, parse_config, serialize_config
 from ddiqkd.errors import ConfigError
-from ddiqkd.protocol import SessionConfig
 
 COVERT_DOC = {
     "n_slots": 5000,

@@ -10,9 +10,9 @@ from ddiqkd.covert import (
     key_bits,
     thinning_acceptance,
 )
-from ddiqkd.channel import ChannelSpec
+from ddiqkd.config import ChannelSpec, CovertAttackMode, SessionConfig
 from ddiqkd.errors import InfeasibleRateError, ValidationError
-from ddiqkd.protocol import CovertAttackMode, SessionConfig, run_session
+from ddiqkd.protocol import run_session
 
 
 def zeros(n):

@@ -1,6 +1,6 @@
 import pytest
 
-from ddiqkd.devices import DetectorSpec
+from ddiqkd.config import DetectorSpec
 from ddiqkd.errors import ValidationError
 
 

@@ -17,18 +17,16 @@ from ddiqkd.blinding import (
     evaluate_pulse,
     optimize_pulse,
 )
-from ddiqkd.channel import ChannelSpec
-from ddiqkd.config import parse_config
-from ddiqkd.devices import DetectorSpec
-from ddiqkd.protocol import (
-    _BELL_CDF,
+from ddiqkd.config import (
     BlindingMode,
+    ChannelSpec,
+    DetectorSpec,
     HonestMode,
     InterceptResendMode,
     SessionConfig,
-    _bell_outcomes,
-    run_session,
+    parse_config,
 )
+from ddiqkd.protocol import _BELL_CDF, _bell_outcomes, run_session
 from ddiqkd.states import (
     BELL_TABLE,
     PREPARATIONS,
@@ -99,7 +97,7 @@ def blinding_working_point(name):
     if mode.optimize:
         plan = optimize_pulse(config.detectors, mode.wavelength_grid, mode.power_grid)
         return config.detectors, plan.wavelength, plan.peak_power
-    return config.detectors, mode.wavelength, mode.pulse_power
+    return config.detectors, mode.wavelength_nm, mode.pulse_power
 
 
 def reference_click_table(detectors, wavelength, power):
@@ -212,7 +210,7 @@ def test_blinding_leak_matches_per_slot_reference():
     )
     config = SessionConfig(
         n_slots=8000, seed=42, detectors=detectors,
-        mode=BlindingMode(pulse_power=3.8, wavelength=1550.0),
+        mode=BlindingMode(pulse_power=3.8, wavelength_nm=1550.0),
     )
     t, report = run_session(config)
     slots = t.reported_slots()

@@ -1,5 +1,6 @@
-"""The package loads without scipy.stats, and the monitors' p-values and
-critical value, taken from scipy.special, equal scipy.stats' bit for bit."""
+"""The CLI loads without scipy.stats and the config model without numpy or
+the engine, and the monitors' p-values and critical value, taken from
+scipy.special, equal scipy.stats' bit for bit."""
 
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -21,13 +23,18 @@ from ddiqkd.analysis import (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module,unloaded", [
+    ("ddiqkd.cli", ["scipy.stats"]),
+    # the config model sits below the engine and needs no array library
+    ("ddiqkd.config", ["numpy", "ddiqkd.protocol"]),
+], ids=["cli", "config"])
+def test_import_leaves_modules_unloaded(module, unloaded):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = "import sys, ddiqkd.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, {module}; print([m for m in {unloaded!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,15 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from ddiqkd.channel import ChannelSpec, TrojanProbe
-from ddiqkd.covert import eve_decode, key_bits
-from ddiqkd.devices import DetectorSpec
-from ddiqkd.errors import InfeasibleRateError, ValidationError
-from ddiqkd.protocol import (
+from ddiqkd.config import (
     BlindingMode,
+    ChannelSpec,
     CovertAttackMode,
+    DetectorSpec,
     InterceptResendMode,
     SessionConfig,
+    TrojanProbe,
+)
+from ddiqkd.covert import eve_decode, key_bits
+from ddiqkd.errors import InfeasibleRateError, ValidationError
+from ddiqkd.protocol import (
     binary_entropy,
     compute_qber,
     key_rate,

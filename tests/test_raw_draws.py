@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddiqkd import protocol
+from ddiqkd.config import CovertAttackMode
 from ddiqkd.covert import below, key_bits, trials
-from ddiqkd.protocol import CovertAttackMode
 
 EDGE_PROBS = [0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53, 1.0]
 
