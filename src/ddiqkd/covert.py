@@ -23,33 +23,18 @@ announce applies the one-slot rule (first candidate announced; then a
 candidate whose gap has the keyed parity and passes a thinning trial) to a
 whole session's candidates at once, with one Python step per announcement.
 The tests hold the rule as a per-candidate loop and check announce against
-it, slots and generator state alike.
-
-Each Bernoulli trial compares a raw generator word w (below, trials): numpy's
-uniform (w >> 11) * 2**-53 is below p exactly when w < ceil(p * 2**53) << 11,
-so trials equal rng.random(n) < p, generator state too.
+it, slots and generator state alike. Its thinning trials are
+rng.random(n) < q; the examined tail is skipped as raw words, which
+allocates nothing.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InfeasibleRateError, ValidationError
-
-
-def below(words: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Per raw generator word, whether numpy's uniform from it is below p in [0, 1]."""
-    if p >= 1.0:
-        return np.greater_equal(words, 0, out=out)  # 2**64 is past uint64
-    return np.less(words, math.ceil(p * 2**53) << 11, out=out)
-
-
-def trials(rng, n: int, p: float, out: np.ndarray | None = None) -> np.ndarray:
-    """rng.random(n) < p from n raw words, generator state included."""
-    return below(rng.bit_generator.random_raw(n), p, out)
 
 
 def key_bits(key_seed: int, n: int) -> np.ndarray:
@@ -122,7 +107,7 @@ def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
         raise ValidationError(f"need a key bit per candidate, got {len(keys)} for {n}")
     if q < 1.0:
         snapshot = rng.bit_generator.state
-        accepted = np.flatnonzero(trials(rng, n, q))
+        accepted = np.flatnonzero(rng.random(n) < q)
         rng.bit_generator.state = snapshot
     else:
         accepted = np.arange(n)

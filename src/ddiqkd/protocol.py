@@ -17,9 +17,10 @@ pairs. A preparation's index is 2*basis + bit.
 
 Determinism contract: a session is fully determined by (config, seed). Party
 settings and arrivals are drawn in bulk in a fixed order, then each mode's
-draws follow, also in bulk and in a fixed order (see run_session), read off
-raw words with the values of numpy's float and int8 draws (covert.trials,
-the sender bits). The covert key is drawn once per key seed (_key_bits).
+draws follow, also in bulk and in a fixed order (see run_session). Every
+Bernoulli trial is rng.random(n) < p; the sender bits are read off raw words
+with the values of numpy's int8 draw, which is several times faster. The
+covert key is drawn once per key seed (_key_bits).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .analysis import DetectabilityReport, MonitorStats, detectability_report
 # rebinds it on this module
 from .blinding import BlindingPlan, blinding_session_stats, click_table, optimize_pulse  # noqa: F401
 from .config import BlindingMode, CovertAttackMode, HonestMode, InterceptResendMode, SessionConfig
-from .covert import announce, below, eve_decode, key_bits, thinning_acceptance, trials
+from .covert import announce, eve_decode, key_bits, thinning_acceptance
 from .errors import ConfigError, InfeasibleRateError, ValidationError
 from .states import BELL_TABLE, XOR_TABLE
 
@@ -144,7 +145,7 @@ def _draw_settings(config: SessionConfig, rng) -> Transcript:
     n = config.n_slots
 
     def flags(p: float) -> np.ndarray:
-        return trials(rng, n, p, out=np.empty(n, dtype=np.int8))
+        return np.less(rng.random(n), p, out=np.empty(n, dtype=np.int8))
 
     return Transcript(
         n_slots=n,
@@ -156,7 +157,7 @@ def _draw_settings(config: SessionConfig, rng) -> Transcript:
                    .view(np.uint8)[:n] >> 7).view(np.int8),
         bob_basis=flags(config.basis_choice_prob),
         bob_bit=flags(config.bob_bit_bias),
-        arrived=trials(rng, n, config.channel.transmittance),
+        arrived=rng.random(n) < config.channel.transmittance,
         detected=np.zeros(n, dtype=bool),
         reported=np.full(n, -1, dtype=np.int8),
         double_click=np.zeros(n, dtype=bool),
@@ -201,10 +202,10 @@ def _detect(config: SessionConfig, t: Transcript, pair: np.ndarray, rng) -> None
     # the outcome where its detector's efficiency trial passes, else -1;
     # a trial per detector over the outcomes, which numpy runs faster than
     # a gather of the efficiencies by int8 outcome
-    words = rng.bit_generator.random_raw(len(k))
+    u = rng.random(len(k))
     passed = np.zeros(len(k), dtype=bool)
     for i, d in enumerate(config.detectors):
-        passed |= (k == i) & below(words, d.efficiency_at(config.signal_wavelength_nm))
+        passed |= (k == i) & (u < d.efficiency_at(config.signal_wavelength_nm))
     k = passed * (k + 1) - 1
     photon = np.full(t.n_slots, -1, dtype=np.int8)
     photon[t.arrived] = k
@@ -219,7 +220,7 @@ def _detect(config: SessionConfig, t: Transcript, pair: np.ndarray, rng) -> None
     which = np.maximum(photon, 0)
     fired = np.empty(t.n_slots, dtype=np.int8)
     for i, p in dark:
-        trials(rng, t.n_slots, p, out=fired)
+        np.less(rng.random(t.n_slots), p, out=fired)
         fired &= photon != i
         clicks += fired
         fired *= i
@@ -236,8 +237,8 @@ def _intercept(t: Transcript, rng) -> np.ndarray:
     4 * her resent preparation + the receiver's preparation per arrived slot."""
     arr = t.arrived
     m = int(np.count_nonzero(arr))
-    basis = ~trials(rng, m, 0.5)
-    coin = ~trials(rng, m, 0.5)
+    basis = rng.random(m) >= 0.5
+    coin = rng.random(m) >= 0.5
     pair = _pairs(t)[arr]
     # her bit: the sender's where her basis is the sender's (bit 3 of the
     # pair), else the coin
@@ -282,21 +283,19 @@ def _covert_acceptance(config: SessionConfig, mode: CovertAttackMode) -> float:
     return thinning_acceptance(p_candidate, target)
 
 
-def _run_covert(mode: CovertAttackMode, q: float, t: Transcript, rng) -> np.ndarray:
-    """Covert detection and reporting; returns the session's key bits, one
-    per candidate, which the report's decoder reads as well."""
+def _run_covert(mode: CovertAttackMode, q: float, t: Transcript, rng) -> None:
+    """Covert detection and reporting, keyed by one key bit per candidate."""
     arrived = np.flatnonzero(t.arrived)
-    candidates = arrived[trials(rng, len(arrived), mode.eta_true)]
+    candidates = arrived[rng.random(len(arrived)) < mode.eta_true]
     t.detected[candidates] = True
     p_readout = mode.trojan.readout_success_prob
     if p_readout < 1.0:
         # a detection whose encoder readout failed is never announced
-        candidates = candidates[trials(rng, len(candidates), p_readout)]
+        candidates = candidates[rng.random(len(candidates)) < p_readout]
     keys = _key_bits(mode, len(candidates))
     announced = announce(candidates, t.bob_bit[candidates], keys, q, rng)
     # outcomes pass through from honest measurement, never altered
     t.reported[announced] = _bell_outcomes(_pairs(t, announced), rng.random(len(announced)))
-    return keys
 
 
 def _run_blinding(
@@ -317,21 +316,18 @@ def _run_blinding(
     return plan
 
 
-def _leak_fraction(
-    config: SessionConfig, t: Transcript, sifted: np.ndarray, keys: np.ndarray | None,
-) -> float:
+def _leak_fraction(config: SessionConfig, t: Transcript, sifted: np.ndarray) -> float:
     """Fraction of the relevant secret the in-channel or in-unit adversary
     actually recovered, from ground truth: per announced single, the
-    receiver bits decoded from their gaps under the covert key bits `keys`;
-    per sifted slot, the bits the interceptor holds (intercept-resend,
-    blinding)."""
+    receiver bits decoded from their gaps under the covert key, a prefix of
+    the reporter's draw; per sifted slot, the bits the interceptor holds
+    (intercept-resend, blinding)."""
     mode = config.mode
     if isinstance(mode, CovertAttackMode):
         singles = t.reported_slots()
         if len(singles) == 0:
             return 0.0
-        assert keys is not None
-        decoded = eve_decode(singles, keys)
+        decoded = eve_decode(singles, _key_bits(mode, len(singles) - 1))
         return np.count_nonzero(decoded == t.bob_bit[singles[:-1]]) / len(singles)
     blinding = isinstance(mode, BlindingMode)
     if len(sifted) == 0 or not (blinding or isinstance(mode, InterceptResendMode)):
@@ -346,16 +342,11 @@ def _leak_fraction(
 
 def build_report(
     config: SessionConfig, transcript: Transcript, plan: BlindingPlan | None = None,
-    keys: np.ndarray | None = None,
 ) -> SessionReport:
     """The session report in one pass: the monitors' count record, the
     sifted slots and the expected rate are each taken once, and the counts,
     QBER, leak fraction and monitors (double-click rate included) all read
-    from them.
-
-    keys are a covert session's key bits, at least one per announced gap,
-    and are required in covert mode: run_session passes the reporter's own
-    draw, which the decoder reads too."""
+    from them."""
     stats = MonitorStats.of(transcript.reported, transcript.double_click)
     expected = config.expected_report_rate()
     det = detectability_report(stats, expected, config.alpha)
@@ -374,7 +365,7 @@ def build_report(
         key_rate=rate,
         reported_rate=reported / n,
         double_click_rate=det.double_click_rate,
-        eve_leak_fraction=_leak_fraction(config, transcript, sifted, keys),
+        eve_leak_fraction=_leak_fraction(config, transcript, sifted),
         expected_report_rate=expected,
         detectability=det,
         plan=plan,
@@ -401,16 +392,15 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     t = _draw_settings(config, rng)
     plan: BlindingPlan | None = None
-    keys: np.ndarray | None = None
     if isinstance(mode, HonestMode):
         _detect(config, t, _pairs(t)[t.arrived], rng)
     elif isinstance(mode, CovertAttackMode):
         assert q is not None
-        keys = _run_covert(mode, q, t, rng)
+        _run_covert(mode, q, t, rng)
     elif isinstance(mode, BlindingMode):
         plan = _run_blinding(config, mode, t, rng)
     elif isinstance(mode, InterceptResendMode):
         _detect(config, t, _intercept(t, rng), rng)
     else:
         raise ConfigError(f"unknown session mode: {mode!r}")
-    return t, build_report(config, t, plan, keys)
+    return t, build_report(config, t, plan)

@@ -2,8 +2,16 @@ import json
 
 import pytest
 
-from ddiqkd.config import SessionConfig, config_digest, load_config, parse_config, serialize_config
-from ddiqkd.errors import ConfigError
+from ddiqkd.config import (
+    ChannelSpec,
+    DetectorSpec,
+    SessionConfig,
+    config_digest,
+    load_config,
+    parse_config,
+    serialize_config,
+)
+from ddiqkd.errors import ConfigError, ValidationError
 
 COVERT_DOC = {
     "n_slots": 5000,
@@ -144,3 +152,29 @@ def test_wavelength_tables_survive_round_trip():
     assert config.detectors[0].threshold_at(1550.0) == 0.9
     again = parse_config(serialize_config(config))
     assert again.detectors[0].threshold_at(1310.0) == 1.1
+
+
+def test_channel_spec_range():
+    ChannelSpec(0.0)
+    ChannelSpec(1.0)
+    with pytest.raises(ValidationError):
+        ChannelSpec(1.01)
+    with pytest.raises(ValidationError):
+        ChannelSpec(-0.1)
+
+
+def test_detector_spec_validation():
+    with pytest.raises(ValidationError):
+        DetectorSpec({1550.0: 1.5}, 0.0, {1550.0: 1.0})
+    with pytest.raises(ValidationError):
+        DetectorSpec({1550.0: 0.2}, -0.1, {1550.0: 1.0})
+    with pytest.raises(ValidationError):
+        DetectorSpec({}, 0.0, {1550.0: 1.0})
+
+
+def test_wavelength_lookup_nearest_with_low_tie():
+    d = DetectorSpec({800.0: 0.05, 1550.0: 0.2}, 0.0, {800.0: 0.4, 1550.0: 1.0})
+    assert d.efficiency_at(1550.0) == 0.2
+    assert d.efficiency_at(900.0) == 0.05
+    assert d.threshold_at(10_000.0) == 1.0
+    assert d.efficiency_at(1175.0) == 0.05  # equidistant: lower wavelength wins

@@ -1,5 +1,5 @@
 """Covert sessions at the size of a real sweep: announce against the
-one-slot rule, and the report's decoder on the reporter's key draw.
+one-slot rule, and the report's decoder on a fresh key draw.
 
 The hypothesis test in test_covert_bulk.py draws at most 80 candidates. Here
 the candidates are those that 10,000-slot covert sessions hand the reporter,
@@ -79,11 +79,12 @@ def test_announce_matches_reference_at_sweep_size(transmittance, keyed, monkeypa
 
 @pytest.mark.parametrize("transmittance", [TRANSMITTANCES[0], TRANSMITTANCES[-1]])
 def test_report_key_draw_matches_a_fresh_draw(transmittance):
-    # run_session hands build_report the reporter's key draw, one bit per
-    # candidate; a fresh draw from key_seed of one bit per gap reads the
-    # same prefix and so gives the same report
+    # the reporter reads one key bit per candidate; with the key draw
+    # dropped, the report's decoder draws afresh from key_seed one bit per
+    # gap, the same prefix, and so gives the same report
     config = session_config(transmittance, keyed=True)
     transcript, report = protocol.run_session(config)
     assert report.reported > 10
-    keys = protocol._key_bits(config.mode, report.reported - 1)
-    assert protocol.build_report(config, transcript, keys=keys) == report
+    protocol._key_draw = (0, np.zeros(0, dtype=np.int8))
+    assert protocol.build_report(config, transcript) == report
+    assert len(protocol._key_draw[1]) == report.reported - 1

@@ -1,11 +1,10 @@
-"""The session's draws from raw generator words against numpy's own draws.
+"""The session's raw-word draws against numpy's own draws.
 
-Every Bernoulli trial is covert.trials, a compare of raw 64-bit words, and
-the sender bits are read off raw bytes; both must give the values numpy's
-rng.random(n) < p and rng.integers(0, 2, n, int8) give, and leave the
-generator where those leave it for every later 64-bit draw. The covert key
-is drawn once per key seed, and every prefix of that draw must be a fresh
-draw.
+The settings draw reads the sender bits off raw bytes between trials of
+rng.random(n) < p; the bits must be the values rng.integers(0, 2, n, int8)
+gives, and the generator must be left where numpy's own draws leave it for
+every later 64-bit draw. The covert key is drawn once per key seed, and
+every prefix of that draw must be a fresh draw.
 """
 
 from dataclasses import replace
@@ -13,63 +12,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ddiqkd import protocol
 from ddiqkd.config import CovertAttackMode
-from ddiqkd.covert import below, key_bits, trials
-
-EDGE_PROBS = [0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53, 1.0]
-
-
-def session_rng(seed, prefix):
-    """A generator that may hold half of a 64-bit word after `prefix` int8
-    draws."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rng.integers(0, 2, size=prefix, dtype=np.int8)
-    return rng
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    p=st.one_of(st.sampled_from(EDGE_PROBS), st.floats(0.0, 1.0)),
-    n=st.integers(0, 3000),
-    seed=st.integers(0, 2**32),
-    prefix=st.integers(0, 3),
-)
-def test_trials_equal_float_compare(p, n, seed, prefix):
-    raw, ref = session_rng(seed, prefix), session_rng(seed, prefix)
-    got = trials(raw, n, p)
-    assert got.dtype == bool
-    assert np.array_equal(got, ref.random(n) < p)
-    assert raw.bit_generator.state == ref.bit_generator.state
-    # into an int8 buffer, and the complement as a compare >= p
-    assert np.array_equal(trials(raw, n, p, out=np.empty(n, dtype=np.int8)), ref.random(n) < p)
-    assert np.array_equal(~trials(raw, n, p), ref.random(n) >= p)
-    assert raw.bit_generator.state == ref.bit_generator.state
-
-
-@settings(max_examples=200, deadline=None)
-@given(p=st.one_of(st.sampled_from(EDGE_PROBS), st.floats(0.0, 1.0)))
-def test_below_at_the_bound(p):
-    # the words around the bound, where a trial flips: numpy's uniform
-    # from a word w is (w >> 11) * 2**-53
-    bound = int(p * 2.0**53) << 11
-    words = np.array(
-        [w for w in range(bound - 4096, bound + 4096) if 0 <= w < 2**64], dtype=np.uint64
-    )
-    assert np.array_equal(below(words, p), (words >> np.uint64(11)) * 2.0**-53 < p)
-
-
-@pytest.mark.parametrize("p", EDGE_PROBS)
-def test_trials_edge_probabilities(p):
-    raw, ref = session_rng(3, 1), session_rng(3, 1)
-    got = trials(raw, 10_000, p)
-    assert np.array_equal(got, ref.random(10_000) < p)
-    if p in (0.0, 1.0):
-        assert got.all() == (p == 1.0) and got.any() == (p == 1.0)
-    assert raw.bit_generator.state == ref.bit_generator.state
+from ddiqkd.covert import key_bits
 
 
 def settings_config(n):
