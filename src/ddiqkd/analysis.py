@@ -119,12 +119,13 @@ def outcome_histogram(counts: Sequence[int]) -> tuple[np.ndarray, float, float] 
 class DetectabilityReport:
     """Monitor outputs plus per-test verdicts at significance alpha;
     dataclasses.asdict of it is its JSON form. double_click_rate is
-    double-click slots per transmitted slot."""
+    double-click slots per transmitted slot. rate_z_score is None where
+    rate_consistency is infinite, which strict JSON cannot hold."""
 
     alpha: float
     gap_parity_chi2: float | None
     gap_parity_p_value: float | None
-    rate_z_score: float
+    rate_z_score: float | None
     outcome_chi2: float | None
     outcome_p_value: float | None
     double_click_rate: float
@@ -164,7 +165,7 @@ def detectability_report(
         alpha=alpha,
         gap_parity_chi2=gp[0] if gp else None,
         gap_parity_p_value=gp[1] if gp else None,
-        rate_z_score=z,
+        rate_z_score=z if math.isfinite(z) else None,
         outcome_chi2=oh[1] if oh else None,
         outcome_p_value=oh[2] if oh else None,
         double_click_rate=dcr,

@@ -111,26 +111,19 @@ def optimize_pulse(
     """
     if len(wavelength_grid) == 0 or len(power_grid) == 0:
         raise ValidationError("wavelength and power grids must be non-empty")
-    best: BlindingPlan | None = None
-    best_key: tuple[float, float, float] | None = None
-    for wl in wavelength_grid:
-        for power in power_grid:
-            if power <= 0.0:
-                raise ValidationError(f"pulse powers must be > 0, got {power}")
-            single, double, cross = evaluate_pulse(detectors, wl, power)
-            if cross > 0.0 or single + double == 0.0:
-                continue
-            key = (-single, double, power)
-            if best_key is None or key < best_key:
-                best = BlindingPlan(wl, power, single, double, cross)
-                best_key = key
-    if best is None:
+    # (wavelength, power, single, double, cross) of each point, in grid order
+    census = [
+        (wl, power, *evaluate_pulse(detectors, wl, power)) for wl in wavelength_grid for power in power_grid
+    ]
+    viable = [c for c in census if c[4] == 0.0 and c[2] + c[3] > 0.0]
+    if not viable:
         raise NoViablePlanError(
             f"no (wavelength, power) candidate over {len(wavelength_grid)} wavelengths x "
             f"{len(power_grid)} powers clicks on basis-matched rounds while staying silent "
             "on basis-mismatched ones"
         )
-    return best
+    # min keeps the first of equal keys, which is the grid-order tie-break
+    return BlindingPlan(*min(viable, key=lambda c: (-c[2], c[3], c[1])))
 
 
 @dataclass(frozen=True)

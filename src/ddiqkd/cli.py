@@ -16,9 +16,10 @@ session report. `analyze` checks every byte of a transcript, but its
 monitors read only the slot order, the announced outcomes and the double
 clicks, so its verdicts never peek at ground truth.
 
-Exit codes: 0 success, 1 usage/parse/validation problems and unwritable
-output paths, 2 structurally infeasible scenarios (covert target rate out of
-reach, no viable blinding working point).
+Exit codes: 0 success, 1 usage/parse/validation problems, unwritable
+output paths and an output path that names an input, 2 structurally
+infeasible scenarios (covert target rate out of reach, no viable blinding
+working point).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _transcript_meta(config: SessionConfig, digest: str) -> dict[str, Any]:
 # higher digits are the block index, constant within the block. It also
 # bounds the transient arrays a block needs (a few hundred kilobytes).
 _BLOCK_ROWS = 10_000
-_LOW_DIGITS = 4
+_LOW_DIGITS = len(str(_BLOCK_ROWS)) - 1
 
 _HEADER = (",".join(TRANSCRIPT_COLUMNS) + "\n").encode("ascii")
 _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
@@ -112,24 +113,16 @@ def _mask(digits: int) -> np.ndarray:
     return mask
 
 
-def _block_frame(digits: int, block: int, rows: int) -> np.ndarray:
-    """A writable copy of the frame of the first `rows` rows of block number
-    `block`, with its high slot digits filled in."""
-    out = _frame(digits)[:rows].copy()
-    if digits > _LOW_DIGITS:
-        high = str(block).zfill(digits - _LOW_DIGITS).encode("ascii")
-        out[:, :len(high)] = np.frombuffer(high, dtype=np.uint8)
-    return out
-
-
 def write_transcript_csv(path: str, transcript: Transcript, meta: Mapping[str, Any]) -> None:
     """Write `# key: value` metadata, the column header, then one row per
     slot: `slot,alice_basis,alice_bit,bob_basis,bob_bit,arrived,` followed
     by the announced outcome (`-` when none) and `,double_click`. The slot
     is zero-padded to the digit count of n_slots - 1, so every row has the
-    same width; each block is its frame with the seven cells stored in it."""
+    same width; each block is a copy of its frame, with the block index as
+    its high slot digits and the seven cells stored in it."""
     n = transcript.n_slots
     digits = len(str(n - 1))
+    frame, high = _frame(digits), digits - _LOW_DIGITS
     bits = {
         digits + 1: transcript.alice_basis, digits + 3: transcript.alice_bit,
         digits + 5: transcript.bob_basis, digits + 7: transcript.bob_bit,
@@ -141,7 +134,9 @@ def write_transcript_csv(path: str, transcript: Transcript, meta: Mapping[str, A
         fh.write(_HEADER)
         for block, start in enumerate(range(0, n, _BLOCK_ROWS)):
             stop = min(start + _BLOCK_ROWS, n)
-            rows = _block_frame(digits, block, stop - start)
+            rows = frame[:stop - start].copy()
+            if high > 0:
+                rows[:, :high] = np.frombuffer(b"%0*d" % (high, block), dtype=np.uint8)
             for col, values in bits.items():
                 rows[:, col] |= values[start:stop].view(np.uint8)
             # -1 is 255 in uint8, and 255 + '0' - 2 wraps to '-'
@@ -172,17 +167,18 @@ def _row_fault(row: bytes, slot: bytes) -> str | None:
     return None
 
 
-def _reject_block(path: str, data: bytes, frame: np.ndarray, line: int, start: int, n_slots: int) -> NoReturn:
-    """Name the first line of a block that failed its check, and the rule
-    it breaks. Each row before it is whole and has the fixed width, so a
-    shifted or truncated row is named at its own line."""
-    digits = frame.shape[1] - 15
+def _reject_block(
+    path: str, data: bytes, size: int, digits: int, line: int, start: int, n_slots: int
+) -> NoReturn:
+    """Name the first line of a block of `size` bytes that failed its check,
+    and the rule it breaks. Each row before it is whole and has the fixed
+    width, so a shifted or truncated row is named at its own line."""
     *rows, tail = data.split(b"\n")
     for k, row in enumerate([*rows, tail] if tail else rows):
-        if k == len(rows) and len(data) < frame.size:
+        if k == len(rows) and len(data) < size:
             reason = "last row does not end in a newline"
         else:  # a tail left in a whole block is a row too long for it
-            reason = _row_fault(row, frame[k, :digits].tobytes())
+            reason = _row_fault(row, b"%0*d" % (digits, start + k))
         if reason:
             raise ValidationError(f"{path}:{line + k}: malformed row: {reason}: {row[:80]!r}")
     k = len(rows)
@@ -191,10 +187,10 @@ def _reject_block(path: str, data: bytes, frame: np.ndarray, line: int, start: i
     )
 
 
-def _meta_value(path: str, meta: Mapping[str, str], key: str, kind: type, default: Any = None) -> Any:
-    """A metadata value converted by kind, or default when the key is absent."""
+def _meta_value(path: str, meta: Mapping[str, str], key: str, kind: type) -> Any:
+    """A metadata value converted by kind; an absent key is refused."""
     if key not in meta:
-        return default
+        raise ValidationError(f"{path}: metadata lacks {key}")
     try:
         return kind(meta[key])
     except ValueError:
@@ -241,8 +237,6 @@ def read_public_view(path: str) -> tuple[MonitorStats, dict[str, str]]:
                 f"{path}:{lineno}: header must be {','.join(TRANSCRIPT_COLUMNS)}, got {line[:200]!r}"
             )
         n_slots = _meta_value(path, meta, "n_slots", int)
-        if n_slots is None:
-            raise ValidationError(f"{path}: metadata lacks n_slots, which sets the row width")
         if not 1 <= n_slots < 2**63:
             raise ValidationError(f"{path}: metadata n_slots: {n_slots} is not >= 1 and < 2**63")
         digits = len(str(n_slots - 1))
@@ -273,7 +267,7 @@ def read_public_view(path: str) -> tuple[MonitorStats, dict[str, str]]:
                     and not (announced & double).any()
                 )
             if not valid:
-                _reject_block(path, data, _block_frame(digits, block, count), first_line + start, start, n_slots)
+                _reject_block(path, data, count * width, digits, first_line + start, start, n_slots)
             counted = MonitorStats.of(outcome, double)
             stats = counted if start == 0 else stats.merge(counted)
         if fh.read(1):
@@ -296,13 +290,25 @@ def report_payload(config: SessionConfig, report: SessionReport, digest: str) ->
 
 
 def _dump_json(fh: TextIO, payload: Mapping[str, Any]) -> None:
-    fh.write(json.dumps(payload, indent=2, sort_keys=True))
+    fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     fh.write("\n")
 
 
 def write_json(path: str, payload: Mapping[str, Any]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         _dump_json(fh, payload)
+
+
+def _refuse_input_as_out(out: str, *inputs: tuple[str, str]) -> None:
+    """Refuse an --out that is the same file as one of the (flag, path)
+    inputs, which writing it would destroy."""
+    for flag, path in inputs:
+        try:
+            same = os.path.samefile(out, path)
+        except OSError:  # either file is missing, so they are not one file
+            continue
+        if same:
+            raise ConfigError(f"--out {out} is the same file as {flag} {path}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -386,6 +392,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     if args.master_seed < 0:
         raise ConfigError(f"--master-seed must be >= 0, got {args.master_seed}")
+    _refuse_input_as_out(args.out, ("--config", args.config), ("--grid", args.grid))
     base_doc = read_json(args.config, "config")
     if not isinstance(base_doc, dict):
         raise ConfigError("config root must be an object")
@@ -426,18 +433,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _analysis(args: argparse.Namespace) -> dict[str, Any]:
     stats, meta = read_public_view(args.transcript)
-    if args.expected_rate is not None:
-        expected = args.expected_rate
-    elif "expected_report_rate" in meta:
-        expected = _meta_value(args.transcript, meta, "expected_report_rate", float)
-    else:
-        raise ConfigError(
-            "transcript metadata lacks expected_report_rate; pass --expected-rate"
-        )
-    if args.alpha is not None:
-        alpha = args.alpha
-    else:
-        alpha = _meta_value(args.transcript, meta, "alpha", float, default=0.01)
+    expected, alpha = (
+        _meta_value(args.transcript, meta, key, float) if flag is None else flag
+        for key, flag in (("expected_report_rate", args.expected_rate), ("alpha", args.alpha))
+    )
     det = detectability_report(stats, expected, alpha)
     payload = {
         "version": __version__,
@@ -456,6 +455,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if not args.out:
         _dump_json(sys.stdout, _analysis(args))
         return 0
+    _refuse_input_as_out(args.out, ("--transcript", args.transcript))
     # --out is opened before the transcript is read, as sweep opens its CSV
     # before the first session, so a path that cannot be written wastes no
     # analysis; it is opened without truncation and an existing file is

@@ -15,17 +15,6 @@ parities, the mean gap to the next usable detection is 2/p (even target) or
 2/p - 1 (odd target), giving a top announcement rate of 2p/(4-p). Thinning
 each parity-valid candidate with acceptance q scales p to p*q inside that
 formula, which is inverted by thinning_acceptance.
-
-The key bits (key_bits) mask gap k, from announcement k to k+1; the first
-k bits of any draw from one seed are the same, so the reporter (announce)
-and the accomplice (eve_decode) may read prefixes of one longer draw.
-announce applies the one-slot rule (first candidate announced; then a
-candidate whose gap has the keyed parity and passes a thinning trial) to a
-whole session's candidates at once, with one Python step per announcement.
-The tests hold the rule as a per-candidate loop and check announce against
-it, slots and generator state alike. Its thinning trials are
-rng.random(n) < q; the examined tail is skipped as raw words, which
-allocates nothing.
 """
 
 from __future__ import annotations

@@ -10,10 +10,10 @@ its announced outcomes and double clicks. Sifting keeps announced single
 clicks where the bases matched, double clicks are discarded from key
 material but counted.
 
-Every mode runs on two small tables instead of per-slot state algebra: the
-Bell probabilities of the 16 (source, receiver) preparation pairs, and for
-blinding the unit's deterministic response to the 16 (pulse, receiver)
-pairs. A preparation's index is 2*basis + bit.
+Every mode runs on two small tables: the Bell probabilities of the 16
+(source, receiver) preparation pairs, and for blinding the unit's
+deterministic response to the 16 (pulse, receiver) pairs. A preparation's
+index is 2*basis + bit.
 
 Determinism contract: a session is fully determined by (config, seed). Party
 settings and arrivals are drawn in bulk in a fixed order, then each mode's

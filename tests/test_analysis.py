@@ -16,7 +16,7 @@ from ddiqkd.covert import announce, eve_decode
 from ddiqkd.errors import ValidationError
 
 
-def make_view(n_slots, slots, outcomes=None, doubles=()):
+def make_stats(n_slots, slots, outcomes=None, doubles=()):
     """The count record of an n_slots span announcing outcomes (0 by
     default) at slots, with double clicks at doubles."""
     reported = np.full(n_slots, -1, dtype=np.int8)
@@ -78,14 +78,14 @@ def test_merge_of_split_spans_equals_record_of_whole(cols, data):
     assert left.merge(right) == MonitorStats.of(reported, double_click)
 
 
-def test_view_validation():
+def test_stats_validation():
     with pytest.raises(ValidationError):
-        detectability_report(make_view(0, []), expected_rate=0.02)
-    assert make_view(100, [1, 5], doubles=[7]).announced_events == 3
+        detectability_report(make_stats(0, []), expected_rate=0.02)
+    assert make_stats(100, [1, 5], doubles=[7]).announced_events == 3
 
 
 def gap_parity_of(slots):
-    stats = make_view(1000, slots)
+    stats = make_stats(1000, slots)
     return gap_parity_uniformity(stats.odd_gaps, stats.singles - 1)
 
 
@@ -162,13 +162,13 @@ def test_outcome_histogram_uniform_and_degenerate():
 
 
 def test_double_click_rate():
-    doubled = detectability_report(make_view(100, [1, 5], doubles=[7, 9]), expected_rate=0.02)
+    doubled = detectability_report(make_stats(100, [1, 5], doubles=[7, 9]), expected_rate=0.02)
     assert doubled.double_click_rate == pytest.approx(0.02)
-    assert detectability_report(make_view(100, [1, 5]), expected_rate=0.02).double_click_rate == 0.0
+    assert detectability_report(make_stats(100, [1, 5]), expected_rate=0.02).double_click_rate == 0.0
 
 
 def test_detectability_report_verdict_wiring():
-    biased = make_view(10000, np.arange(0, 400, 2), outcomes=np.tile(np.arange(4), 50))
+    biased = make_stats(10000, np.arange(0, 400, 2), outcomes=np.tile(np.arange(4), 50))
     report = detectability_report(biased, expected_rate=0.02)
     assert report.verdicts["gap_parity"] == "reject"
     assert report.verdicts["outcome_uniformity"] == "pass"
@@ -177,18 +177,18 @@ def test_detectability_report_verdict_wiring():
     assert "reject" in report.verdicts.values()
 
     slots = np.cumsum([0] + [1, 2] * 99)  # 199 reports, balanced gap parity
-    clean = make_view(10000, slots, outcomes=np.tile(np.arange(4), 50)[:199])
+    clean = make_stats(10000, slots, outcomes=np.tile(np.arange(4), 50)[:199])
     report = detectability_report(clean, expected_rate=0.02)
     assert "reject" not in report.verdicts.values()
 
-    doubled = make_view(10000, slots, outcomes=np.zeros(199), doubles=[9000])
+    doubled = make_stats(10000, slots, outcomes=np.zeros(199), doubles=[9000])
     report = detectability_report(doubled, expected_rate=0.02)
     assert report.verdicts["double_click"] == "reject"
     assert report.verdicts["outcome_uniformity"] == "reject"  # all outcomes equal
 
 
 def test_detectability_report_empty_view():
-    report = detectability_report(make_view(5000, []), expected_rate=0.02)
+    report = detectability_report(make_stats(5000, []), expected_rate=0.02)
     assert report.verdicts["gap_parity"] == "absent"
     assert report.verdicts["outcome_uniformity"] == "absent"
     assert report.verdicts["rate"] == "reject"  # 0 reports vs expected 100
@@ -201,7 +201,7 @@ def test_detectability_report_empty_view():
 
 def test_alpha_validation():
     with pytest.raises(ValidationError):
-        detectability_report(make_view(100, [1, 3]), 0.02, alpha=0.0)
+        detectability_report(make_stats(100, [1, 3]), 0.02, alpha=0.0)
 
 
 def test_monitor_false_positive_rates_near_alpha():
@@ -214,7 +214,7 @@ def test_monitor_false_positive_rates_near_alpha():
         detected = rng.random(n_slots) < 0.02
         slots = np.flatnonzero(detected)
         outcomes = rng.integers(0, 4, size=len(slots), dtype=np.int8)
-        view = make_view(n_slots, slots, outcomes=outcomes)
+        view = make_stats(n_slots, slots, outcomes=outcomes)
         report = detectability_report(view, expected_rate=0.02, alpha=alpha)
         for name in rejects:
             rejects[name] += report.verdicts[name] == "reject"

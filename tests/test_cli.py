@@ -213,6 +213,55 @@ def test_analyze_expected_rate_flag_overrides_metadata(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["detectability"]["verdicts"]["rate"] == "reject"  # ~0.02 observed vs 0.3 claimed
+    code = main(["analyze", "--transcript", str(out_dir / "transcript.csv"), "--alpha", "0.5"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["detectability"]["alpha"] == 0.5
+    code = main(["analyze", "--transcript", str(out_dir / "transcript.csv"), "--expected-rate", "1.5"])
+    assert code == 1
+    assert "expected_rate must be in [0,1], got 1.5" in capsys.readouterr().err
+
+
+def test_analyze_flags_stand_in_for_absent_metadata(tmp_path, capsys):
+    _, out_dir = run_cli(tmp_path, HONEST_DOC)
+    path = out_dir / "transcript.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith(("# alpha:", "# expected_report_rate:"))))
+    capsys.readouterr()
+    assert main(["analyze", "--transcript", str(path), "--alpha", "0.01"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: metadata lacks expected_report_rate\n"
+    assert main(["analyze", "--transcript", str(path), "--expected-rate", "0.02"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: metadata lacks alpha\n"
+    assert main(["analyze", "--transcript", str(path), "--expected-rate", "0.02", "--alpha", "0.01"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["expected_report_rate"] == 0.02 and payload["detectability"]["alpha"] == 0.01
+
+
+def refuse_json_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("doc", [
+    dict(HONEST_DOC, n_slots=2000, eta_expected=0.0),
+    dict(HONEST_DOC, n_slots=2000, channel={"transmittance": 1.0}, eta_expected=1.0,
+         detectors={"efficiency": 0.5}),
+], ids=["expected_rate_0", "expected_rate_1"])
+def test_infinite_rate_z_score_is_written_as_null(tmp_path, capsys, doc):
+    code, out_dir = run_cli(tmp_path, doc)
+    assert code == 0
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--transcript", str(out_dir / "transcript.csv"), "--out", str(out)]) == 0
+    report = json.loads((out_dir / "report.json").read_text(), parse_constant=refuse_json_constant)
+    analysis = json.loads(out.read_text(), parse_constant=refuse_json_constant)
+    for det in (report["report"]["detectability"], analysis["detectability"]):
+        assert det["rate_z_score"] is None
+        assert det["verdicts"]["rate"] == "reject"
+    # a sweep writes the null as a blank cell, as it does every absent monitor
+    grid = write_doc(tmp_path, {"parameters": {"n_slots": [doc["n_slots"]]}}, "grid.json")
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(tmp_path / "config.json"), "--grid", grid, "--out", str(sweep)]) == 0
+    with open(sweep, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["rate_z_score"], row["verdict_rate"]) == ("", "reject")
 
 
 def test_analyze_malformed_row_reports_line_number(tmp_path, capsys):
@@ -311,6 +360,12 @@ def test_sweep_bad_grid_exits_1(tmp_path, capsys):
     assert main(["sweep", "--config", base, "--grid", good, "--master-seed", "-1",
                  "--out", str(tmp_path / "s.csv")]) == 1
     assert "--master-seed" in capsys.readouterr().err
+    assert main(["sweep", "--config", base, "--grid", good, "--seeds", "0",
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert "--seeds must be >= 1, got 0" in capsys.readouterr().err
+    listed = write_doc(tmp_path, [HONEST_DOC], "listed.json")
+    assert main(["sweep", "--config", listed, "--grid", good, "--out", str(tmp_path / "s.csv")]) == 1
+    assert "config root must be an object" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -395,6 +450,25 @@ def test_refused_output_path_does_no_work(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", infeasible, "--out", str(tmp_path / "inf")]) == 2
     assert calls == ["run_session"]
     assert capsys.readouterr().err.startswith("infeasible: ")
+
+
+def test_out_naming_an_input_is_refused(tmp_path, capsys):
+    code, out_dir = run_cli(tmp_path, HONEST_DOC)
+    assert code == 0
+    transcript, config = out_dir / "transcript.csv", tmp_path / "config.json"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"parameters": {"eta_expected": [0.2]}}))
+    before = {path: path.read_bytes() for path in (transcript, config, grid)}
+    capsys.readouterr()
+    for argv in (
+        ["analyze", "--transcript", str(transcript), "--out", str(transcript)],
+        ["analyze", "--transcript", str(transcript), "--out", str(out_dir / ".." / "out" / "transcript.csv")],
+        ["sweep", "--config", str(config), "--grid", str(grid), "--out", str(config)],
+        ["sweep", "--config", str(config), "--grid", str(grid), "--out", str(grid)],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: --out ")
+    assert {path: path.read_bytes() for path in before} == before
 
 
 def test_refused_transcript_keeps_existing_analyze_output(tmp_path, capsys):

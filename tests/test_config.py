@@ -170,6 +170,8 @@ def test_detector_spec_validation():
         DetectorSpec({1550.0: 0.2}, -0.1, {1550.0: 1.0})
     with pytest.raises(ValidationError):
         DetectorSpec({}, 0.0, {1550.0: 1.0})
+    with pytest.raises(ValidationError, match="blind_threshold table must not be empty"):
+        DetectorSpec({1550.0: 0.2}, 0.0, {})
 
 
 def test_wavelength_lookup_nearest_with_low_tie():

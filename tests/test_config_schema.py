@@ -70,6 +70,27 @@ def test_non_finite_wavelength_key_rejected(key):
     ({"channel": {"transmittance": 2}}, "channel: transmittance must be in [0,1], got 2.0"),
     ({"detectors": [{}, {}, {"efficiency": 1.5}, {}]}, "detectors[2]: efficiency at 1550.0 nm must be in [0,1]"),
     ({"eta_expected": 10**400}, "eta_expected: integer too large for a float"),
+    ({"eta_expected": "0.2"}, "eta_expected: expected a number, got '0.2'"),
+    ({"mode": dict(BLINDING, optimize=True, wavelength_grid="1550", power_grid=[2.0])},
+     "mode.wavelength_grid: expected a list of numbers, got '1550'"),
+    ({"detectors": {"efficiency": "0.2"}}, "detectors.efficiency: expected a number or wavelength table"),
+    ({"detectors": {"efficiency": {}}}, "detectors.efficiency: wavelength table must not be empty"),
+    ({"detectors": {"efficiency": {"red": 0.2}}}, "detectors.efficiency: wavelength key 'red' is not a number"),
+    ({"channel": 0.5}, "channel: expected an object, got 0.5"),
+    ({"mode": dict(COVERT, trojan=1.0)}, "mode.trojan: expected an object, got 1.0"),
+    ({"detectors": [{}, {}, 0.2, {}]}, "detectors[2]: expected an object, got 0.2"),
+    ({"mode": "covert"}, "mode: expected an object with a 'kind' field, got 'covert'"),
+    ({"detectors": 0.2}, "detectors: expected an object or a list of 4 objects, got 0.2"),
+    ({"detectors": [{}, {}, {}]}, "detectors: need 1 shared or 4 per-detector blocks, got 3"),
+    ({"mode": dict(COVERT, trojan={"readout_success_prob": 1.5})},
+     "mode.trojan: readout_success_prob must be in [0,1], got 1.5"),
+    ({"mode": dict(COVERT, trojan={"readout_success_prob": -0.1})},
+     "mode.trojan: readout_success_prob must be in [0,1], got -0.1"),
+    ({"detectors": {"blind_threshold": 0}}, "detectors: blind_threshold at 1550.0 nm must be > 0, got 0.0"),
+    ({"detectors": [{}, {"blind_threshold": {"1310": -1.0}}, {}, {}]},
+     "detectors[1]: blind_threshold at 1310.0 nm must be > 0, got -1.0"),
+    ({"mode": dict(BLINDING, pulse_power=0)}, "mode: pulse_power must be > 0, got 0.0"),
+    ({"signal_wavelength_nm": 0}, "config: signal_wavelength_nm must be > 0, got 0.0"),
 ])
 def test_range_error_names_its_path(doc, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

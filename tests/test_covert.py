@@ -56,6 +56,11 @@ def test_announce_rejects_slots_out_of_order(slots):
     assert rng.bit_generator.state == before
 
 
+def test_announce_needs_a_key_bit_per_candidate():
+    with pytest.raises(ValidationError, match="need a key bit per candidate, got 2 for 3"):
+        announce([1, 2, 4], [0, 1, 0], zeros(2), 1.0, np.random.default_rng(22))
+
+
 @pytest.mark.parametrize("q", [0.0, -0.1, 1.2])
 def test_announce_thinning_acceptance_range(q):
     with pytest.raises(ValidationError):
@@ -147,7 +152,7 @@ def test_thinning_acceptance_values():
         thinning_acceptance(0.09, 0.0)
 
 
-def test_attack_feasible_examples():
+def test_covert_session_feasibility_examples():
     # the gate run_session applies before it simulates anything
     def session(transmittance, eta_true, eta_expected):
         return run_session(SessionConfig(

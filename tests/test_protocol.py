@@ -14,7 +14,7 @@ from ddiqkd.config import (
     TrojanProbe,
 )
 from ddiqkd.covert import eve_decode, key_bits
-from ddiqkd.errors import InfeasibleRateError, ValidationError
+from ddiqkd.errors import ConfigError, InfeasibleRateError, ValidationError
 from ddiqkd.protocol import (
     binary_entropy,
     compute_qber,
@@ -58,6 +58,8 @@ def test_mode_validation():
         CovertAttackMode(target_report_rate=0.0)
     with pytest.raises(ValidationError):
         BlindingMode(optimize=True)  # grids required
+    with pytest.raises(ConfigError, match="unknown session mode"):
+        run_session(SessionConfig(mode="quantum_cloning"))
 
 
 def test_expected_report_rate():
@@ -177,6 +179,14 @@ def test_covert_session_invariants():
     target = config.expected_report_rate()
     sigma = math.sqrt(target * (1 - target) / config.n_slots)
     assert abs(report.reported_rate - target) < 3 * sigma
+
+
+def test_covert_session_without_announcement_leaks_nothing():
+    # at seed 0 the one photon is lost in the channel
+    config = SessionConfig(n_slots=1, channel=ChannelSpec(transmittance=0.1), mode=CovertAttackMode())
+    _, report = run_session(config)
+    assert report.arrived == report.reported == 0
+    assert report.eve_leak_fraction == 0.0
 
 
 def test_covert_partial_trojan_readout_still_decodes_cleanly():

@@ -45,7 +45,7 @@ def session_rng(seed, prefix):
     seed=st.integers(0, 2**32),
     prefix=st.integers(0, 3),
 )
-def test_trials_equal_float_compare(p, n, seed, prefix):
+def test_random_compare_reads_one_raw_word_per_trial(p, n, seed, prefix):
     # each trial reads one raw word: announce skips trials as raw words
     trial, raw = session_rng(seed, prefix), session_rng(seed, prefix)
     got = trial.random(n) < p
@@ -65,7 +65,7 @@ def test_trials_equal_float_compare(p, n, seed, prefix):
 
 @settings(max_examples=200, deadline=None)
 @given(p=st.one_of(st.sampled_from(EDGE_PROBS), st.floats(0.0, 1.0)))
-def test_below_at_the_bound(p):
+def test_random_compare_flips_at_the_bound(p):
     # the words around the bound, where a trial flips: a trial at p
     # succeeds on exactly the words below ceil(p * 2**53) << 11, so its
     # probability is p rounded up to a multiple of 2**-53
@@ -78,7 +78,7 @@ def test_below_at_the_bound(p):
 
 
 @pytest.mark.parametrize("p", EDGE_PROBS)
-def test_trials_edge_probabilities(p):
+def test_settings_draw_at_edge_probabilities(p):
     # every trial of the settings draw at one edge probability
     n = 10_000
     config = SimpleNamespace(

@@ -170,21 +170,21 @@ def test_reader_walks_rows_only_of_a_failing_block(tmp_path, monkeypatch):
     n = 2 * BLOCK + 1
     path = tmp_path / "t.csv"
     write_transcript_csv(str(path), random_transcript(n, 17, 0.1, 0.05), meta_for(n))
-    calls = []
+    checked = []
 
-    def counted(*args, original=cli._block_frame):
-        calls.append(args)
-        return original(*args)
+    def counted(row, slot, original=cli._row_fault):
+        checked.append(slot)
+        return original(row, slot)
 
-    monkeypatch.setattr(cli, "_block_frame", counted)
+    monkeypatch.setattr(cli, "_row_fault", counted)
     read_public_view(str(path))
-    assert calls == []
+    assert checked == []
     data = bytearray(path.read_bytes())
-    data[-(BLOCK // 2) * 20] ^= 0x01  # one byte in the middle block
+    data[-(BLOCK // 2) * 20] ^= 0x01  # the first slot digit of row n - BLOCK // 2, in the middle block
     path.write_bytes(bytes(data))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="slot differs from its row index"):
         read_public_view(str(path))
-    assert [args[1] for args in calls] == [1]
+    assert checked == [b"%05d" % slot for slot in range(BLOCK, n - BLOCK // 2 + 1)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -394,6 +394,10 @@ def replace_meta(key, value):
     return lambda data: re.sub(rf"# {key}: [^\n]*".encode(), f"# {key}: ".encode() + value, data)
 
 
+def drop_meta(key):
+    return lambda data: re.sub(rf"# {key}: [^\n]*\n".encode(), b"", data)
+
+
 def repeat_meta(key, value):
     """Append a second `key` line after the metadata, at FIRST_ROW_LINE - 1."""
     header = ",".join(TRANSCRIPT_COLUMNS).encode()
@@ -405,6 +409,8 @@ def repeat_meta(key, value):
     (replace_meta("n_slots", b"0"), "metadata n_slots: 0 is not >= 1"),
     (replace_meta("expected_report_rate", b"x0.02"), "metadata expected_report_rate: 'x0.02' is not a valid float"),
     (replace_meta("alpha", b"x"), "metadata alpha: 'x' is not a valid float"),
+    (drop_meta("expected_report_rate"), "metadata lacks expected_report_rate"),
+    (drop_meta("alpha"), "metadata lacks alpha"),
     (replace_meta("mode", b"hon\xffest"), ":2: metadata is not UTF-8"),
     (repeat_meta("format", TRANSCRIPT_FORMAT), f":{FIRST_ROW_LINE - 1}: metadata format is repeated"),
     (repeat_meta("n_slots", N), f":{FIRST_ROW_LINE - 1}: metadata n_slots is repeated"),
