@@ -8,9 +8,8 @@ then one row per slot in slot order. Every row has the same width: the slot
 zero-padded to the digit count of n_slots - 1, seven one-byte cells each after
 a comma (`-` for no outcome), and a newline. The writer and the reader work in
 blocks of 10,000 rows that share one cached frame of slot digits, commas and
-newlines. The reader checks each block with one masked XOR against that
-frame and decodes its outcome cells by arithmetic; it rejects a file that
-disagrees with itself, naming the line (see read_public_view). The report
+newlines. The reader rejects a file that disagrees with itself, naming the
+line (see read_public_view). The report
 JSON carries the same metadata plus the full serialized config and the
 session report. `analyze` checks every byte of a transcript, but its
 monitors read only the slot order, the announced outcomes and the double
@@ -25,6 +24,7 @@ working point).
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import functools
 import itertools
@@ -312,13 +312,15 @@ def _refuse_input_as_out(out: str, *inputs: tuple[str, str]) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    transcript_path = os.path.join(args.out, "transcript.csv")
+    report_path = os.path.join(args.out, "report.json")
+    for path in (transcript_path, report_path):
+        _refuse_input_as_out(path, ("--config", args.config))
     config = load_config(args.config, seed=args.seed)
     # the output directory is made before the session runs, so a path that
     # cannot take it wastes no simulation
     os.makedirs(args.out, exist_ok=True)
     transcript, report = run_session(config)
-    transcript_path = os.path.join(args.out, "transcript.csv")
-    report_path = os.path.join(args.out, "report.json")
     digest = config_digest(config)
     write_transcript_csv(transcript_path, transcript, _transcript_meta(config, digest))
     write_json(report_path, report_payload(config, report, digest))
@@ -387,11 +389,152 @@ def _session_seed(master_seed: int, point: int, session: int) -> int:
     return int(np.random.SeedSequence([master_seed, point, session]).generate_state(1, np.uint64)[0])
 
 
+def _sweep_row(row: list, config: SessionConfig) -> list:
+    """A session's CSV row: `row` (point, session, seed and the swept
+    values) followed by its results; an infeasible session reads feasible 0
+    with blank results."""
+    try:
+        _, report = run_session(config)
+    except (InfeasibleRateError, NoViablePlanError):
+        return row + [0] + [""] * (len(_SWEEP_RESULTS) - 1)
+    det = report.detectability
+    row = row + [1]
+    row += [getattr(report, name) for name in _SWEEP_METRICS]
+    row += [getattr(det, name) for name in _SWEEP_MONITORS]
+    row += [det.verdicts[v] for v in _SWEEP_VERDICTS]
+    return ["" if v is None else v for v in row]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_jobs(requested: int | None, n_sessions: int) -> int:
+    """How many shares a sweep of n_sessions runs at once: the requested
+    count (every usable CPU by default), capped at the usable CPUs and at
+    n_sessions; 1 where processes cannot be forked."""
+    cap = min(_usable_cpus(), n_sessions)
+    jobs = cap if requested is None else min(requested, cap)
+    return jobs if hasattr(os, "fork") else 1
+
+
+def _serve(conn: Any, parent_ends: list) -> None:
+    """A sweep worker: receive a share of (row, config) sessions, send back
+    their rows or the exception one raised, until the caller goes away.
+    parent_ends are the caller's ends of every worker pipe, closed here so
+    that the caller's exit is an end of file to each worker."""
+    import signal
+
+    # an interrupt is the caller's to handle; it terminates the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            share = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = [_sweep_row(*session) for session in share]
+        except Exception as exc:  # raised again in the caller
+            result = exc
+        conn.send(result)
+
+
+class _Workers:
+    """n forked sweep workers, each with its own pipe."""
+
+    def __init__(self, n: int) -> None:
+        import multiprocessing
+
+        # fork, not spawn: a spawned worker would import numpy and this
+        # package again, which costs more than a short sweep. The one other
+        # thread at fork time is numpy's BLAS pool, and sessions make no
+        # BLAS call, so no worker waits on a lock that thread held.
+        ctx = multiprocessing.get_context("fork")
+        self.conns: list = []
+        self.procs: list = []
+        for _ in range(n):
+            mine, theirs = ctx.Pipe()
+            self.conns.append(mine)
+            proc = ctx.Process(target=_serve, args=(theirs, self.conns), daemon=True)
+            proc.start()
+            theirs.close()
+            self.procs.append(proc)
+
+    def close(self) -> None:
+        for proc in self.procs:
+            proc.terminate()
+        for proc in self.procs:
+            proc.join()
+            proc.close()
+        for conn in self.conns:
+            conn.close()
+
+
+_pool: _Workers | None = None
+
+
+def _close_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.close()
+        _pool = None
+
+
+atexit.register(_close_pool)
+
+
+def _workers(n: int) -> list:
+    """The pipes of n pool workers. The pool outlives the sweep that made
+    it, until the interpreter exits; one too small for n is replaced."""
+    global _pool
+    if _pool is not None and len(_pool.conns) < n:
+        _close_pool()
+    if _pool is None:
+        _pool = _Workers(n)
+    return _pool.conns[:n]
+
+
+def _sweep_rows(sessions: list, jobs: int) -> list[list]:
+    """Every session's row, in session order. Share i is sessions[i::jobs]:
+    share 0 runs in this process while pool workers run the others."""
+    shares = [sessions[i::jobs] for i in range(jobs)]
+    conns = _workers(jobs - 1) if jobs > 1 else []
+    try:
+        for conn, share in zip(conns, shares[1:]):
+            conn.send(share)
+        results = [[_sweep_row(*session) for session in shares[0]]]
+        results += [conn.recv() for conn in conns]
+    except BaseException:
+        # a worker may still be busy with its share; no later sweep may
+        # read what it sends
+        _close_pool()
+        raise
+    rows: list = [None] * len(sessions)
+    for i, result in enumerate(results):
+        if isinstance(result, BaseException):
+            raise result
+        rows[i::jobs] = result
+    return rows
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Run every session of the grid and write one CSV row per session, in
+    session order. The sessions are split into --jobs shares that run at
+    once, one in this process and the others on forked pool workers, so
+    the CSV is the same bytes for every --jobs. The workers run the module
+    as it was when the pool was made: a patch made after that, to
+    run_session say, reaches only this process's share."""
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     if args.master_seed < 0:
         raise ConfigError(f"--master-seed must be >= 0, got {args.master_seed}")
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     _refuse_input_as_out(args.out, ("--config", args.config), ("--grid", args.grid))
     base_doc = read_json(args.config, "config")
     if not isinstance(base_doc, dict):
@@ -415,18 +558,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row, config in sessions:
-            try:
-                _, report = run_session(config)
-            except (InfeasibleRateError, NoViablePlanError):
-                writer.writerow(row + [0] + [""] * (len(header) - len(row) - 1))
-                continue
-            det = report.detectability
-            row += [1]
-            row += [getattr(report, name) for name in _SWEEP_METRICS]
-            row += [getattr(det, name) for name in _SWEEP_MONITORS]
-            row += [det.verdicts[v] for v in _SWEEP_VERDICTS]
-            writer.writerow([("" if v is None else v) for v in row])
+        writer.writerows(_sweep_rows(sessions, _sweep_jobs(args.jobs, len(sessions))))
     print(f"wrote {args.out} ({len(sessions)} rows)")
     return 0
 
@@ -493,6 +625,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", required=True, help="grid JSON: {\"parameters\": {path: [values]}}")
     p_sweep.add_argument("--seeds", type=int, default=1, help="sessions per grid point")
     p_sweep.add_argument("--master-seed", type=int, default=0, help="root of per-session seeds")
+    p_sweep.add_argument(
+        "--jobs", type=int, default=None,
+        help="sessions run at once (default and cap: the usable CPUs)",
+    )
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -1,5 +1,11 @@
 import csv
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +14,11 @@ from ddiqkd.analysis import MonitorStats
 from ddiqkd.cli import _build_parser, main, read_public_view
 from ddiqkd.config import parse_config
 from ddiqkd.covert import thinning_acceptance
-from ddiqkd.errors import InfeasibleRateError
+from ddiqkd.errors import InfeasibleRateError, ValidationError
 from ddiqkd.protocol import run_session
+from test_golden import GOLDEN_SWEEP, SWEEP_ARGS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 HONEST_DOC = {
     "n_slots": 4000,
@@ -363,6 +372,10 @@ def test_sweep_bad_grid_exits_1(tmp_path, capsys):
     assert main(["sweep", "--config", base, "--grid", good, "--seeds", "0",
                  "--out", str(tmp_path / "s.csv")]) == 1
     assert "--seeds must be >= 1, got 0" in capsys.readouterr().err
+    for jobs in ("0", "-2"):
+        assert main(["sweep", "--config", base, "--grid", good, "--jobs", jobs,
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     listed = write_doc(tmp_path, [HONEST_DOC], "listed.json")
     assert main(["sweep", "--config", listed, "--grid", good, "--out", str(tmp_path / "s.csv")]) == 1
     assert "config root must be an object" in capsys.readouterr().err
@@ -489,3 +502,121 @@ def test_refused_transcript_keeps_existing_analyze_output(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", "--transcript", transcript]) == 0
     assert out.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["transcript.csv", "report.json"])
+def test_run_refuses_a_config_inside_out_that_it_would_overwrite(tmp_path, capsys, name):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    config = out_dir / name
+    config.write_text(json.dumps(HONEST_DOC))
+    before = config.read_bytes()
+    assert main(["run", "--config", str(config), "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: --out ")
+    assert config.read_bytes() == before
+    assert sorted(p.name for p in out_dir.iterdir()) == [name]
+
+
+def sweep_bytes(tmp_path, argv, jobs):
+    out = tmp_path / f"sweep-{jobs}.csv"
+    flag = [] if jobs is None else ["--jobs", str(jobs)]
+    assert main(["sweep", *argv, *flag, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_sweep_csv_is_the_same_bytes_for_every_jobs(tmp_path, capsys, monkeypatch):
+    # three usable CPUs, so that --jobs 3 gives uneven shares on any machine
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    base = write_doc(tmp_path, dict(COVERT_DOC, n_slots=2000))
+    grid = write_doc(
+        tmp_path, {"parameters": {"channel.transmittance": [0.02, 0.1, 0.8], "eta_expected": [0.2, 0.0]}},
+        "grid.json",
+    )
+    for argv in (SWEEP_ARGS, ("--config", base, "--grid", grid, "--seeds", "3")):
+        serial = sweep_bytes(tmp_path, argv, 1)
+        assert all(sweep_bytes(tmp_path, argv, jobs) == serial for jobs in (2, 3, None))
+        if argv is SWEEP_ARGS:
+            assert hashlib.sha256(serial).hexdigest() == GOLDEN_SWEEP
+        else:
+            feasible = [row["feasible"] for row in csv.DictReader(io.StringIO(serial.decode()))]
+            assert len(feasible) == 18 and "0" in feasible and "1" in feasible
+
+
+def test_sweep_jobs_is_capped_at_usable_cpus_and_sessions(monkeypatch):
+    usable = cli._usable_cpus()
+    assert 1 <= usable <= (os.cpu_count() or 1)
+    assert cli._sweep_jobs(1_000_000, 10**6) == usable
+    assert cli._sweep_jobs(None, 10**6) == usable
+    assert cli._sweep_jobs(None, 1) == cli._sweep_jobs(5, 1) == 1
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    assert cli._sweep_jobs(None, 10) == 10 and cli._sweep_jobs(3, 10) == 3
+    # without fork every sweep runs in this process
+    monkeypatch.delattr(os, "fork")
+    assert cli._sweep_jobs(None, 10) == cli._sweep_jobs(8, 10) == 1
+
+
+def worker_pids():
+    return [proc.pid for proc in cli._pool.procs]
+
+
+def test_second_sweep_reuses_the_pool_workers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    base = write_doc(tmp_path, dict(HONEST_DOC, n_slots=500))
+    grid = write_doc(tmp_path, {"parameters": {"eta_expected": [0.1, 0.2]}}, "grid.json")
+    argv = ("--config", base, "--grid", grid, "--seeds", "2")
+    first = sweep_bytes(tmp_path, argv, 2)
+    pids = worker_pids()
+    assert len(pids) >= 1 and all(proc.is_alive() for proc in cli._pool.procs)
+    assert sweep_bytes(tmp_path, argv, 2) == first
+    assert worker_pids() == pids
+
+
+def test_worker_exception_is_raised_in_the_caller(tmp_path, capsys, monkeypatch):
+    original, caller = cli.run_session, os.getpid()
+
+    def failing(config):
+        if os.getpid() != caller:
+            raise ValidationError(f"session seed {config.seed} refused in a worker")
+        return original(config)
+
+    # the pool is forked after the patch, so its workers run it too
+    cli._close_pool()
+    monkeypatch.setattr(cli, "run_session", failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    base = write_doc(tmp_path, dict(HONEST_DOC, n_slots=500))
+    grid = write_doc(tmp_path, {"parameters": {"eta_expected": [0.1, 0.2]}}, "grid.json")
+    argv = ["sweep", "--config", base, "--grid", grid, "--seeds", "2", "--jobs", "2",
+            "--out", str(tmp_path / "s.csv")]
+    try:
+        assert main(argv) == 1
+        assert "refused in a worker" in capsys.readouterr().err
+        # every share was answered, so the pool is kept
+        pids = worker_pids()
+        assert main(argv) == 1
+        assert worker_pids() == pids
+    finally:
+        cli._close_pool()
+
+
+def test_child_interpreter_leaves_no_worker_alive(tmp_path):
+    base = write_doc(tmp_path, dict(HONEST_DOC, n_slots=500))
+    grid = write_doc(tmp_path, {"parameters": {"eta_expected": [0.1, 0.2]}}, "grid.json")
+    code = (
+        "import sys\n"
+        "from ddiqkd import cli\n"
+        "cli._usable_cpus = lambda: 2\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(*[proc.pid for proc in cli._pool.procs])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, "sweep", "--config", base, "--grid", grid, "--seeds", "2",
+         "--jobs", "2", "--out", str(tmp_path / "s.csv")],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    ).stdout
+    pids = [int(pid) for pid in out.splitlines()[-1].split()]
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
