@@ -9,11 +9,11 @@ zero-padded to the digit count of n_slots - 1, seven one-byte cells each after
 a comma (`-` for no outcome), and a newline. The writer and the reader work in
 blocks of 10,000 rows that share one cached frame of slot digits, commas and
 newlines. The reader rejects a file that disagrees with itself, naming the
-line (see read_public_view). The report
-JSON carries the same metadata plus the full serialized config and the
-session report. `analyze` checks every byte of a transcript, but its
-monitors read only the slot order, the announced outcomes and the double
-clicks, so its verdicts never peek at ground truth.
+line (see read_public_view). The report JSON carries the same metadata plus
+the full serialized config and the session report. `analyze` checks every
+byte of a transcript, but its monitors read only the slot order, the
+announced outcomes and the double clicks, so its verdicts never peek at
+ground truth.
 
 Exit codes: 0 success, 1 usage/parse/validation problems, unwritable
 output paths and an output path that names an input, 2 structurally
@@ -24,12 +24,13 @@ working point).
 from __future__ import annotations
 
 import argparse
-import atexit
 import csv
 import functools
 import itertools
 import json
 import os
+import pickle
+import signal
 import sys
 from dataclasses import asdict, fields, replace
 from typing import Any, Iterable, Mapping, NoReturn, TextIO
@@ -412,108 +413,67 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _sweep_jobs(requested: int | None, n_sessions: int) -> int:
-    """How many shares a sweep of n_sessions runs at once: the requested
-    count (every usable CPU by default), capped at the usable CPUs and at
-    n_sessions; 1 where processes cannot be forked."""
-    cap = min(_usable_cpus(), n_sessions)
-    jobs = cap if requested is None else min(requested, cap)
-    return jobs if hasattr(os, "fork") else 1
+def _sweep_jobs(n_sessions: int) -> int:
+    """How many shares a sweep of n_sessions runs at once: the usable CPUs,
+    capped at n_sessions. 1 where processes cannot be forked, and on Python
+    3.12 and later, which deprecates forking a process that runs threads
+    (numpy's BLAS pool is one)."""
+    if not hasattr(os, "fork") or sys.version_info >= (3, 12):
+        return 1
+    return min(_usable_cpus(), n_sessions)
 
 
-def _serve(conn: Any, parent_ends: list) -> None:
-    """A sweep worker: receive a share of (row, config) sessions, send back
-    their rows or the exception one raised, until the caller goes away.
-    parent_ends are the caller's ends of every worker pipe, closed here so
-    that the caller's exit is an end of file to each worker."""
-    import signal
-
-    # an interrupt is the caller's to handle; it terminates the workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in parent_ends:
-        end.close()
-    while True:
+def _fork_share(share: list) -> tuple[int, Any]:
+    """Fork a worker that runs share's (row, config) sessions and pickles
+    their rows, or the exception one raised, into a pipe; return its pid and
+    the pipe's read end. The worker exits nonzero if it cannot send."""
+    # fork, not spawn: a spawned worker would import numpy and this package
+    # again, which costs more than a short sweep. The other threads at fork
+    # time are numpy's BLAS pool, and sessions make no BLAS call, so no
+    # worker waits on a lock those threads held.
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    status = 1
+    try:
+        os.close(read_fd)
         try:
-            share = conn.recv()
-        except EOFError:
-            return
-        try:
-            result = [_sweep_row(*session) for session in share]
+            result: Any = [_sweep_row(*session) for session in share]
         except Exception as exc:  # raised again in the caller
             result = exc
-        conn.send(result)
-
-
-class _Workers:
-    """n forked sweep workers, each with its own pipe."""
-
-    def __init__(self, n: int) -> None:
-        import multiprocessing
-
-        # fork, not spawn: a spawned worker would import numpy and this
-        # package again, which costs more than a short sweep. The one other
-        # thread at fork time is numpy's BLAS pool, and sessions make no
-        # BLAS call, so no worker waits on a lock that thread held.
-        ctx = multiprocessing.get_context("fork")
-        self.conns: list = []
-        self.procs: list = []
-        for _ in range(n):
-            mine, theirs = ctx.Pipe()
-            self.conns.append(mine)
-            proc = ctx.Process(target=_serve, args=(theirs, self.conns), daemon=True)
-            proc.start()
-            theirs.close()
-            self.procs.append(proc)
-
-    def close(self) -> None:
-        for proc in self.procs:
-            proc.terminate()
-        for proc in self.procs:
-            proc.join()
-            proc.close()
-        for conn in self.conns:
-            conn.close()
-
-
-_pool: _Workers | None = None
-
-
-def _close_pool() -> None:
-    global _pool
-    if _pool is not None:
-        _pool.close()
-        _pool = None
-
-
-atexit.register(_close_pool)
-
-
-def _workers(n: int) -> list:
-    """The pipes of n pool workers. The pool outlives the sweep that made
-    it, until the interpreter exits; one too small for n is replaced."""
-    global _pool
-    if _pool is not None and len(_pool.conns) < n:
-        _close_pool()
-    if _pool is None:
-        _pool = _Workers(n)
-    return _pool.conns[:n]
+        with os.fdopen(write_fd, "wb") as fh:
+            pickle.dump(result, fh)
+        status = 0
+    finally:
+        # never return into the caller's code, nor flush its buffers
+        os._exit(status)
 
 
 def _sweep_rows(sessions: list, jobs: int) -> list[list]:
     """Every session's row, in session order. Share i is sessions[i::jobs]:
-    share 0 runs in this process while pool workers run the others."""
+    share 0 runs in this process while forked workers run the others, and
+    every worker has exited and been reaped when this returns or raises."""
     shares = [sessions[i::jobs] for i in range(jobs)]
-    conns = _workers(jobs - 1) if jobs > 1 else []
+    workers: list[tuple[int, Any]] = []
+    statuses: list[int] = []
+    sent: list[bytes] = []
     try:
-        for conn, share in zip(conns, shares[1:]):
-            conn.send(share)
+        for share in shares[1:]:
+            workers.append(_fork_share(share))
         results = [[_sweep_row(*session) for session in shares[0]]]
-        results += [conn.recv() for conn in conns]
-    except BaseException:
-        # a worker may still be busy with its share; no later sweep may
-        # read what it sends
-        _close_pool()
-        raise
+        sent = [pipe.read() for _, pipe in workers]
+    finally:
+        # a worker still running after an error or interrupt is stopped
+        for pid, pipe in workers:
+            pipe.close()
+            if len(sent) < len(workers):
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    if any(statuses) or not all(sent):
+        raise ValidationError("sweep worker exited unexpectedly")
+    results += [pickle.loads(data) for data in sent]
     rows: list = [None] * len(sessions)
     for i, result in enumerate(results):
         if isinstance(result, BaseException):
@@ -524,17 +484,14 @@ def _sweep_rows(sessions: list, jobs: int) -> list[list]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     """Run every session of the grid and write one CSV row per session, in
-    session order. The sessions are split into --jobs shares that run at
-    once, one in this process and the others on forked pool workers, so
-    the CSV is the same bytes for every --jobs. The workers run the module
-    as it was when the pool was made: a patch made after that, to
-    run_session say, reaches only this process's share."""
+    session order. The sessions are split into one share per usable CPU
+    (_sweep_jobs); one runs in this process and each other in a worker
+    forked for this sweep. The rows are put back in session order, so the
+    CSV is the same bytes for any number of shares."""
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     if args.master_seed < 0:
         raise ConfigError(f"--master-seed must be >= 0, got {args.master_seed}")
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     _refuse_input_as_out(args.out, ("--config", args.config), ("--grid", args.grid))
     base_doc = read_json(args.config, "config")
     if not isinstance(base_doc, dict):
@@ -558,7 +515,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(_sweep_rows(sessions, _sweep_jobs(args.jobs, len(sessions))))
+        writer.writerows(_sweep_rows(sessions, _sweep_jobs(len(sessions))))
     print(f"wrote {args.out} ({len(sessions)} rows)")
     return 0
 
@@ -625,10 +582,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", required=True, help="grid JSON: {\"parameters\": {path: [values]}}")
     p_sweep.add_argument("--seeds", type=int, default=1, help="sessions per grid point")
     p_sweep.add_argument("--master-seed", type=int, default=0, help="root of per-session seeds")
-    p_sweep.add_argument(
-        "--jobs", type=int, default=None,
-        help="sessions run at once (default and cap: the usable CPUs)",
-    )
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
 

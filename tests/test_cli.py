@@ -3,9 +3,9 @@ import hashlib
 import io
 import json
 import os
-import subprocess
+import signal
 import sys
-from pathlib import Path
+import time
 
 import pytest
 
@@ -17,8 +17,6 @@ from ddiqkd.covert import thinning_acceptance
 from ddiqkd.errors import InfeasibleRateError, ValidationError
 from ddiqkd.protocol import run_session
 from test_golden import GOLDEN_SWEEP, SWEEP_ARGS
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 HONEST_DOC = {
     "n_slots": 4000,
@@ -372,10 +370,6 @@ def test_sweep_bad_grid_exits_1(tmp_path, capsys):
     assert main(["sweep", "--config", base, "--grid", good, "--seeds", "0",
                  "--out", str(tmp_path / "s.csv")]) == 1
     assert "--seeds must be >= 1, got 0" in capsys.readouterr().err
-    for jobs in ("0", "-2"):
-        assert main(["sweep", "--config", base, "--grid", good, "--jobs", jobs,
-                     "--out", str(tmp_path / "s.csv")]) == 1
-        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
     listed = write_doc(tmp_path, [HONEST_DOC], "listed.json")
     assert main(["sweep", "--config", listed, "--grid", good, "--out", str(tmp_path / "s.csv")]) == 1
     assert "config root must be an object" in capsys.readouterr().err
@@ -517,24 +511,25 @@ def test_run_refuses_a_config_inside_out_that_it_would_overwrite(tmp_path, capsy
     assert sorted(p.name for p in out_dir.iterdir()) == [name]
 
 
-def sweep_bytes(tmp_path, argv, jobs):
-    out = tmp_path / f"sweep-{jobs}.csv"
-    flag = [] if jobs is None else ["--jobs", str(jobs)]
-    assert main(["sweep", *argv, *flag, "--out", str(out)]) == 0
+def sweep_bytes(tmp_path, argv, cpus, monkeypatch):
+    out = tmp_path / f"sweep-{cpus}.csv"
+    if cpus is not None:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    assert main(["sweep", *argv, "--out", str(out)]) == 0
+    monkeypatch.undo()
     return out.read_bytes()
 
 
-def test_sweep_csv_is_the_same_bytes_for_every_jobs(tmp_path, capsys, monkeypatch):
-    # three usable CPUs, so that --jobs 3 gives uneven shares on any machine
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+def test_sweep_csv_is_the_same_bytes_for_any_number_of_shares(tmp_path, capsys, monkeypatch):
     base = write_doc(tmp_path, dict(COVERT_DOC, n_slots=2000))
     grid = write_doc(
         tmp_path, {"parameters": {"channel.transmittance": [0.02, 0.1, 0.8], "eta_expected": [0.2, 0.0]}},
         "grid.json",
     )
     for argv in (SWEEP_ARGS, ("--config", base, "--grid", grid, "--seeds", "3")):
-        serial = sweep_bytes(tmp_path, argv, 1)
-        assert all(sweep_bytes(tmp_path, argv, jobs) == serial for jobs in (2, 3, None))
+        serial = sweep_bytes(tmp_path, argv, 1, monkeypatch)
+        # three shares are uneven on any machine; None is this machine's CPUs
+        assert all(sweep_bytes(tmp_path, argv, cpus, monkeypatch) == serial for cpus in (2, 3, None))
         if argv is SWEEP_ARGS:
             assert hashlib.sha256(serial).hexdigest() == GOLDEN_SWEEP
         else:
@@ -543,80 +538,113 @@ def test_sweep_csv_is_the_same_bytes_for_every_jobs(tmp_path, capsys, monkeypatc
 
 
 def test_sweep_jobs_is_capped_at_usable_cpus_and_sessions(monkeypatch):
+    monkeypatch.setattr(sys, "version_info", (3, 11, 0))
     usable = cli._usable_cpus()
     assert 1 <= usable <= (os.cpu_count() or 1)
-    assert cli._sweep_jobs(1_000_000, 10**6) == usable
-    assert cli._sweep_jobs(None, 10**6) == usable
-    assert cli._sweep_jobs(None, 1) == cli._sweep_jobs(5, 1) == 1
+    assert cli._sweep_jobs(10**6) == usable
+    assert cli._sweep_jobs(1) == 1
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
-    assert cli._sweep_jobs(None, 10) == 10 and cli._sweep_jobs(3, 10) == 3
+    assert cli._sweep_jobs(10) == 10 and cli._sweep_jobs(100) == 64
     # without fork every sweep runs in this process
     monkeypatch.delattr(os, "fork")
-    assert cli._sweep_jobs(None, 10) == cli._sweep_jobs(8, 10) == 1
+    assert cli._sweep_jobs(10) == 1
+    monkeypatch.undo()
+    # from Python 3.12 on, forking a process that runs threads is deprecated
+    monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    assert cli._sweep_jobs(10) == 1
 
 
-def worker_pids():
-    return [proc.pid for proc in cli._pool.procs]
+# sweeps fork their workers only where _sweep_jobs lets them
+forks = pytest.mark.skipif(
+    not hasattr(os, "fork") or sys.version_info >= (3, 12), reason="sweeps run in-process here"
+)
 
 
-def test_second_sweep_reuses_the_pool_workers(tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids that os.fork returns to this process while the test runs,
+    with two usable CPUs patched in, so that a sweep forks one worker."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    base = write_doc(tmp_path, dict(HONEST_DOC, n_slots=500))
-    grid = write_doc(tmp_path, {"parameters": {"eta_expected": [0.1, 0.2]}}, "grid.json")
-    argv = ("--config", base, "--grid", grid, "--seeds", "2")
-    first = sweep_bytes(tmp_path, argv, 2)
-    pids = worker_pids()
-    assert len(pids) >= 1 and all(proc.is_alive() for proc in cli._pool.procs)
-    assert sweep_bytes(tmp_path, argv, 2) == first
-    assert worker_pids() == pids
+    return pids
 
 
-def test_worker_exception_is_raised_in_the_caller(tmp_path, capsys, monkeypatch):
-    original, caller = cli.run_session, os.getpid()
-
-    def failing(config):
-        if os.getpid() != caller:
-            raise ValidationError(f"session seed {config.seed} refused in a worker")
-        return original(config)
-
-    # the pool is forked after the patch, so its workers run it too
-    cli._close_pool()
-    monkeypatch.setattr(cli, "run_session", failing)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    base = write_doc(tmp_path, dict(HONEST_DOC, n_slots=500))
-    grid = write_doc(tmp_path, {"parameters": {"eta_expected": [0.1, 0.2]}}, "grid.json")
-    argv = ["sweep", "--config", base, "--grid", grid, "--seeds", "2", "--jobs", "2",
-            "--out", str(tmp_path / "s.csv")]
-    try:
-        assert main(argv) == 1
-        assert "refused in a worker" in capsys.readouterr().err
-        # every share was answered, so the pool is kept
-        pids = worker_pids()
-        assert main(argv) == 1
-        assert worker_pids() == pids
-    finally:
-        cli._close_pool()
-
-
-def test_child_interpreter_leaves_no_worker_alive(tmp_path):
-    base = write_doc(tmp_path, dict(HONEST_DOC, n_slots=500))
-    grid = write_doc(tmp_path, {"parameters": {"eta_expected": [0.1, 0.2]}}, "grid.json")
-    code = (
-        "import sys\n"
-        "from ddiqkd import cli\n"
-        "cli._usable_cpus = lambda: 2\n"
-        "assert cli.main(sys.argv[1:]) == 0\n"
-        "print(*[proc.pid for proc in cli._pool.procs])\n"
-    )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code, "sweep", "--config", base, "--grid", grid, "--seeds", "2",
-         "--jobs", "2", "--out", str(tmp_path / "s.csv")],
-        env=env, check=True, capture_output=True, text=True, timeout=120,
-    ).stdout
-    pids = [int(pid) for pid in out.splitlines()[-1].split()]
+def assert_reaped(pids):
     assert pids
     for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def small_sweep(tmp_path):
+    base = write_doc(tmp_path, dict(HONEST_DOC, n_slots=500))
+    grid = write_doc(tmp_path, {"parameters": {"eta_expected": [0.1, 0.2]}}, "grid.json")
+    return ["sweep", "--config", base, "--grid", grid, "--seeds", "2", "--out", str(tmp_path / "s.csv")]
+
+
+def patch_sessions(monkeypatch, in_caller, in_worker):
+    """Route run_session by process: the caller's sessions to in_caller,
+    the forked workers' to in_worker (the workers are forked after this)."""
+    caller = os.getpid()
+    monkeypatch.setattr(
+        cli, "run_session", lambda config: (in_caller if os.getpid() == caller else in_worker)(config)
+    )
+
+
+@forks
+def test_sweep_reaps_its_workers(tmp_path, capsys, forked):
+    assert main(small_sweep(tmp_path)) == 0
+    assert len(forked) == 1
+    assert_reaped(forked)
+
+
+@forks
+def test_worker_exception_is_raised_in_the_caller(tmp_path, capsys, monkeypatch, forked):
+    def failing(config):
+        raise ValidationError(f"session seed {config.seed} refused in a worker")
+
+    patch_sessions(monkeypatch, run_session, failing)
+    assert main(small_sweep(tmp_path)) == 1
+    assert "refused in a worker" in capsys.readouterr().err
+    assert_reaped(forked)
+
+
+@forks
+@pytest.mark.parametrize("death", ["exit", "kill"])
+def test_worker_that_dies_is_an_error(tmp_path, capsys, monkeypatch, forked, death):
+    def dying(config):
+        if death == "exit":
+            os._exit(3)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    patch_sessions(monkeypatch, run_session, dying)
+    assert main(small_sweep(tmp_path)) == 1
+    assert capsys.readouterr().err == "error: sweep worker exited unexpectedly\n"
+    assert_reaped(forked)
+
+
+@forks
+def test_failing_caller_share_stops_its_workers(tmp_path, capsys, monkeypatch, forked):
+    def failing(config):
+        raise ValidationError("refused in the caller")
+
+    def stuck(config):
+        time.sleep(60)
+
+    patch_sessions(monkeypatch, failing, stuck)
+    start = time.monotonic()
+    assert main(small_sweep(tmp_path)) == 1
+    # the worker was killed, not waited for
+    assert time.monotonic() - start < 30
+    assert "refused in the caller" in capsys.readouterr().err
+    assert_reaped(forked)
