@@ -10,10 +10,11 @@ its announced outcomes and double clicks. Sifting keeps announced single
 clicks where the bases matched, double clicks are discarded from key
 material but counted.
 
-Every mode runs on two small tables: the Bell probabilities of the 16
-(source, receiver) preparation pairs, and for blinding the unit's
-deterministic response to the 16 (pulse, receiver) pairs. A preparation's
-index is 2*basis + bit.
+Every mode runs one unit: its real detectors click, then a policy picks
+the clicks it announces. The clicks come from two small tables: the Bell
+probabilities of the 16 (source, receiver) preparation pairs, and for
+blinding the unit's deterministic response to the 16 (pulse, receiver)
+pairs. A preparation's index is 2*basis + bit.
 
 Determinism contract: a session is fully determined by (config, seed). Party
 settings and arrivals are drawn in bulk in a fixed order, then each mode's
@@ -46,8 +47,8 @@ class Transcript:
 
     reported holds the announced Bell outcome index or -1; eve_basis/eve_bit
     hold the in-channel adversary's measurement record or -1 where absent.
-    detected is the ground-truth flag that the unit registered the photon,
-    whether or not it announced.
+    detected is the ground-truth flag that the unit's real detectors
+    clicked, whether or not it announced.
     """
 
     n_slots: int
@@ -170,12 +171,11 @@ def _prep(basis: np.ndarray, bit: np.ndarray) -> np.ndarray:
     return 2 * basis + bit
 
 
-def _pairs(t: Transcript, slots: slice | np.ndarray = slice(None)) -> np.ndarray:
-    """Per selected slot (every slot by default), the index 4 * source +
-    receiver of the parties' preparation pair; its bits are, high to low,
-    sender basis and bit, receiver basis and bit."""
-    source = _prep(t.alice_basis[slots], t.alice_bit[slots])
-    return 4 * source + _prep(t.bob_basis[slots], t.bob_bit[slots])
+def _pairs(t: Transcript) -> np.ndarray:
+    """Per slot, the index 4 * source + receiver of the parties' preparation
+    pair; its bits are, high to low, sender basis and bit, receiver basis
+    and bit."""
+    return 4 * _prep(t.alice_basis, t.alice_bit) + _prep(t.bob_basis, t.bob_bit)
 
 
 def _bell_outcomes(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -188,15 +188,16 @@ def _bell_outcomes(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _OUTCOME_BY_RANK[rank]
 
 
-def _detect(config: SessionConfig, t: Transcript, pair: np.ndarray, rng) -> None:
-    """Honest detection of the arrived photons, of preparation pair
+def _detect(t: Transcript, pair: np.ndarray, detectors: list[tuple[float, float]], rng) -> None:
+    """The clicks of detectors of the given (efficiency, dark-count
+    probability) on the arrived photons of preparation pair
     4 * source + receiver (one entry per arrived slot): a Bell outcome, then
     that detector's efficiency trial; a photon that fails it is absorbed
     silently. Then each detector with a dark-count probability fires
     independently over all slots.
 
     The draws are those of the per-slot rule, in the same order and sizes;
-    a session with no dark-count detector draws no dark vector and writes
+    a unit with no dark-count detector draws no dark vector and writes
     the photon outcomes straight into the transcript."""
     k = _bell_outcomes(pair, rng.random(len(pair)))
     # the outcome where its detector's efficiency trial passes, else -1;
@@ -204,12 +205,12 @@ def _detect(config: SessionConfig, t: Transcript, pair: np.ndarray, rng) -> None
     # a gather of the efficiencies by int8 outcome
     u = rng.random(len(k))
     passed = np.zeros(len(k), dtype=bool)
-    for i, d in enumerate(config.detectors):
-        passed |= (k == i) & (u < d.efficiency_at(config.signal_wavelength_nm))
+    for i, (eta, _) in enumerate(detectors):
+        passed |= (k == i) & (u < eta)
     k = passed * (k + 1) - 1
     photon = np.full(t.n_slots, -1, dtype=np.int8)
     photon[t.arrived] = k
-    dark = [(i, d.dark_count_prob) for i, d in enumerate(config.detectors) if d.dark_count_prob > 0.0]
+    dark = [(i, p) for i, (_, p) in enumerate(detectors) if p > 0.0]
     if not dark:
         t.reported = photon
         t.detected = photon >= 0
@@ -283,23 +284,23 @@ def _covert_acceptance(config: SessionConfig, mode: CovertAttackMode) -> float:
     return thinning_acceptance(p_candidate, target)
 
 
-def _run_covert(mode: CovertAttackMode, q: float, t: Transcript, rng) -> None:
-    """Covert detection and reporting, keyed by one key bit per candidate."""
-    arrived = np.flatnonzero(t.arrived)
-    candidates = arrived[rng.random(len(arrived)) < mode.eta_true]
-    t.detected[candidates] = True
+def _covert_policy(mode: CovertAttackMode, q: float, t: Transcript, rng) -> None:
+    """The covert unit announces, of its single clicks whose encoder readout
+    succeeded, those its reporter picks, keyed by one key bit per candidate;
+    an announced slot keeps the outcome its detectors gave."""
+    candidates = np.flatnonzero(t.reported >= 0)
     p_readout = mode.trojan.readout_success_prob
     if p_readout < 1.0:
-        # a detection whose encoder readout failed is never announced
         candidates = candidates[rng.random(len(candidates)) < p_readout]
     keys = _key_bits(mode, len(candidates))
     announced = announce(candidates, t.bob_bit[candidates], keys, q, rng)
-    # outcomes pass through from honest measurement, never altered
-    t.reported[announced] = _bell_outcomes(_pairs(t, announced), rng.random(len(announced)))
+    reported = np.full(t.n_slots, -1, dtype=np.int8)
+    reported[announced] = t.reported[announced]
+    t.reported = reported
 
 
 def _run_blinding(
-    config: SessionConfig, mode: BlindingMode, t: Transcript, rng
+    config: SessionConfig, mode: BlindingMode, t: Transcript, pair: np.ndarray
 ) -> BlindingPlan | None:
     if mode.optimize:
         plan = optimize_pulse(config.detectors, mode.wavelength_grid, mode.power_grid)
@@ -309,7 +310,7 @@ def _run_blinding(
         wavelength, power = mode.wavelength_nm, mode.pulse_power
     outcome, double = click_table(config.detectors, wavelength, power)
     arr = t.arrived
-    pair = _intercept(t, rng).astype(np.intp)
+    pair = pair.astype(np.intp)
     t.reported[arr] = outcome.ravel().take(pair)
     t.double_click[arr] = double.ravel().take(pair)
     t.detected[arr] = ((outcome >= 0) | double).ravel().take(pair)
@@ -376,31 +377,30 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     """Simulate one session; deterministic in (config, seed).
 
     Raises InfeasibleRateError before simulating anything when a covert
-    configuration cannot reach its target announcement rate. Dark counts are
-    modeled on the honest and intercept-resend paths only; the covert and
-    blinding units are adversary-controlled hardware whose spurious counts
-    the adversary suppresses.
+    configuration cannot reach its target announcement rate. The unit's
+    real detectors are the declared ones, dark counts included, but a
+    covert unit's are four at eta_true whose dark counts the adversary
+    suppresses; a blinded unit's clicks are its click table's.
 
-    After settings and arrivals, with m arrived slots: honest draws m Bell
-    outcomes, m efficiency trials, then n dark counts per dark detector;
-    intercept-resend and blinding first draw m interceptor bases and m
-    coins, and blinding nothing more; covert draws m efficiency trials, the
-    readout and thinning trials, then one Bell outcome per announcement.
+    After settings and arrivals, with m arrived slots: intercept-resend and
+    blinding draw m interceptor bases and m coins; then every mode but
+    blinding draws m Bell outcomes, m efficiency trials and n dark counts
+    per dark detector; then covert draws the readout trials and the
+    reporter's thinning trials over its clicks.
     """
     mode = config.mode
+    if not isinstance(mode, (HonestMode, CovertAttackMode, BlindingMode, InterceptResendMode)):
+        raise ConfigError(f"unknown session mode: {mode!r}")
     q = _covert_acceptance(config, mode) if isinstance(mode, CovertAttackMode) else None
     rng = np.random.Generator(np.random.PCG64(config.seed))
     t = _draw_settings(config, rng)
+    pair = _intercept(t, rng) if isinstance(mode, (BlindingMode, InterceptResendMode)) else _pairs(t)[t.arrived]
     plan: BlindingPlan | None = None
-    if isinstance(mode, HonestMode):
-        _detect(config, t, _pairs(t)[t.arrived], rng)
-    elif isinstance(mode, CovertAttackMode):
-        assert q is not None
-        _run_covert(mode, q, t, rng)
-    elif isinstance(mode, BlindingMode):
-        plan = _run_blinding(config, mode, t, rng)
-    elif isinstance(mode, InterceptResendMode):
-        _detect(config, t, _intercept(t, rng), rng)
+    if isinstance(mode, BlindingMode):
+        plan = _run_blinding(config, mode, t, pair)
     else:
-        raise ConfigError(f"unknown session mode: {mode!r}")
+        real = [(d.efficiency_at(config.signal_wavelength_nm), d.dark_count_prob) for d in config.detectors]
+        _detect(t, pair, real if q is None else [(mode.eta_true, 0.0)] * 4, rng)
+    if q is not None:
+        _covert_policy(mode, q, t, rng)
     return t, build_report(config, t, plan)

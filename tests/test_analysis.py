@@ -187,7 +187,7 @@ def test_detectability_report_verdict_wiring():
     assert report.verdicts["outcome_uniformity"] == "reject"  # all outcomes equal
 
 
-def test_detectability_report_empty_view():
+def test_detectability_report_empty_record():
     report = detectability_report(make_stats(5000, []), expected_rate=0.02)
     assert report.verdicts["gap_parity"] == "absent"
     assert report.verdicts["outcome_uniformity"] == "absent"

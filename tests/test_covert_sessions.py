@@ -1,5 +1,6 @@
 """Covert sessions at the size of a real sweep: announce against the
-one-slot rule, and the report's decoder on a fresh key draw.
+one-slot rule, the report's decoder on a fresh key draw, and the unit's
+announcements against an honest unit's clicks on the same seed.
 
 The hypothesis test in test_covert_bulk.py draws at most 80 candidates. Here
 the candidates are those that 10,000-slot covert sessions hand the reporter,
@@ -19,7 +20,7 @@ import pytest
 from test_covert_bulk import reference_announce
 
 from ddiqkd import protocol
-from ddiqkd.config import parse_config
+from ddiqkd.config import DetectorSpec, HonestMode, TrojanProbe, parse_config
 from ddiqkd.covert import announce
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -88,3 +89,24 @@ def test_report_key_draw_matches_a_fresh_draw(transmittance):
     protocol._key_draw = (0, np.zeros(0, dtype=np.int8))
     assert protocol.build_report(config, transcript) == report
     assert len(protocol._key_draw[1]) == report.reported - 1
+
+
+@pytest.mark.parametrize("readout", [1.0, 0.7])
+@pytest.mark.parametrize("keyed", [True, False])
+@pytest.mark.parametrize("transmittance", TRANSMITTANCES)
+def test_covert_unit_announces_honest_clicks(transmittance, keyed, readout):
+    # the covert unit's real detectors are four at eta_true with no dark
+    # counts: an honest unit with those detectors, on the same seed, clicks
+    # where it clicks, and each announcement is one of those clicks with
+    # the outcome the honest unit announces there
+    config = session_config(transmittance, keyed)
+    config = replace(config, mode=replace(config.mode, trojan=TrojanProbe(readout)))
+    detector = DetectorSpec({config.signal_wavelength_nm: config.mode.eta_true})
+    honest = replace(config, mode=HonestMode(), detectors=(detector,) * 4)
+    covert_t, _ = protocol.run_session(config)
+    honest_t, _ = protocol.run_session(honest)
+    assert np.array_equal(covert_t.detected, honest_t.detected)
+    announced = covert_t.reported_slots()
+    assert len(announced) > transmittance * 1000
+    assert (honest_t.reported[announced] >= 0).all()
+    assert np.array_equal(covert_t.reported[announced], honest_t.reported[announced])

@@ -10,10 +10,12 @@ GOLDEN_SWEEP pins the CSV of one `ddiqkd sweep` (SWEEP_ARGS), which holds
 the order of its rows and the per-session seeds as well. GOLDEN_ANALYZE
 pins the JSON `ddiqkd analyze --out` writes for each scenario's transcript
 at both lengths. A change to the
-draw order, the transcript format or the report schema changes them on
-purpose: bump the transcript format tag, describe the new order in the
-README's "Determinism" section, and print the new GOLDEN, GOLDEN_MULTI,
-GOLDEN_DARK, GOLDEN_SWEEP and GOLDEN_ANALYZE tables with
+draw order, the transcript layout or the report schema changes them on
+purpose. Only a layout change bumps the transcript format tag. A draw-order
+change describes the new order in the README's "Determinism" section,
+regenerates the tables it moves and names each changed digest in
+CHANGES.md. Print the new GOLDEN, GOLDEN_MULTI, GOLDEN_DARK, GOLDEN_SWEEP
+and GOLDEN_ANALYZE tables with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -43,12 +45,12 @@ GOLDEN = {
         "ef96f5b5bae747ea93e28ee458b37a6b75d51ecc701b0e79f924dd217e9e7141",
     ),
     "covert_keyed": (
-        "5416be47ee3eecad7fca94b1210dc190cf754316ad5d4fb2cd3ea8956aeae685",
-        "442e5d0c87dbe1a020ce80786288b73d6695da7be21302930e9b9f88e7544e06",
+        "5ab67d4e1fc0cc0057c07a88dca0f7967a2ad8027f553fb54020fe6966a779f5",
+        "dc8a8467a126e896c4e3ebce6c7bdda6b60da0b262da51e2de1ffeda3d72567f",
     ),
     "covert_unkeyed_biased": (
-        "fb83f13c1ed73c4ba0dbc9a9aad7eb9825d01318799df7585e98c58f758dd3ff",
-        "eba01de7fe3128901afd3bdc1c756846015382c9065e110838c5f5d3f53b9c95",
+        "83cd8906e1736994c5fcfcc4c7817c4f2c4b45ef8b7b1792d440a0fb96b3686e",
+        "2488d3c8f873c46f59a1ac9d354f61e4d9f5da7f78a872a32f7c91a302fa3d28",
     ),
     "honest": (
         "8b50585752f5e31a1e8b21c5b0d9324de840bdf94e30859927611825eefad8cf",
@@ -70,12 +72,12 @@ GOLDEN_MULTI = {
         "29374896bdadec7d3cfbcdf1de56c1708b921ad854540bd617d234a08cd881b7",
     ),
     "covert_keyed": (
-        "5d4b28bc7233e7e4882648d7d0c4f43e103abfdb50c487dd383e0a8ce5278fb4",
-        "f7621c0c44631fd3c6b610506202c5be3f99f1530e58612fe06f9df2977b2a04",
+        "279cdd0c6875623d8f2e8924984d67e5f3390c0fc03ea01243b78dadc7333334",
+        "2657b97790913eb9cb4477e7ac62c07539a33e33ca33c222740912381eec6344",
     ),
     "covert_unkeyed_biased": (
-        "65e8ff68fa6a4197bd4c3ced88f34124f6471439b1e783e4a2816b2847620d3e",
-        "81c641aaf8fcf8c50f3c8344a5e7c84c6061f19fa52f51dee8a28917b17b9c99",
+        "6689d0eef6f3d63d53de724c72d3a4683d73c275fad267b1a793ddb319d928f9",
+        "01c2f896fda9b81e04a18661b8b48664fa796b95e91d82041acaf5af164341d0",
     ),
     "honest": (
         "0b6e5983f219b18bd9599701e80f8e4cd6a5dcef5aa1517c12e4c754cab67f70",
@@ -161,7 +163,7 @@ SWEEP_ARGS = (
     "--grid", str(CONFIGS / "sweep_transmittance.json"),
     "--seeds", "3", "--master-seed", "11",
 )
-GOLDEN_SWEEP = "76c5afbb5d172ed5132aa54df418d718515e936207feadeb37032f8a6e4cf136"
+GOLDEN_SWEEP = "45037dac80e499f5f840a377a423974e5e4acd00a0f3142d81efe267b7c39d90"
 
 
 # the JSON `ddiqkd analyze --out` writes for each scenario's transcript
@@ -170,10 +172,10 @@ GOLDEN_ANALYZE = {
     ("blinding_symmetric", 23456): "e5360956bce1019a1b76ec48cc985c49e095c81e218fd514dd1275accb195451",
     ("blinding_tailored", 2000): "1a6c70ca70f8e1e0670fb528f48d71e3dd8fc49e07bc25f91c9a5cb7a0aa3bd3",
     ("blinding_tailored", 23456): "f75df30ce1168dc9ff842abef6546600085524e1a1871e0d78cb22fd4d4d6dd7",
-    ("covert_keyed", 2000): "5fa0697ca9f6c12271f4ea16091d374dedf274f5e1ade32220c940e2b587002d",
-    ("covert_keyed", 23456): "20c7c855e60c105c7b7a702caf3f47fa2c7ddc4eef5fea9ab20540e9ab569d7d",
-    ("covert_unkeyed_biased", 2000): "45fcb36ee0b4795deaf107a4e885cbbc819bde8b49104baf0e5a02524eb941c0",
-    ("covert_unkeyed_biased", 23456): "03ce268518bf2854175c45c7c83c3d25db445ac1f833cdf778ff52b5d8715a5e",
+    ("covert_keyed", 2000): "380cff9e46749c1094da62ad976ba7e9d945ad39954b7ba50f8ed28561e5fe66",
+    ("covert_keyed", 23456): "c65535e8159fd42b8f0a4696933a6d9da266edb68a6c1f828b9ea92b9cbec6e2",
+    ("covert_unkeyed_biased", 2000): "60fdb7fc1964a92b572808e555d7b22c096bf4431c766aa28e58dab9216e9468",
+    ("covert_unkeyed_biased", 23456): "9bcbd9656deb02433e85ffe526f0f7b2591a04f80a7a0203a73e619e2a312d36",
     ("honest", 2000): "c5b35590c2c51b6956d36f9fc033a3bfd29f3477c3283c78c41117370fdb7902",
     ("honest", 23456): "33f05a04a151e08d514bbc9b89914c1f51a2e62c5156db3cf403d255b51c1929",
     ("intercept_resend", 2000): "073bcc3baef5abf855040eb7bbf3b6369b107327e46736666d49ce72f6652842",
