@@ -44,17 +44,15 @@ class MonitorStats:
     outcome_counts: tuple[int, ...]
 
     @classmethod
-    def of(cls, reported: np.ndarray, double_click: np.ndarray) -> MonitorStats:
-        """The record of a span's two public columns: one outcome byte per
-        slot, announced iff its uint8 view is below 4 (so an int8 -1 means
-        none, as does any byte from 4 up), and one double-click flag per
-        slot."""
-        codes = reported.view(np.uint8)
-        slots = np.flatnonzero(codes < 4)
+    def of(cls, reported: np.ndarray, announced: np.ndarray, double_click: np.ndarray) -> MonitorStats:
+        """The record of a span's two public columns: one outcome per slot,
+        read only where the caller's mask marks an announced single (there
+        it is 0..3), and one double-click flag per slot."""
+        slots = np.flatnonzero(announced)
         first, last = (int(slots[0]), int(slots[-1])) if len(slots) else (-1, -1)
         odd = int(np.count_nonzero((slots[1:] - slots[:-1]) & 1))
-        counts = tuple(np.bincount(codes[slots], minlength=4).tolist())
-        return cls(len(codes), len(slots), int(np.count_nonzero(double_click)), first, last, odd, counts)
+        counts = tuple(np.bincount(reported[slots], minlength=4).tolist())
+        return cls(len(reported), len(slots), int(np.count_nonzero(double_click)), first, last, odd, counts)
 
     def merge(self, later: MonitorStats) -> MonitorStats:
         """The record of this span directly followed by `later`'s; the gap

@@ -269,7 +269,7 @@ def read_public_view(path: str) -> tuple[MonitorStats, dict[str, str]]:
                 )
             if not valid:
                 _reject_block(path, data, count * width, digits, first_line + start, start, n_slots)
-            counted = MonitorStats.of(outcome, double)
+            counted = MonitorStats.of(outcome, announced, double)
             stats = counted if start == 0 else stats.merge(counted)
         if fh.read(1):
             raise ValidationError(

@@ -13,8 +13,8 @@ the scheme adds no errors.
 Rate bookkeeping: with per-slot detection probability p and uniform target
 parities, the mean gap to the next usable detection is 2/p (even target) or
 2/p - 1 (odd target), giving a top announcement rate of 2p/(4-p). Thinning
-each parity-valid candidate with acceptance q scales p to p*q inside that
-formula, which is inverted by thinning_acceptance.
+every candidate with acceptance q before the reporter sees it scales p to
+p*q inside that formula, which is inverted by thinning_acceptance.
 """
 
 from __future__ import annotations
@@ -56,36 +56,25 @@ def thinning_acceptance(detection_prob: float, target_report_rate: float) -> flo
     return min(q, 1.0)
 
 
-def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
+def announce(slots, bits, keys) -> np.ndarray:
     """The slots the unit announces out of a session's candidate detections.
 
     slots are the candidate slots in strictly ascending order and bits their
-    receiver bits (candidates with an unknown bit are left out by the
-    caller); keys holds at least one key bit per candidate, key bit k for
-    the gap after announcement k. The first candidate is always announced.
-    After that a candidate is announced when its gap to the last
-    announcement is even if the pending bit XOR the gap's key bit is 1 (odd
-    if it is 0), and, when q < 1, a thinning uniform drawn for it falls
-    below q.
-
-    After an announcement the rule asks for one slot parity, so the
-    candidates it examines are the later ones of that parity, in order, and
-    each takes one thinning uniform. The uniforms are drawn as a block (at
-    most one per candidate) and the generator is then wound back to just
-    past the last one a per-candidate loop would have taken. Each
-    announcement is then a jump along the candidates of the wanted parity
-    to the next accepted uniform.
+    receiver bits (the caller leaves out candidates with an unknown bit and
+    those its thinning trial drops); keys holds at least one key bit per
+    candidate, key bit k for the gap after announcement k. The first
+    candidate is announced. After that the next candidate announced is the
+    first whose gap to the last announcement is even if the pending bit XOR
+    the gap's key bit is 1 (odd if it is 0). Nothing is drawn.
 
     The candidates are laid out flat, those at even slots first and then
     those at odd slots, each in slot order, so the later candidates of one
     parity are a run of flat positions. One code table per key bit holds,
     for each flat position, 2 * (the flat position of the first later
     candidate of the parity the rule then asks for) + that parity. So an
-    announcement costs one code read and one jump, and of the per-candidate
-    arrays only the skips and the key bits used become Python lists.
+    announcement costs one code read, and of the per-candidate arrays only
+    the key bits used become a Python list.
     """
-    if not 0.0 < q <= 1.0:
-        raise ValidationError(f"thinning acceptance must be in (0,1], got {q}")
     slots = np.asarray(slots, dtype=np.int64)
     n = len(slots)
     if n == 0:
@@ -94,21 +83,6 @@ def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
         raise ValidationError("slots must be processed in ascending order")
     if len(keys) < n:
         raise ValidationError(f"need a key bit per candidate, got {len(keys)} for {n}")
-    if q < 1.0:
-        snapshot = rng.bit_generator.state
-        accepted = np.flatnonzero(rng.random(n) < q)
-        rng.bit_generator.state = snapshot
-    else:
-        accepted = np.arange(n)
-    # announcement k takes the next accepted uniform, so it skips the
-    # candidates of the wanted parity whose uniforms lie between the
-    # accepted ones (accepted[k] - accepted[k - 1] - 1, and accepted[0]
-    # first); past the last accepted uniform nothing is announced, so the
-    # last skip, n, always ends the loop
-    skips = np.empty(len(accepted) + 1, dtype=np.int64)
-    skips[:-1] = accepted
-    np.add(accepted[1:], ~accepted[:-1], out=skips[1:-1])
-    skips[-1] = n
     odd = slots & 1
     first_odd = np.cumsum(odd)
     n_even = n - int(first_odd[-1])
@@ -137,19 +111,13 @@ def announce(slots, bits, keys, q: float, rng) -> np.ndarray:
     ends = (n_even, n)  # where the run of each parity ends
     f = int(flat[0])
     announced = [f]
-    # the skip and the key bit of the gap after announcement k
-    for skip, key in zip(skips.tolist(), np.asarray(keys[:len(skips)]).tolist()):
+    # n candidates make at most n - 1 gaps, one key bit each
+    for key in np.asarray(keys[:n - 1]).tolist():
         code = by_key[key][f]
-        hit = (code >> 1) + skip
-        if hit >= ends[code & 1]:
+        f = code >> 1
+        if f >= ends[code & 1]:
             break
-        f = hit
         announced.append(f)
-    if q < 1.0:
-        # up to the last accepted trial taken, then the examined tail, as whole words
-        k = len(announced) - 1
-        taken = (accepted[k - 1] + 1 if k else 0) + ends[code & 1] - (code >> 1)
-        rng.bit_generator.random_raw(taken, output=False)
     return flat_slots[announced]
 
 

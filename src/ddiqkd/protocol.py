@@ -14,14 +14,16 @@ Every mode runs one unit: its real detectors click, then a policy picks
 the clicks it announces. The clicks come from two small tables: the Bell
 probabilities of the 16 (source, receiver) preparation pairs, and for
 blinding the unit's deterministic response to the 16 (pulse, receiver)
-pairs. A preparation's index is 2*basis + bit.
+pairs. A preparation's index is 2*basis + bit. The covert policy thins its
+clicks with one trial per click, and its reporter picks among those left
+without drawing.
 
 Determinism contract: a session is fully determined by (config, seed). Party
 settings and arrivals are drawn in bulk in a fixed order, then each mode's
 draws follow, also in bulk and in a fixed order (see run_session). Every
-Bernoulli trial is rng.random(n) < p; the sender bits are read off raw words
-with the values of numpy's int8 draw, which is several times faster. The
-covert key is drawn once per key seed (_key_bits).
+Bernoulli trial is rng.random(n) < p; only the sender bits are read off raw
+words, with the values of numpy's int8 draw, which is several times faster.
+The covert key is drawn once per key seed (_key_bits).
 """
 
 from __future__ import annotations
@@ -285,15 +287,16 @@ def _covert_acceptance(config: SessionConfig, mode: CovertAttackMode) -> float:
 
 
 def _covert_policy(mode: CovertAttackMode, q: float, t: Transcript, rng) -> None:
-    """The covert unit announces, of its single clicks whose encoder readout
-    succeeded, those its reporter picks, keyed by one key bit per candidate;
-    an announced slot keeps the outcome its detectors gave."""
+    """The covert unit's candidates are its single clicks whose encoder
+    readout succeeded and that pass its thinning trial at acceptance q; it
+    announces those its reporter picks, keyed by one key bit per candidate.
+    An announced slot keeps the outcome its detectors gave."""
     candidates = np.flatnonzero(t.reported >= 0)
-    p_readout = mode.trojan.readout_success_prob
-    if p_readout < 1.0:
-        candidates = candidates[rng.random(len(candidates)) < p_readout]
+    for p in (mode.trojan.readout_success_prob, q):
+        if p < 1.0:
+            candidates = candidates[rng.random(len(candidates)) < p]
     keys = _key_bits(mode, len(candidates))
-    announced = announce(candidates, t.bob_bit[candidates], keys, q, rng)
+    announced = announce(candidates, t.bob_bit[candidates], keys)
     reported = np.full(t.n_slots, -1, dtype=np.int8)
     reported[announced] = t.reported[announced]
     t.reported = reported
@@ -348,7 +351,7 @@ def build_report(
     sifted slots and the expected rate are each taken once, and the counts,
     QBER, leak fraction and monitors (double-click rate included) all read
     from them."""
-    stats = MonitorStats.of(transcript.reported, transcript.double_click)
+    stats = MonitorStats.of(transcript.reported, transcript.reported >= 0, transcript.double_click)
     expected = config.expected_report_rate()
     det = detectability_report(stats, expected, config.alpha)
     sifted = sift(transcript)
@@ -385,8 +388,8 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     After settings and arrivals, with m arrived slots: intercept-resend and
     blinding draw m interceptor bases and m coins; then every mode but
     blinding draws m Bell outcomes, m efficiency trials and n dark counts
-    per dark detector; then covert draws the readout trials and the
-    reporter's thinning trials over its clicks.
+    per dark detector; then covert draws a readout trial per single click
+    and, when q < 1, a thinning trial per click that passed its readout.
     """
     mode = config.mode
     if not isinstance(mode, (HonestMode, CovertAttackMode, BlindingMode, InterceptResendMode)):

@@ -23,7 +23,7 @@ def make_stats(n_slots, slots, outcomes=None, doubles=()):
     reported[np.asarray(slots, dtype=np.int64)] = 0 if outcomes is None else outcomes
     double_click = np.zeros(n_slots, dtype=bool)
     double_click[np.asarray(doubles, dtype=np.int64)] = True
-    return MonitorStats.of(reported, double_click)
+    return MonitorStats.of(reported, reported >= 0, double_click)
 
 
 def reference_stats(reported, double_click):
@@ -62,10 +62,11 @@ columns = st.builds(
 def test_record_equals_reference_for_kernel_and_reader_bytes(cols):
     reported, double_click = cols
     expected = reference_stats(reported.tolist(), double_click.tolist())
-    assert MonitorStats.of(reported, double_click) == expected
-    # the reader's bytes: an outcome digit minus '0', '-' wrapping to 253
+    assert MonitorStats.of(reported, reported >= 0, double_click) == expected
+    # the reader's bytes: an outcome digit minus '0', '-' wrapping to 253,
+    # with the reader's mask
     read = np.where(reported < 0, ord("-") - ord("0") + 256, reported).astype(np.uint8)
-    assert MonitorStats.of(read, double_click) == expected
+    assert MonitorStats.of(read, read < 4, double_click) == expected
 
 
 @settings(max_examples=500, deadline=None)
@@ -73,9 +74,10 @@ def test_record_equals_reference_for_kernel_and_reader_bytes(cols):
 def test_merge_of_split_spans_equals_record_of_whole(cols, data):
     reported, double_click = cols
     cut = data.draw(st.integers(0, len(reported)), label="cut")
-    left = MonitorStats.of(reported[:cut], double_click[:cut])
-    right = MonitorStats.of(reported[cut:], double_click[cut:])
-    assert left.merge(right) == MonitorStats.of(reported, double_click)
+    announced = reported >= 0
+    left = MonitorStats.of(reported[:cut], announced[:cut], double_click[:cut])
+    right = MonitorStats.of(reported[cut:], announced[cut:], double_click[cut:])
+    assert left.merge(right) == MonitorStats.of(reported, announced, double_click)
 
 
 def test_stats_validation():
@@ -111,8 +113,7 @@ def test_gap_parity_needs_two_reports():
 ORDER_AND_RANGE_CHECKS = {
     "eve_decode": lambda slots: eve_decode(slots, np.zeros(len(slots), dtype=np.int64)),
     "announce": lambda slots: announce(
-        slots, np.zeros(len(slots), dtype=np.int8), np.zeros(len(slots), dtype=np.int64),
-        0.5, np.random.default_rng(0),
+        slots, np.zeros(len(slots), dtype=np.int8), np.zeros(len(slots), dtype=np.int64)
     ),
 }
 ORDER_AND_RANGE_CASES = [

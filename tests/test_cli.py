@@ -289,7 +289,7 @@ def test_read_public_view_roundtrip(tmp_path):
     assert meta["mode"] == "covert"
     assert float(meta["expected_report_rate"]) == pytest.approx(0.02)
     transcript, _ = run_session(parse_config(COVERT_DOC))
-    assert stats == MonitorStats.of(transcript.reported, transcript.double_click)
+    assert stats == MonitorStats.of(transcript.reported, transcript.reported >= 0, transcript.double_click)
 
 
 def test_sweep_rows_and_determinism(tmp_path):

@@ -1,9 +1,9 @@
 """The bulk covert reporter and decoder against their one-slot specification.
 
 announce must announce the slots that the one-slot rule, applied to each
-candidate in turn, announces, and leave the session generator exactly where
-that loop leaves it, so that every draw after it is unchanged. eve_decode
-must match a per-pair decoder.
+candidate in turn, announces; the session thins the candidates before
+announce sees them, so the rule draws nothing. eve_decode must match a
+per-pair decoder.
 """
 
 import json
@@ -23,20 +23,17 @@ from ddiqkd.protocol import Transcript, run_session
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def reference_announce(slots, bits, keys, q, rng):
+def reference_announce(slots, bits, keys):
     """The one-slot rule, candidate by candidate in slot order. The first
     candidate is announced. After that a candidate is announced when its
     gap to the last announcement has the parity that encodes the pending
     bit under the gap's key bit (key 0: even for 1, odd for 0; key 1 flips
-    it) and, when q < 1, a fresh uniform is below q. Announcement k takes
-    key bit k for the gap after it."""
+    it). Announcement k takes key bit k for the gap after it."""
     keys = np.asarray(keys).tolist()
     announced = []
     for slot, bit in zip(np.asarray(slots).tolist(), np.asarray(bits).tolist()):
         if announced:
             if (slot - last) % 2 != pending ^ gap_key ^ 1:
-                continue
-            if q < 1.0 and not rng.random() < q:
                 continue
         gap_key = keys[len(announced)]
         announced.append(slot)
@@ -44,22 +41,11 @@ def reference_announce(slots, bits, keys, q, rng):
     return np.array(announced, dtype=np.int64)
 
 
-def session_rng(seed, prefix):
-    """A generator that, like a session's, may hold half of a 64-bit word
-    after `prefix` int8 draws."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rng.integers(0, 2, size=prefix, dtype=np.int8)
-    return rng
-
-
-def run(rule, q, key_seed, slots, bits, seed, prefix):
-    """rule's announced slots and the generator state after it; key_seed
-    None stands for keying off."""
-    rng = session_rng(seed, prefix)
+def run(rule, key_seed, slots, bits):
+    """rule's announced slots; key_seed None stands for keying off."""
     n = len(slots)
     keys = np.zeros(n, dtype=np.int64) if key_seed is None else key_bits(key_seed, n)
-    announced = rule(slots, bits, keys, q, rng)
-    return announced.tolist(), rng.bit_generator.state
+    return rule(slots, bits, keys).tolist()
 
 
 @st.composite
@@ -75,34 +61,19 @@ def candidate_sets(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(
-    cands=candidate_sets(),
-    q=st.one_of(st.just(1.0), st.floats(0.01, 0.99)),
-    key_seed=st.one_of(st.none(), st.integers(0, 2**32)),
-    seed=st.integers(0, 2**32),
-    prefix=st.integers(0, 3),
-)
-@example(cands=([], []), q=0.5, key_seed=42, seed=1, prefix=1)
-@example(cands=([7], [1]), q=0.5, key_seed=42, seed=1, prefix=1)
-@example(cands=([3, 8], [0, 1]), q=1.0, key_seed=None, seed=1, prefix=0)
-@example(cands=([3, 8], [1, 0]), q=1.0, key_seed=42, seed=2, prefix=1)
-@example(cands=(list(range(0, 200, 2)), [1] * 100), q=1.0, key_seed=None, seed=3, prefix=0)
-@example(cands=(list(range(1, 201, 2)), [0] * 100), q=0.3, key_seed=None, seed=4, prefix=1)
-@example(cands=(list(range(1, 201, 2)), [0] * 100), q=0.3, key_seed=42, seed=4, prefix=1)
-def test_announce_matches_reference(cands, q, key_seed, seed, prefix):
+@given(cands=candidate_sets(), key_seed=st.one_of(st.none(), st.integers(0, 2**32)))
+@example(cands=([], []), key_seed=42)
+@example(cands=([7], [1]), key_seed=42)
+@example(cands=([3, 8], [0, 1]), key_seed=None)
+@example(cands=([3, 8], [1, 0]), key_seed=42)
+@example(cands=(list(range(0, 200, 2)), [1] * 100), key_seed=None)
+@example(cands=(list(range(1, 201, 2)), [0] * 100), key_seed=None)
+@example(cands=(list(range(1, 201, 2)), [0] * 100), key_seed=42)
+def test_announce_matches_reference(cands, key_seed):
     slots, bits = cands
     slots = np.array(slots, dtype=np.int64)
     bits = np.array(bits, dtype=np.int8)
-    bulk = run(announce, q, key_seed, slots, bits, seed, prefix)
-    reference = run(reference_announce, q, key_seed, slots, bits, seed, prefix)
-    assert bulk == reference
-
-
-def test_announce_draws_nothing_without_thinning():
-    rng = session_rng(5, 1)
-    before = rng.bit_generator.state
-    announce(np.arange(0, 100, 3), np.ones(34, dtype=np.int8), np.zeros(34, dtype=np.int64), 1.0, rng)
-    assert rng.bit_generator.state == before
+    assert run(announce, key_seed, slots, bits) == run(reference_announce, key_seed, slots, bits)
 
 
 def reference_decode(slots, keys):

@@ -1,17 +1,19 @@
 """Covert sessions at the size of a real sweep: announce against the
-one-slot rule, the report's decoder on a fresh key draw, and the unit's
-announcements against an honest unit's clicks on the same seed.
+one-slot rule, the policy's thinning, the report's decoder on a fresh key
+draw, and the unit's announcements against an honest unit's clicks on the
+same seed.
 
 The hypothesis test in test_covert_bulk.py draws at most 80 candidates. Here
 the candidates are those that 10,000-slot covert sessions hand the reporter,
 at every transmittance of configs/sweep_transmittance.json, keyed and
-unkeyed, with the thinning acceptance that the session's feasibility gate
+unkeyed, thinned at the acceptance that the session's feasibility gate
 sets, so the jumps reach deep into both parity runs. Each session's
 candidates are checked as drawn and shifted by one slot, so that one of the
 two starts at an even slot and the other at an odd one.
 """
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,43 +41,66 @@ def session_config(transmittance, keyed):
     )
 
 
-def session_inputs(transmittance, keyed, monkeypatch):
-    """The arguments a session_config session hands announce, and the state
-    of the session generator at that call."""
-    config = session_config(transmittance, keyed)
+def session_inputs(config, monkeypatch):
+    """The arguments a session of config hands announce, and the
+    session's transcript."""
     calls = []
 
-    def record(slots, bits, keys, q, rng):
-        calls.append((slots, bits, keys, q, rng.bit_generator.state))
-        return announce(slots, bits, keys, q, rng)
+    def record(slots, bits, keys):
+        calls.append((slots, bits, keys))
+        return announce(slots, bits, keys)
 
     monkeypatch.setattr(protocol, "announce", record)
-    protocol.run_session(config)
+    transcript, _ = protocol.run_session(config)
     (call,) = calls
-    return call
+    return call, transcript
 
 
-def announced_and_state(rule, slots, bits, keys, q, state):
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = state
-    announced = rule(slots, bits, keys, q, rng)
-    return np.asarray(announced).tolist(), rng.bit_generator.state
+def honest_twin(config):
+    """An honest unit with the covert unit's real detectors, four at
+    eta_true with no dark counts, on the same seed."""
+    detector = DetectorSpec({config.signal_wavelength_nm: config.mode.eta_true})
+    return replace(config, mode=HonestMode(), detectors=(detector,) * 4)
 
 
 @pytest.mark.parametrize("keyed", [True, False])
 @pytest.mark.parametrize("transmittance", TRANSMITTANCES)
 def test_announce_matches_reference_at_sweep_size(transmittance, keyed, monkeypatch):
-    slots, bits, keys, q, state = session_inputs(transmittance, keyed, monkeypatch)
-    assert 0.0 < q < 1.0
+    (slots, bits, keys), _ = session_inputs(session_config(transmittance, keyed), monkeypatch)
     first_parities = set()
     for shift in (0, 1):
         shifted = slots + shift
         first_parities.add(int(shifted[0]) % 2)
-        bulk = announced_and_state(announce, shifted, bits, keys, q, state)
-        reference = announced_and_state(reference_announce, shifted, bits, keys, q, state)
-        assert bulk == reference
-        assert len(bulk[0]) > transmittance * 1000
+        bulk = announce(shifted, bits, keys).tolist()
+        assert bulk == reference_announce(shifted, bits, keys).tolist()
+        assert len(bulk) > transmittance * 1000
     assert first_parities == {0, 1}
+
+
+@pytest.mark.parametrize("transmittance", TRANSMITTANCES)
+def test_policy_thins_the_honest_clicks(transmittance, monkeypatch):
+    # readout never fails in configs/covert_keyed.json, so each candidate
+    # is one of the twin's clicks kept by a trial at acceptance q, and the
+    # first of them is announced
+    config = session_config(transmittance, keyed=True)
+    q = protocol._covert_acceptance(config, config.mode)
+    assert config.mode.trojan.readout_success_prob == 1.0 and 0.0 < q < 1.0
+    (candidates, _, _), transcript = session_inputs(config, monkeypatch)
+    clicks = np.flatnonzero(protocol.run_session(honest_twin(config))[0].detected)
+    assert np.isin(candidates, clicks).all()
+    assert abs(len(candidates) - q * len(clicks)) < 5 * math.sqrt(len(clicks) * q * (1 - q))
+    assert transcript.reported_slots()[0] == candidates[0]
+
+
+def test_policy_keeps_every_click_at_acceptance_one(monkeypatch):
+    # at the top rate 2p/(4-p) with p = 1 the acceptance is exactly 1, so
+    # no candidate is thinned and the candidates are the twin's clicks
+    config = session_config(1.0, keyed=True)
+    config = replace(config, mode=replace(config.mode, eta_true=1.0, target_report_rate=2 / 3))
+    assert protocol._covert_acceptance(config, config.mode) == 1.0
+    (candidates, _, _), _ = session_inputs(config, monkeypatch)
+    clicks = np.flatnonzero(protocol.run_session(honest_twin(config))[0].detected)
+    assert np.array_equal(candidates, clicks)
 
 
 @pytest.mark.parametrize("transmittance", [TRANSMITTANCES[0], TRANSMITTANCES[-1]])
@@ -101,10 +126,8 @@ def test_covert_unit_announces_honest_clicks(transmittance, keyed, readout):
     # the outcome the honest unit announces there
     config = session_config(transmittance, keyed)
     config = replace(config, mode=replace(config.mode, trojan=TrojanProbe(readout)))
-    detector = DetectorSpec({config.signal_wavelength_nm: config.mode.eta_true})
-    honest = replace(config, mode=HonestMode(), detectors=(detector,) * 4)
     covert_t, _ = protocol.run_session(config)
-    honest_t, _ = protocol.run_session(honest)
+    honest_t, _ = protocol.run_session(honest_twin(config))
     assert np.array_equal(covert_t.detected, honest_t.detected)
     announced = covert_t.reported_slots()
     assert len(announced) > transmittance * 1000

@@ -45,12 +45,12 @@ GOLDEN = {
         "ef96f5b5bae747ea93e28ee458b37a6b75d51ecc701b0e79f924dd217e9e7141",
     ),
     "covert_keyed": (
-        "5ab67d4e1fc0cc0057c07a88dca0f7967a2ad8027f553fb54020fe6966a779f5",
-        "dc8a8467a126e896c4e3ebce6c7bdda6b60da0b262da51e2de1ffeda3d72567f",
+        "44a0d4a57cd9e3747936e639b791176126e7f221d1d540034edae5c4921821d5",
+        "ffcc02a1e1d838502d038e68bf7a32be1ffca72f7718926c32a6bcded7fb4fd5",
     ),
     "covert_unkeyed_biased": (
-        "83cd8906e1736994c5fcfcc4c7817c4f2c4b45ef8b7b1792d440a0fb96b3686e",
-        "2488d3c8f873c46f59a1ac9d354f61e4d9f5da7f78a872a32f7c91a302fa3d28",
+        "749d7156b343bce87c6539df1ae1e98e7c4884322901b5be6f0f66b7d7d51473",
+        "3ac2e90dc42f239db3931163142722d8f2dadc31feec78a0d12e990d71fbba11",
     ),
     "honest": (
         "8b50585752f5e31a1e8b21c5b0d9324de840bdf94e30859927611825eefad8cf",
@@ -72,12 +72,12 @@ GOLDEN_MULTI = {
         "29374896bdadec7d3cfbcdf1de56c1708b921ad854540bd617d234a08cd881b7",
     ),
     "covert_keyed": (
-        "279cdd0c6875623d8f2e8924984d67e5f3390c0fc03ea01243b78dadc7333334",
-        "2657b97790913eb9cb4477e7ac62c07539a33e33ca33c222740912381eec6344",
+        "5e53df6fcb955f62e3cab8a4ff51b1250dcf532ab0ca7ca652d4c97e7926fc27",
+        "e839527e64761ccb626a51160ccbd376e72d5aafe1ad314f9a4e334e879c9472",
     ),
     "covert_unkeyed_biased": (
-        "6689d0eef6f3d63d53de724c72d3a4683d73c275fad267b1a793ddb319d928f9",
-        "01c2f896fda9b81e04a18661b8b48664fa796b95e91d82041acaf5af164341d0",
+        "5867dfd436776b6334eca3d602ef6e4bdc134dbc69a7426b47196a811fb9a593",
+        "0c92fe46f8e6708fae5e491403abdbe60b0a2aa34d445fa14104a76fd19fcfa6",
     ),
     "honest": (
         "0b6e5983f219b18bd9599701e80f8e4cd6a5dcef5aa1517c12e4c754cab67f70",
@@ -163,7 +163,7 @@ SWEEP_ARGS = (
     "--grid", str(CONFIGS / "sweep_transmittance.json"),
     "--seeds", "3", "--master-seed", "11",
 )
-GOLDEN_SWEEP = "45037dac80e499f5f840a377a423974e5e4acd00a0f3142d81efe267b7c39d90"
+GOLDEN_SWEEP = "4e418a9a426f92a87523a17497cbeb5699511b515fafccaa9ea205f860a36cb3"
 
 
 # the JSON `ddiqkd analyze --out` writes for each scenario's transcript
@@ -172,10 +172,10 @@ GOLDEN_ANALYZE = {
     ("blinding_symmetric", 23456): "e5360956bce1019a1b76ec48cc985c49e095c81e218fd514dd1275accb195451",
     ("blinding_tailored", 2000): "1a6c70ca70f8e1e0670fb528f48d71e3dd8fc49e07bc25f91c9a5cb7a0aa3bd3",
     ("blinding_tailored", 23456): "f75df30ce1168dc9ff842abef6546600085524e1a1871e0d78cb22fd4d4d6dd7",
-    ("covert_keyed", 2000): "380cff9e46749c1094da62ad976ba7e9d945ad39954b7ba50f8ed28561e5fe66",
-    ("covert_keyed", 23456): "c65535e8159fd42b8f0a4696933a6d9da266edb68a6c1f828b9ea92b9cbec6e2",
-    ("covert_unkeyed_biased", 2000): "60fdb7fc1964a92b572808e555d7b22c096bf4431c766aa28e58dab9216e9468",
-    ("covert_unkeyed_biased", 23456): "9bcbd9656deb02433e85ffe526f0f7b2591a04f80a7a0203a73e619e2a312d36",
+    ("covert_keyed", 2000): "f002b19b65af66dad61d1fa6270e934d376461893f8be169e3670f508e5bd2aa",
+    ("covert_keyed", 23456): "aa12dc9e782ed6c21189996d18240f61823c0720b94f0e6e12502ba0c7e9c354",
+    ("covert_unkeyed_biased", 2000): "1a62ee2b22f50e011c44c089a400fcbd536c195e2dca4fac30f9410d3c4cc440",
+    ("covert_unkeyed_biased", 23456): "6aa2a5de9c42c6e60414acf6b773aee1491fcc6f38163fd1bbcf260d67188cd8",
     ("honest", 2000): "c5b35590c2c51b6956d36f9fc033a3bfd29f3477c3283c78c41117370fdb7902",
     ("honest", 23456): "33f05a04a151e08d514bbc9b89914c1f51a2e62c5156db3cf403d255b51c1929",
     ("intercept_resend", 2000): "073bcc3baef5abf855040eb7bbf3b6369b107327e46736666d49ce72f6652842",

@@ -65,6 +65,7 @@ def test_rate_verdict_uses_the_two_sided_normal_quantile(n_slots, rate, shift, a
     announced = int(min(max(n_slots * rate + shift * sd, 0), n_slots))
     reported = np.full(n_slots, -1, dtype=np.int8)
     reported[:announced] = 0
-    report = detectability_report(MonitorStats.of(reported, np.zeros(n_slots, dtype=bool)), rate, alpha)
+    record = MonitorStats.of(reported, reported >= 0, np.zeros(n_slots, dtype=bool))
+    report = detectability_report(record, rate, alpha)
     reject = abs(report.rate_z_score) > float(stats.norm.isf(alpha / 2.0))
     assert report.verdicts["rate"] == ("reject" if reject else "pass")

@@ -1,10 +1,10 @@
 """The session's draws against the generator words they read.
 
 Every Bernoulli trial is rng.random(n) < p, one 64-bit word per trial with
-numpy's uniform (w >> 11) * 2**-53; the tail skip in covert.announce and the
-sender bits, read off raw words, count on that, so a trial must equal the
-compare of its raw word, succeed below the bound ceil(p * 2**53) << 11, and
-leave the generator where random_raw(n) leaves it. The settings draw reads
+numpy's uniform (w >> 11) * 2**-53; the sender bits, read off raw words,
+count on that, so a trial must equal the compare of its raw word, succeed
+below the bound ceil(p * 2**53) << 11, and leave the generator where
+random_raw(n) leaves it. The settings draw reads
 the sender bits off raw bytes between those trials; the bits must be the
 values rng.integers(0, 2, n, int8) gives, and the generator must be left
 where numpy's own draws leave it for every later 64-bit draw. The covert key
@@ -46,7 +46,7 @@ def session_rng(seed, prefix):
     prefix=st.integers(0, 3),
 )
 def test_random_compare_reads_one_raw_word_per_trial(p, n, seed, prefix):
-    # each trial reads one raw word: announce skips trials as raw words
+    # each trial reads one whole raw word
     trial, raw = session_rng(seed, prefix), session_rng(seed, prefix)
     got = trial.random(n) < p
     words = raw.bit_generator.random_raw(n)

@@ -92,7 +92,7 @@ transcripts = st.builds(
 
 def assert_round_trip(path, transcript, meta):
     stats, read_meta = read_public_view(str(path))
-    assert stats == MonitorStats.of(transcript.reported, transcript.double_click)
+    assert stats == MonitorStats.of(transcript.reported, transcript.reported >= 0, transcript.double_click)
     assert read_meta == {key: str(value) for key, value in meta.items()}
 
 
@@ -137,7 +137,7 @@ def test_read_record_counts_the_gaps_across_block_seams(tmp_path, cleared, annou
     path = tmp_path / "t.csv"
     write_transcript_csv(str(path), transcript, meta_for(n))
     stats, _ = read_public_view(str(path))
-    assert stats == MonitorStats.of(transcript.reported, transcript.double_click)
+    assert stats == MonitorStats.of(transcript.reported, transcript.reported >= 0, transcript.double_click)
     slots = np.flatnonzero(transcript.reported >= 0)
     assert stats.odd_gaps == np.count_nonzero(np.diff(slots) & 1)
     assert (stats.first, stats.last, stats.singles) == (slots[0], slots[-1], len(slots))
