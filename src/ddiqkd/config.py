@@ -84,10 +84,11 @@ class DetectorSpec:
     blind_threshold: Mapping[float, float] = field(default_factory=lambda: {DEFAULT_WAVELENGTH_NM: 1.0})
 
     def __post_init__(self) -> None:
-        if not self.efficiency:
-            raise ValidationError("efficiency table must not be empty")
-        if not self.blind_threshold:
-            raise ValidationError("blind_threshold table must not be empty")
+        for name, table in (("efficiency", self.efficiency), ("blind_threshold", self.blind_threshold)):
+            if not table:
+                raise ValidationError(f"{name} table must not be empty")
+            if min(table) <= 0.0:
+                raise ValidationError(f"{name} wavelengths must be > 0 nm, got {min(table)}")
         for wl, eta in self.efficiency.items():
             if not 0.0 <= eta <= 1.0:
                 raise ValidationError(f"efficiency at {wl} nm must be in [0,1], got {eta}")
@@ -159,10 +160,15 @@ class BlindingMode:
         if self.optimize:
             if len(self.wavelength_grid) == 0 or len(self.power_grid) == 0:
                 raise ValidationError("optimize=True needs non-empty wavelength and power grids")
+            if min(self.wavelength_grid) <= 0.0:
+                raise ValidationError(f"wavelength_grid entries must be > 0, got {min(self.wavelength_grid)}")
             if min(self.power_grid) <= 0.0:
                 raise ValidationError(f"power_grid entries must be > 0, got {min(self.power_grid)}")
-        elif self.pulse_power <= 0.0:
-            raise ValidationError(f"pulse_power must be > 0, got {self.pulse_power}")
+        else:
+            if self.pulse_power <= 0.0:
+                raise ValidationError(f"pulse_power must be > 0, got {self.pulse_power}")
+            if self.wavelength_nm <= 0.0:
+                raise ValidationError(f"wavelength_nm must be > 0, got {self.wavelength_nm}")
 
 
 @dataclass(frozen=True)
@@ -412,6 +418,8 @@ def parse_config(data: Mapping[str, Any], seed: int | None = None) -> SessionCon
         data = {**data, "seed": seed}
     kwargs = _parse_fields(data, SessionConfig, "")
     anchor_nm = kwargs.get("signal_wavelength_nm", _default(SessionConfig, "signal_wavelength_nm"))
+    if anchor_nm <= 0.0:  # checked before the detector tables it keys
+        raise _fail("config", f"signal_wavelength_nm must be > 0, got {anchor_nm}")
     blocks = kwargs.get("detectors", (("detectors", {}),) * 4)
     kwargs["detectors"] = tuple(_detector(path, block, anchor_nm) for path, block in blocks)
     return _build(SessionConfig, "config", kwargs)

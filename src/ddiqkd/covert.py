@@ -56,6 +56,18 @@ def thinning_acceptance(detection_prob: float, target_report_rate: float) -> flo
     return min(q, 1.0)
 
 
+def _next_tables(slots, bits) -> tuple[np.ndarray, np.ndarray]:
+    """announce's next-candidate tables for key bit 0 and key bit 1."""
+    n = len(slots)
+    odd = slots & 1
+    after = []
+    for parity in (0, 1):
+        own = np.where(odd[1:] == parity, np.arange(1, n), n)
+        after.append(np.append(np.minimum.accumulate(own[::-1])[::-1], n))
+    same = odd == bits
+    return np.where(same, after[1], after[0]), np.where(same, after[0], after[1])
+
+
 def announce(slots, bits, keys) -> np.ndarray:
     """The slots the unit announces out of a session's candidate detections.
 
@@ -67,12 +79,12 @@ def announce(slots, bits, keys) -> np.ndarray:
     first whose gap to the last announcement is even if the pending bit XOR
     the gap's key bit is 1 (odd if it is 0). Nothing is drawn.
 
-    The candidates are laid out flat, those at even slots first and then
-    those at odd slots, each in slot order, so the later candidates of one
-    parity are a run of flat positions. One code table per key bit holds,
-    for each flat position, 2 * (the flat position of the first later
-    candidate of the parity the rule then asks for) + that parity. So an
-    announcement costs one code read, and of the per-candidate arrays only
+    after[p][j] is the first candidate after j whose slot has parity p, or
+    n if there is none. Announcing j under key bit 0 asks for an odd slot
+    next exactly when j's slot parity equals its bit (bit 0 wants an odd
+    gap, bit 1 an even one), so key bit 0's table holds after[1][j] there
+    and after[0][j] elsewhere, and key bit 1's table the other choice. An
+    announcement costs one table read, and of the per-candidate arrays only
     the key bits used become a Python list.
     """
     slots = np.asarray(slots, dtype=np.int64)
@@ -83,42 +95,16 @@ def announce(slots, bits, keys) -> np.ndarray:
         raise ValidationError("slots must be processed in ascending order")
     if len(keys) < n:
         raise ValidationError(f"need a key bit per candidate, got {len(keys)} for {n}")
-    odd = slots & 1
-    first_odd = np.cumsum(odd)
-    n_even = n - int(first_odd[-1])
-    # after candidate j, the first even candidate sits at flat position
-    # (evens up to j) and the first odd one at n_even + (odds up to j)
-    first_even = np.arange(1, n + 1) - first_odd
-    first_odd += n_even
-    flat = np.where(odd, first_odd, first_even)
-    flat -= 1
-    # the slot parity the rule asks for next after announcing a candidate
-    # under key bit 0 (an even gap encodes bit 1); key bit 1 flips it. Its
-    # code is 2 * (flat position of that first candidate) + parity, and the
-    # two codes of candidate j add up to 2 * (j + 1 + n_even) + 1, so key
-    # bit 1's code is that sum less key bit 0's
-    wanted = ((odd ^ bits) & 1) == 0
-    row = np.where(wanted, first_odd, first_even)
-    row <<= 1
-    row += wanted
-    codes = np.empty((2, n), dtype=np.int64)
-    codes[0, flat] = row
-    np.subtract(np.arange(2 * n_even + 3, 2 * (n + n_even) + 3, 2), row, out=row)
-    codes[1, flat] = row
-    by_key = (memoryview(codes[0]), memoryview(codes[1]))
-    flat_slots = np.empty(n, dtype=np.int64)
-    flat_slots[flat] = slots
-    ends = (n_even, n)  # where the run of each parity ends
-    f = int(flat[0])
-    announced = [f]
+    by_key = [memoryview(table) for table in _next_tables(slots, bits)]
+    j = 0
+    announced = [j]
     # n candidates make at most n - 1 gaps, one key bit each
     for key in np.asarray(keys[:n - 1]).tolist():
-        code = by_key[key][f]
-        f = code >> 1
-        if f >= ends[code & 1]:
+        j = by_key[key][j]
+        if j == n:
             break
-        announced.append(f)
-    return flat_slots[announced]
+        announced.append(j)
+    return slots[announced]
 
 
 def eve_decode(reported_slots: Sequence[int], keys) -> np.ndarray:

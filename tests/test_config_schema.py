@@ -91,6 +91,15 @@ def test_non_finite_wavelength_key_rejected(key):
      "detectors[1]: blind_threshold at 1310.0 nm must be > 0, got -1.0"),
     ({"mode": dict(BLINDING, pulse_power=0)}, "mode: pulse_power must be > 0, got 0.0"),
     ({"signal_wavelength_nm": 0}, "config: signal_wavelength_nm must be > 0, got 0.0"),
+    ({"mode": dict(BLINDING, wavelength_nm=-3)}, "mode: wavelength_nm must be > 0, got -3.0"),
+    ({"mode": dict(BLINDING, wavelength_nm=0)}, "mode: wavelength_nm must be > 0, got 0.0"),
+    ({"mode": dict(BLINDING, optimize=True, wavelength_grid=[1550, -1], power_grid=[2.0])},
+     "mode: wavelength_grid entries must be > 0, got -1.0"),
+    ({"mode": dict(BLINDING, optimize=True, wavelength_grid=[0, 1550], power_grid=[2.0])},
+     "mode: wavelength_grid entries must be > 0, got 0.0"),
+    ({"detectors": {"efficiency": {"-1550": 0.2}}}, "detectors: efficiency wavelengths must be > 0 nm, got -1550.0"),
+    ({"detectors": [{}, {}, {}, {"blind_threshold": {"1550": 1.0, "0": 1.0}}]},
+     "detectors[3]: blind_threshold wavelengths must be > 0 nm, got 0.0"),
 ])
 def test_range_error_names_its_path(doc, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

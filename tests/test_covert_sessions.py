@@ -7,13 +7,16 @@ The hypothesis test in test_covert_bulk.py draws at most 80 candidates. Here
 the candidates are those that 10,000-slot covert sessions hand the reporter,
 at every transmittance of configs/sweep_transmittance.json, keyed and
 unkeyed, thinned at the acceptance that the session's feasibility gate
-sets, so the jumps reach deep into both parity runs. Each session's
-candidates are checked as drawn and shifted by one slot, so that one of the
-two starts at an even slot and the other at an odd one.
+sets. Each session's candidates are checked as drawn and shifted by one
+slot. The shift flips every slot's parity, so each announcement's next
+candidate comes from the other parity's next-candidate array, and one of
+the two copies starts at an even slot and the other at an odd one.
+announce's memory is checked on a 300,000-candidate set.
 """
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from test_covert_bulk import reference_announce
 
 from ddiqkd import protocol
 from ddiqkd.config import DetectorSpec, HonestMode, TrojanProbe, parse_config
-from ddiqkd.covert import announce
+from ddiqkd.covert import announce, key_bits
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TRANSMITTANCES = json.loads((CONFIGS / "sweep_transmittance.json").read_text())["parameters"][
@@ -133,3 +136,21 @@ def test_covert_unit_announces_honest_clicks(transmittance, keyed, readout):
     assert len(announced) > transmittance * 1000
     assert (honest_t.reported[announced] >= 0).all()
     assert np.array_equal(covert_t.reported[announced], honest_t.reported[announced])
+
+
+def test_announce_memory_per_candidate():
+    # a dense keyed session: about 300,000 candidates out of 1M slots. The
+    # two next-candidate tables, the key bits used and the announced list
+    # stay under 64 B per candidate at announce's traced peak
+    rng = np.random.default_rng(2024)
+    slots = np.flatnonzero(rng.random(1_000_000) < 0.3)
+    bits = rng.integers(0, 2, len(slots), dtype=np.int8)
+    keys = key_bits(5, len(slots))
+    tracemalloc.start()
+    try:
+        announced = announce(slots, bits, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(announced) > len(slots) // 3
+    assert peak <= 64 * len(slots)
