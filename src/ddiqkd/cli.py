@@ -383,6 +383,12 @@ def _load_grid(path: str) -> dict[str, list]:
             )
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid parameter {key!r} must be a non-empty list")
+    for outer, inner in itertools.permutations(params, 2):
+        if inner.startswith(outer + "."):
+            raise ConfigError(
+                f"grid parameters {outer!r} and {inner!r} overlap: {outer!r} sets the "
+                f"whole object that holds {inner!r}; sweep one or the other"
+            )
     return params
 
 

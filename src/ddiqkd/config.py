@@ -10,12 +10,12 @@ its dataclass default; serialize_config writes every field. So
 parse(serialize(c)) reproduces c by construction, and a new field is one
 annotated line on its dataclass.
 
-Every number must be finite. The one case a dataclass default cannot
-express is the detector tables: the parser accepts one detector block
-applied to all four detectors, and a scalar efficiency/threshold, which
-becomes a single-entry table at signal_wavelength_nm (as does an absent
-one). serialize_config emits the canonical form: four explicit detector
-blocks with wavelength-keyed tables.
+Every number must be finite. The detectors field takes one block shared
+by all four detectors or a list of four; serialize_config writes four. A
+wavelength table given as a number, like an absent one (the DetectorSpec
+default), is a one-entry table at DEFAULT_WAVELENGTH_NM. A one-entry table
+gives its value at every wavelength, so that key shows only in the
+canonical form.
 
 Detectors respond in two regimes. In quantum mode a single photon is
 projected onto the Bell basis and the matching detector fires subject to
@@ -283,13 +283,13 @@ def _parse_numbers(v: Any, path: str) -> tuple[float, ...]:
     return tuple(_parse_number(x, f"{path}[{i}]") for i, x in enumerate(v))
 
 
-def _wavelength_table(value: Any, path: str) -> float | dict[float, float]:
-    """A {wavelength_nm: value} mapping, or a number that the detector
-    builder places at the signal wavelength."""
+def _wavelength_table(value: Any, path: str) -> dict[float, float]:
+    """A {wavelength_nm: value} mapping, or a number: the one-entry table at
+    DEFAULT_WAVELENGTH_NM."""
     if not isinstance(value, Mapping):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise _fail(path, f"expected a number or wavelength table, got {value!r}")
-        return _parse_number(value, path)
+        return {DEFAULT_WAVELENGTH_NM: _parse_number(value, path)}
     if not value:
         raise _fail(path, "wavelength table must not be empty")
     table = {}
@@ -347,32 +347,19 @@ def _parse_mode(data: Any, path: str) -> Mode:
     return _build(cls, path, _parse_fields(data, cls, path, extra=("kind",)))
 
 
-def _parse_detector_blocks(data: Any, path: str) -> tuple[tuple[str, dict[str, Any]], ...]:
-    """The path and parsed fields of four detector blocks, from one shared
-    block or a list of four; _detector builds each detector from them."""
+_DETECTOR = _object(DetectorSpec)
+
+
+def _parse_detectors(data: Any, path: str) -> tuple[DetectorSpec, ...]:
+    """Four detectors, from one block shared by all four or a list of four."""
     if isinstance(data, Mapping):
-        return ((path, _parse_fields(data, DetectorSpec, path)),) * 4
+        return (_DETECTOR.parse(data, path),) * 4
     if not isinstance(data, Sequence) or isinstance(data, str):
         raise _fail(path, f"expected an object or a list of 4 objects, got {data!r}")
     if len(data) != 4:
         raise _fail(path, f"need 1 shared or 4 per-detector blocks, got {len(data)}")
-    return tuple((f"{path}[{i}]", _parse_fields(b, DetectorSpec, f"{path}[{i}]")) for i, b in enumerate(data))
+    return tuple(_DETECTOR.parse(b, f"{path}[{i}]") for i, b in enumerate(data))
 
-
-def _detector(path: str, block: Mapping[str, Any], anchor_nm: float) -> DetectorSpec:
-    """A table given as a number becomes a single-entry table at the signal
-    wavelength; so does an absent one, with the value of the dataclass
-    default's single entry."""
-    kwargs = dict(block)
-    for attr, default in _TABLE_DEFAULTS.items():
-        if attr not in kwargs:
-            (kwargs[attr],) = default.values()
-        if not isinstance(kwargs[attr], Mapping):
-            kwargs[attr] = {anchor_nm: kwargs[attr]}
-    return _build(DetectorSpec, path, kwargs)
-
-
-_TABLE = _Kind(_wavelength_table, _table_dict)
 
 # a field's kind, by its annotation text
 _KINDS: dict[str, _Kind] = {
@@ -381,12 +368,10 @@ _KINDS: dict[str, _Kind] = {
     "bool": _Kind(_parse_boolean),
     "float | None": _Kind(lambda v, path: None if v is None else _parse_number(v, path)),
     "tuple[float, ...]": _Kind(_parse_numbers, list),
-    "Mapping[float, float]": _TABLE,
+    "Mapping[float, float]": _Kind(_wavelength_table, _table_dict),
     "ChannelSpec": _object(ChannelSpec),
     "TrojanProbe": _object(TrojanProbe),
-    "tuple[DetectorSpec, ...]": _Kind(
-        _parse_detector_blocks, lambda detectors: [_dump_fields(d) for d in detectors]
-    ),
+    "tuple[DetectorSpec, ...]": _Kind(_parse_detectors, lambda detectors: [_DETECTOR.dump(d) for d in detectors]),
     "Mode": _Kind(_parse_mode, lambda mode: {"kind": mode.kind, **_dump_fields(mode)}),
 }
 
@@ -400,8 +385,6 @@ def _schema(cls: type) -> tuple[tuple[str, _Kind], ...]:
 
 
 _SCHEMA = {cls: _schema(cls) for cls in (ChannelSpec, TrojanProbe, DetectorSpec, *_MODES.values(), SessionConfig)}
-# the dataclass default of each table, read once
-_TABLE_DEFAULTS = {name: _default(DetectorSpec, name) for name, kind in _SCHEMA[DetectorSpec] if kind is _TABLE}
 
 
 def parse_config(data: Mapping[str, Any], seed: int | None = None) -> SessionConfig:
@@ -416,13 +399,7 @@ def parse_config(data: Mapping[str, Any], seed: int | None = None) -> SessionCon
         raise ConfigError(f"config root must be an object, got {data!r}")
     if seed is not None:
         data = {**data, "seed": seed}
-    kwargs = _parse_fields(data, SessionConfig, "")
-    anchor_nm = kwargs.get("signal_wavelength_nm", _default(SessionConfig, "signal_wavelength_nm"))
-    if anchor_nm <= 0.0:  # checked before the detector tables it keys
-        raise _fail("config", f"signal_wavelength_nm must be > 0, got {anchor_nm}")
-    blocks = kwargs.get("detectors", (("detectors", {}),) * 4)
-    kwargs["detectors"] = tuple(_detector(path, block, anchor_nm) for path, block in blocks)
-    return _build(SessionConfig, "config", kwargs)
+    return _build(SessionConfig, "config", _parse_fields(data, SessionConfig, ""))
 
 
 def read_json(path: str, what: str) -> Any:

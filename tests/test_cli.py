@@ -363,6 +363,14 @@ def test_sweep_bad_grid_exits_1(tmp_path, capsys):
     assert main(["sweep", "--config", base, "--grid", bad4, "--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err
     assert "'mode'" in err and "mode.kind" in err
+    # a path inside another swept path: the outer value would replace the
+    # inner one, so the CSV would name values no session ran
+    values = {"channel.transmittance": [0.1, 0.5], "channel": [{"transmittance": 0.9}]}
+    for order in (("channel.transmittance", "channel"), ("channel", "channel.transmittance")):
+        overlap = write_doc(tmp_path, {"parameters": {k: values[k] for k in order}}, "overlap.json")
+        assert main(["sweep", "--config", base, "--grid", overlap, "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'channel'" in err and "'channel.transmittance'" in err
     good = write_doc(tmp_path, {"parameters": {"eta_expected": [0.2]}}, "good_grid.json")
     assert main(["sweep", "--config", base, "--grid", good, "--master-seed", "-1",
                  "--out", str(tmp_path / "s.csv")]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from ddiqkd.config import (
     serialize_config,
 )
 from ddiqkd.errors import ConfigError, ValidationError
+from ddiqkd.protocol import run_session
 
 COVERT_DOC = {
     "n_slots": 5000,
@@ -48,24 +50,96 @@ def test_empty_doc_gives_defaults():
     assert parse_config({}) == SessionConfig()
 
 
-def test_scalar_or_absent_table_anchors_at_the_signal_wavelength():
+def test_scalar_or_absent_table_is_keyed_at_the_default_wavelength():
     shared = parse_config({"signal_wavelength_nm": 1310.0,
                            "detectors": {"efficiency": 0.3, "blind_threshold": 1.2}})
-    assert all(d.efficiency == {1310.0: 0.3} and d.blind_threshold == {1310.0: 1.2}
+    assert all(d.efficiency == {1550.0: 0.3} and d.blind_threshold == {1550.0: 1.2}
                for d in shared.detectors)
-    # an absent table takes the value of the dataclass default, at 1310 nm
+    assert serialize_config(shared)["detectors"][0]["efficiency"] == {"1550.0": 0.3}
+    # an absent table is the dataclass default, also at 1550 nm
     listed = parse_config({"signal_wavelength_nm": 1310.0, "detectors": [
         {"efficiency": 0.3}, {}, {"blind_threshold": 1.2}, {"efficiency": {"800": 0.1}},
     ]})
     assert [d.efficiency for d in listed.detectors] == [
-        {1310.0: 0.3}, {1310.0: 0.2}, {1310.0: 0.2}, {800.0: 0.1},
+        {1550.0: 0.3}, {1550.0: 0.2}, {1550.0: 0.2}, {800.0: 0.1},
     ]
-    assert [d.blind_threshold for d in listed.detectors] == [{1310.0: 1.0}] * 2 + [
-        {1310.0: 1.2}, {1310.0: 1.0},
+    assert [d.blind_threshold for d in listed.detectors] == [{1550.0: 1.0}] * 2 + [
+        {1550.0: 1.2}, {1550.0: 1.0},
     ]
     absent = parse_config({"signal_wavelength_nm": 1310.0})
-    assert all(d.efficiency == {1310.0: 0.2} and d.blind_threshold == {1310.0: 1.0}
+    assert absent.detectors == (DetectorSpec(),) * 4
+    assert all(d.efficiency == {1550.0: 0.2} and d.blind_threshold == {1550.0: 1.0}
                for d in absent.detectors)
+
+
+# sessions whose detector tables are given as numbers or left out: honest
+# with dark counts, intercept-resend with mixed detectors, blinding that
+# optimizes over two wavelengths, and covert with no detectors block
+TABLE_DEFAULTS = {"efficiency": 0.2, "blind_threshold": 1.0}  # DetectorSpec's
+SCALAR_TABLE_DOCS = {
+    "honest_dark": {
+        "seed": 5, "channel": {"transmittance": 0.3},
+        "detectors": {"efficiency": 0.5, "dark_count_prob": 0.01},
+        "eta_expected": 0.5, "mode": {"kind": "honest"},
+    },
+    "intercept_resend": {
+        "seed": 6, "channel": {"transmittance": 0.3},
+        "detectors": [
+            {"efficiency": 0.6, "dark_count_prob": 0.002},
+            {},
+            {"efficiency": {"1310": 0.3, "1550": 0.5}, "blind_threshold": 1.4},
+            {"efficiency": 0.4},
+        ],
+        "eta_expected": 0.4, "mode": {"kind": "intercept_resend"},
+    },
+    "blinding_optimized": {
+        "seed": 7,
+        "detectors": [
+            {"blind_threshold": {"1310": 1.1, "1550": 0.9}},
+            {"blind_threshold": 1.3},
+            {"efficiency": 0.3, "blind_threshold": 1.3},
+            {"blind_threshold": 0.9},
+        ],
+        "mode": {"kind": "blinding", "optimize": True, "wavelength_grid": [1310.0, 1550.0],
+                 "power_grid": [1.0, 1.5, 2.0, 2.5, 3.0]},
+    },
+    "covert": dict(COVERT_DOC, seed=8),
+}
+
+
+def keyed_tables(doc, key):
+    """doc with every detector table given as a number or left out written
+    as the one-entry table {key: value}."""
+    blocks = doc.get("detectors", {})
+    shared = isinstance(blocks, dict)
+    tables = [
+        dict(block, **{
+            name: {key: block.get(name, default)}
+            for name, default in TABLE_DEFAULTS.items() if not isinstance(block.get(name), dict)
+        })
+        for block in ([blocks] if shared else blocks)
+    ]
+    return dict(doc, detectors=tables[0] if shared else tables)
+
+
+def session_bytes(doc):
+    transcript, report = run_session(parse_config(doc))
+    columns = b"".join(
+        getattr(transcript, f.name).tobytes() for f in dataclasses.fields(transcript) if f.name != "n_slots"
+    )
+    return columns, report
+
+
+@pytest.mark.parametrize("signal", [800.0, 1310.0, 1550.0])
+@pytest.mark.parametrize("name", sorted(SCALAR_TABLE_DOCS))
+def test_lookups_do_not_depend_on_the_table_key(name, signal):
+    """A number or an absent table gives its value at every wavelength:
+    the session is the same, byte for byte, when that value is written as a
+    table keyed at the signal wavelength or at 1550 nm."""
+    doc = dict(SCALAR_TABLE_DOCS[name], n_slots=3000, signal_wavelength_nm=signal)
+    columns, report = session_bytes(doc)
+    for key in (f"{signal:g}", "1550"):
+        assert session_bytes(keyed_tables(doc, key)) == (columns, report)
 
 
 def test_field_range_error_names_the_field():

@@ -9,13 +9,15 @@ sessions with dark counts that no config file has (DARK_DOCUMENTS).
 GOLDEN_SWEEP pins the CSV of one `ddiqkd sweep` (SWEEP_ARGS), which holds
 the order of its rows and the per-session seeds as well. GOLDEN_ANALYZE
 pins the JSON `ddiqkd analyze --out` writes for each scenario's transcript
-at both lengths. A change to the
+at both lengths. GOLDEN_BENCH_CONFIGS pins the config digest of each
+benchmark scenario in bench/configs/, so a schema change cannot silently
+change what the benchmark measures. A change to the
 draw order, the transcript layout or the report schema changes them on
 purpose. Only a layout change bumps the transcript format tag. A draw-order
 change describes the new order in the README's "Determinism" section,
 regenerates the tables it moves and names each changed digest in
-CHANGES.md. Print the new GOLDEN, GOLDEN_MULTI, GOLDEN_DARK, GOLDEN_SWEEP
-and GOLDEN_ANALYZE tables with
+CHANGES.md. Print the new GOLDEN, GOLDEN_MULTI, GOLDEN_DARK, GOLDEN_SWEEP,
+GOLDEN_ANALYZE and GOLDEN_BENCH_CONFIGS tables with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -30,8 +32,10 @@ from pathlib import Path
 import pytest
 
 from ddiqkd.cli import main
+from ddiqkd.config import config_digest, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BENCH_CONFIGS = CONFIGS.parent / "bench" / "configs"
 GOLDEN_SLOTS = 2000
 MULTI_SLOTS = 23456
 
@@ -182,6 +186,12 @@ GOLDEN_ANALYZE = {
     ("intercept_resend", 23456): "a004e15ab98ab8173b4f80952121a0493107320545b2151be16b058b358864d2",
 }
 
+# the config digest of each bench/configs/*.json scenario
+GOLDEN_BENCH_CONFIGS = {
+    "covert_10k": "1bddf5e969bb8f2f5844cc83267ec84fc70af821360a626e334d46781e193820",
+    "honest_dark": "1c9ea5f3caf9098761cd924f3c3abac2f0ce6101ba16764d2b410249319707c1",
+}
+
 
 def scenario_names():
     return sorted(
@@ -265,6 +275,14 @@ def test_analyze_detectability_equals_run_report(name, n_slots, tmp_path):
     assert json.loads(analysis)["detectability"] == report["report"]["detectability"]
 
 
+def bench_config_digests():
+    return {p.stem: config_digest(load_config(str(p))) for p in sorted(BENCH_CONFIGS.glob("*.json"))}
+
+
+def test_golden_bench_config_digests():
+    assert bench_config_digests() == GOLDEN_BENCH_CONFIGS
+
+
 def print_table(table, cases):
     """Print `table = {...}` for cases of (key, name, n_slots, doc)."""
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
@@ -289,4 +307,8 @@ if __name__ == "__main__":
     print("GOLDEN_ANALYZE = {")
     for key, digest in pinned.items():
         print(f'    {key!r}: "{digest}",'.replace("'", '"'))
+    print("}")
+    print("GOLDEN_BENCH_CONFIGS = {")
+    for name, digest in bench_config_digests().items():
+        print(f'    "{name}": "{digest}",')
     print("}")
