@@ -11,10 +11,10 @@ the order of its rows and the per-session seeds as well. GOLDEN_ANALYZE
 pins the JSON `ddiqkd analyze --out` writes for each scenario's transcript
 at both lengths. GOLDEN_BENCH_CONFIGS pins the config digest of each
 benchmark scenario in bench/configs/, so a schema change cannot silently
-change what the benchmark measures. A change to the
-draw order, the transcript layout or the report schema changes them on
-purpose. Only a layout change bumps the transcript format tag. A draw-order
-change describes the new order in the README's "Determinism" section,
+change what the benchmark measures. A change to the draw order, the
+transcript layout, the report schema or the monitors' numerics changes them
+on purpose. Only a layout change bumps the transcript format tag. A
+draw-order change describes the new order in the README's "Determinism" section,
 regenerates the tables it moves and names each changed digest in
 CHANGES.md. Print the new GOLDEN, GOLDEN_MULTI, GOLDEN_DARK, GOLDEN_SWEEP,
 GOLDEN_ANALYZE and GOLDEN_BENCH_CONFIGS tables with
@@ -46,23 +46,23 @@ GOLDEN = {
     ),
     "blinding_tailored": (
         "f298c162b8a4d79ebe7aa605a961d34b3ecb269188e84360c4d29ae27b0ab8c3",
-        "ef96f5b5bae747ea93e28ee458b37a6b75d51ecc701b0e79f924dd217e9e7141",
+        "e5eb60c88a4fe811530e4f0e5e11f50a26433ecff43616ae5af45565685d9d12",
     ),
     "covert_keyed": (
         "44a0d4a57cd9e3747936e639b791176126e7f221d1d540034edae5c4921821d5",
-        "ffcc02a1e1d838502d038e68bf7a32be1ffca72f7718926c32a6bcded7fb4fd5",
+        "97ec13b1b2ac38e0c15102049be76a29fe106d26de3ee4204dfd973c79400c26",
     ),
     "covert_unkeyed_biased": (
         "749d7156b343bce87c6539df1ae1e98e7c4884322901b5be6f0f66b7d7d51473",
-        "3ac2e90dc42f239db3931163142722d8f2dadc31feec78a0d12e990d71fbba11",
+        "acc8802b5865aab5205d651bad8c11ff8f4b8e8f24f613f0b77c871c43a5ebb9",
     ),
     "honest": (
         "8b50585752f5e31a1e8b21c5b0d9324de840bdf94e30859927611825eefad8cf",
-        "ad3f4252cd33b455c5612cd2fae9052dd2efa3d9361410a40b6673df225d9b9c",
+        "e30628a3f27afee364157e127b50e351662b42a540c739e3d361e387012dfb51",
     ),
     "intercept_resend": (
         "36ecc1b26d2215d27a9a48439b6032befece3689349a254e9ba747bd861843ab",
-        "96b323ca640bd824e0b487e46156bcddac14f0b41fa8150dc7d9e7eec5af4cd1",
+        "8e7e77793ad97d835a89fd8ae424b7187b9a2f8112e7debf511bec5621d443ea",
     ),
 }
 
@@ -73,23 +73,23 @@ GOLDEN_MULTI = {
     ),
     "blinding_tailored": (
         "616edd0c04c0294f14cf3ac434abb51b569b7cfb5106cca07287fad235b1760d",
-        "29374896bdadec7d3cfbcdf1de56c1708b921ad854540bd617d234a08cd881b7",
+        "e8069ab627f75b60e9de480ccec7e95d76300d334a0694e9e1b6712c5799388e",
     ),
     "covert_keyed": (
         "5e53df6fcb955f62e3cab8a4ff51b1250dcf532ab0ca7ca652d4c97e7926fc27",
-        "e839527e64761ccb626a51160ccbd376e72d5aafe1ad314f9a4e334e879c9472",
+        "c8a66199d2562f6ca08e8c74c2590aa3e42242f46d7321db81571417267b5278",
     ),
     "covert_unkeyed_biased": (
         "5867dfd436776b6334eca3d602ef6e4bdc134dbc69a7426b47196a811fb9a593",
-        "0c92fe46f8e6708fae5e491403abdbe60b0a2aa34d445fa14104a76fd19fcfa6",
+        "91a5a093c526af82c7f8346d27b4f943b19cb68c75ef9f99479ba666c7bb36cc",
     ),
     "honest": (
         "0b6e5983f219b18bd9599701e80f8e4cd6a5dcef5aa1517c12e4c754cab67f70",
-        "be543b6d0eb7740fc883c0d05c7cb8b23283cfa10c3e8b34f4909a49a38b911d",
+        "59d8b27ddaaeb353d15c36e637b8f516484727c768ff5a8774827576f950da00",
     ),
     "intercept_resend": (
         "d440b39aaab77292a54fdf2ddec211c50e7673389b2dfd4aff50ff46b1d2696a",
-        "b21052dde63de23e9e8f1a6ba1e8f5859c59aa387fa0f1aa0290f1122b88b848",
+        "c77cdd2dffc0edaa5e610f8941e2140cb67001de329acef7262097f6528fe7e2",
     ),
 }
 
@@ -97,43 +97,43 @@ GOLDEN_MULTI = {
 GOLDEN_DARK = {
     ("honest_dark_0.001", 2000): (
         "1f0328555189d88bf158cdb6534f1d70eb1da03b9275c5a96661635736f2a636",
-        "b5881c0effe91553967b703b983cb20cb82cd81ee422fc1a860207db16aa05f9",
+        "61b918ba6ab42c9ce95a6e76bfc0319f1314e86487bfa836ae27e51a6a68f85f",
     ),
     ("honest_dark_0.001", 23456): (
         "9158db4f6a022a571b0310ef3803dc449ac7b2ef493b95ba324b2edc3eb984f5",
-        "fc2160229d2357c98be2eb620e7ce52ba430bc64fff22570300e110eea2c5a03",
+        "b9e8f97bdb7386ab9e79ac2f656c73149dcee5c095815f1eb60c461df42d9bf6",
     ),
     ("honest_dark_0.05", 2000): (
         "cce76df22db656b280b69acc71fbbd0592a32ce1b73a45ec558e07f1e0b4cc53",
-        "61197edac00fc30621aabb7ede119765893acaa1dd6c6f258e55b4f4afe14520",
+        "deba8184b01accceb3614bd33478091e3828ee42dc15e379133a1cc7d821d520",
     ),
     ("honest_dark_0.05", 23456): (
         "8390c494a8233356bca8845cb1eb9767b24f9cae99cfd2e6a87f00ec137db6ce",
-        "d44084c11656528dfeb3f3906683e2507694df1c972bc528350520acf109135a",
+        "91b87b4f073349621d8741fadc2dc9b03eeadf67be0d00cef5c80a1a671c5ca5",
     ),
     ("intercept_resend_dark_0.001", 2000): (
         "c831f4ab73dadaf72e1c6668ece9d5e5ae9b8075a1b7272028c61e4e05f1c908",
-        "7fbc03a513116000a091faa28875c4e0b210bdd8b36b10cfd6b801a23c86cca2",
+        "f54c9116416bf6eecef50e38a8b73e33a76739813f7a6e1a0cc7cd6f3d01293e",
     ),
     ("intercept_resend_dark_0.001", 23456): (
         "ea5ee4ebb1ad9a070c9870763c213b3d5a2c7d6dbe7a51115c461390ed812578",
-        "8aa8279fdcc75557f2c65d1c167f4086b975eba7f542f8ce8773e7a1197d80ef",
+        "d339e13a913818a22c43a1d10fd3389e05214d0e5b4b2b2eb733c25ef0ae9744",
     ),
     ("intercept_resend_dark_0.05", 2000): (
         "58c37d2b20eb9cf8e7af988b9e34bf9770f51f7d268e4238a5eab212c798cc9e",
-        "947a15c08bb0c0999172c4c502c809fd3eb19832fc8af8f650b95dc377d2c3f5",
+        "8a69adc804f8478bcc915e99ecb567d2d84ca9f9bed3779781a6a2bf036dbbe4",
     ),
     ("intercept_resend_dark_0.05", 23456): (
         "2413e906f7e83dba8e7029a91995250f7550d5552bbdfa45f4152d23e49da518",
-        "9bd0561d46974eedc27d8b985b3a0bb2229845d08bc2a8478542b5721c59516b",
+        "46fb023fc9378326afa2b5746b19361dd7c30109abbc9a7aeda092edc5d957a9",
     ),
     ("intercept_resend_mixed_detectors", 2000): (
         "b9b56e41b89745da0ddf564334810167a21d7c626c418540d932c94d030c9a8b",
-        "bc7b24f32ce57bfe4f135ccd43b33cf00d037caec438bfae0814507b72ea4071",
+        "4ff2036156d33a94e5e8f9a66061b78e3bb6660cdba28d1840c0e00c2e0070e2",
     ),
     ("intercept_resend_mixed_detectors", 23456): (
         "a4afa85639d6d0f1c06d1b46c7ac857c13e7a1e2bfb73dcaf9f23d983678362a",
-        "e5bef01528643267e6fb7913dbea27bbc193f332d25fda47354e65102aee4770",
+        "2702d2201e424112b21bef7b16757b201c49dad640fb026566c451e51b9079ff",
     ),
 }
 
@@ -167,23 +167,23 @@ SWEEP_ARGS = (
     "--grid", str(CONFIGS / "sweep_transmittance.json"),
     "--seeds", "3", "--master-seed", "11",
 )
-GOLDEN_SWEEP = "4e418a9a426f92a87523a17497cbeb5699511b515fafccaa9ea205f860a36cb3"
+GOLDEN_SWEEP = "bf2f8bb224e5d90ab6363a04e9e5a177c6541d17a5e6c447b5af6240b87ce11f"
 
 
 # the JSON `ddiqkd analyze --out` writes for each scenario's transcript
 GOLDEN_ANALYZE = {
     ("blinding_symmetric", 2000): "6f5c0768c39f520940f513580dd2dc20dec1434937deb3a416ddbe92bf6a56a8",
     ("blinding_symmetric", 23456): "e5360956bce1019a1b76ec48cc985c49e095c81e218fd514dd1275accb195451",
-    ("blinding_tailored", 2000): "1a6c70ca70f8e1e0670fb528f48d71e3dd8fc49e07bc25f91c9a5cb7a0aa3bd3",
-    ("blinding_tailored", 23456): "f75df30ce1168dc9ff842abef6546600085524e1a1871e0d78cb22fd4d4d6dd7",
-    ("covert_keyed", 2000): "f002b19b65af66dad61d1fa6270e934d376461893f8be169e3670f508e5bd2aa",
-    ("covert_keyed", 23456): "aa12dc9e782ed6c21189996d18240f61823c0720b94f0e6e12502ba0c7e9c354",
-    ("covert_unkeyed_biased", 2000): "1a62ee2b22f50e011c44c089a400fcbd536c195e2dca4fac30f9410d3c4cc440",
-    ("covert_unkeyed_biased", 23456): "6aa2a5de9c42c6e60414acf6b773aee1491fcc6f38163fd1bbcf260d67188cd8",
-    ("honest", 2000): "c5b35590c2c51b6956d36f9fc033a3bfd29f3477c3283c78c41117370fdb7902",
-    ("honest", 23456): "33f05a04a151e08d514bbc9b89914c1f51a2e62c5156db3cf403d255b51c1929",
-    ("intercept_resend", 2000): "073bcc3baef5abf855040eb7bbf3b6369b107327e46736666d49ce72f6652842",
-    ("intercept_resend", 23456): "a004e15ab98ab8173b4f80952121a0493107320545b2151be16b058b358864d2",
+    ("blinding_tailored", 2000): "a1ad244ca044816ece175ce3dc69f7931521fb9e0391fad389c8920af6bf2807",
+    ("blinding_tailored", 23456): "d0039b6d4e416c56c62284ba4de97f919cf326ad0d8ab69ffe79766319bff317",
+    ("covert_keyed", 2000): "727d3ac7eefb74e0e2b382314045bb19615d9d7fef6ddc8cb3bc21add275b198",
+    ("covert_keyed", 23456): "6c66c155e641a45d24bfd8de617c66c224a46d2a83efd27cdfa4f5dbab401799",
+    ("covert_unkeyed_biased", 2000): "c1c584df22019ad0959eb0761f198148e5bfc28f64924cbfd5d18eda9348e408",
+    ("covert_unkeyed_biased", 23456): "9cbae6b1e5ffd7cc3234702a3bb87252432b7c0ea8aa59a7623fbe509f736534",
+    ("honest", 2000): "e00d1fc356ef4ace5ee7465c78021126da45048fab1a91c4b8288ccc4634b97f",
+    ("honest", 23456): "0b9beddbca09342b2e62da02c1c5841ce6fbe9a803b9d14f9d29591a4b9379a7",
+    ("intercept_resend", 2000): "05d7cbe09eb480dae4efa4b16dd4f5181870e18d372965f6e9865ecafbbe8a1d",
+    ("intercept_resend", 23456): "e1f43cb34d7c4ed57bf3b705d4c579340888227e25e823020f5063a64a13c9a5",
 }
 
 # the config digest of each bench/configs/*.json scenario
