@@ -21,9 +21,10 @@ without drawing.
 Determinism contract: a session is fully determined by (config, seed). Party
 settings and arrivals are drawn in bulk in a fixed order, then each mode's
 draws follow, also in bulk and in a fixed order (see run_session). Every
-Bernoulli trial is rng.random(n) < p; only the sender bits are read off raw
-words, with the values of numpy's int8 draw, which is several times faster.
-The covert key is drawn once per key seed (_key_bits).
+Bernoulli trial reads one random byte (_trials) and succeeds with
+probability ceil(p * 2**61) / 2**61, which is p for every p >= 2**-9; only
+the Bell outcomes take a uniform each. The covert key is drawn once per key
+seed (_key_bits).
 """
 
 from __future__ import annotations
@@ -143,24 +144,50 @@ def compute_qber(transcript: Transcript, sifted_slots: np.ndarray) -> float | No
     return float(np.count_nonzero(errors) / len(sifted_slots))
 
 
+def _trials(rng, p, n: int, outcome: np.ndarray | None = None) -> np.ndarray:
+    """n Bernoulli trials at probability p (bool), one random byte each;
+    given outcome, p is a table and trial i's probability is p[outcome[i]].
+
+    Trial i reads byte i of ceil(n / 8) raw words, little-endian, and
+    succeeds when the byte is below h = floor(256 p). Where f = 256 p - h is
+    above 0, a byte equal to h is decided by one uniform below f; those
+    uniforms are drawn after the bytes, in slot order. So a trial succeeds
+    with probability ceil(p * 2**61) / 2**61."""
+    byte = rng.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+    scaled = 256.0 * np.asarray(p, dtype=float)
+    head = np.floor(scaled)
+    frac = scaled - head
+    if outcome is None:
+        # a Python int compares with the bytes as uint8; 256 would not fit
+        heads = int(head)
+        if heads == 256:
+            return np.ones(n, dtype=bool)
+    else:
+        heads = head.astype(np.int16).take(outcome)
+    hit = byte < heads
+    if frac.any():
+        ties = np.flatnonzero(byte == heads)
+        if outcome is not None:
+            frac = frac.take(outcome[ties])
+            ties, frac = ties[frac > 0.0], frac[frac > 0.0]
+        hit[ties] = rng.random(len(ties)) < frac
+    return hit
+
+
 def _draw_settings(config: SessionConfig, rng) -> Transcript:
     """Bulk-draw party settings and arrivals in a fixed order."""
     n = config.n_slots
 
     def flags(p: float) -> np.ndarray:
-        return np.less(rng.random(n), p, out=np.empty(n, dtype=np.int8))
+        return _trials(rng, p, n).view(np.int8)
 
     return Transcript(
         n_slots=n,
         alice_basis=flags(config.basis_choice_prob),
-        # rng.integers(0, 2, n, int8): the top bit of each of the first n bytes
-        # of ceil(n / 8) words. numpy would buffer the last word's unread 32-bit
-        # half, which no later draw reads: they all take whole 64-bit words
-        alice_bit=(rng.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False)
-                   .view(np.uint8)[:n] >> 7).view(np.int8),
+        alice_bit=flags(0.5),
         bob_basis=flags(config.basis_choice_prob),
         bob_bit=flags(config.bob_bit_bias),
-        arrived=rng.random(n) < config.channel.transmittance,
+        arrived=_trials(rng, config.channel.transmittance, n),
         detected=np.zeros(n, dtype=bool),
         reported=np.full(n, -1, dtype=np.int8),
         double_click=np.zeros(n, dtype=bool),
@@ -202,13 +229,8 @@ def _detect(t: Transcript, pair: np.ndarray, detectors: list[tuple[float, float]
     a unit with no dark-count detector draws no dark vector and writes
     the photon outcomes straight into the transcript."""
     k = _bell_outcomes(pair, rng.random(len(pair)))
-    # the outcome where its detector's efficiency trial passes, else -1;
-    # a trial per detector over the outcomes, which numpy runs faster than
-    # a gather of the efficiencies by int8 outcome
-    u = rng.random(len(k))
-    passed = np.zeros(len(k), dtype=bool)
-    for i, (eta, _) in enumerate(detectors):
-        passed |= (k == i) & (u < eta)
+    # the outcome where its detector's efficiency trial passes, else -1
+    passed = _trials(rng, [eta for eta, _ in detectors], len(k), outcome=k)
     k = passed * (k + 1) - 1
     photon = np.full(t.n_slots, -1, dtype=np.int8)
     photon[t.arrived] = k
@@ -221,9 +243,8 @@ def _detect(t: Transcript, pair: np.ndarray, detectors: list[tuple[float, float]
     # the sum of the clicked detectors' indices, which is the clicked
     # detector where exactly one clicks
     which = np.maximum(photon, 0)
-    fired = np.empty(t.n_slots, dtype=np.int8)
     for i, p in dark:
-        np.less(rng.random(t.n_slots), p, out=fired)
+        fired = _trials(rng, p, t.n_slots).view(np.int8)
         fired &= photon != i
         clicks += fired
         fired *= i
@@ -240,8 +261,8 @@ def _intercept(t: Transcript, rng) -> np.ndarray:
     4 * her resent preparation + the receiver's preparation per arrived slot."""
     arr = t.arrived
     m = int(np.count_nonzero(arr))
-    basis = rng.random(m) >= 0.5
-    coin = rng.random(m) >= 0.5
+    basis = _trials(rng, 0.5, m)
+    coin = _trials(rng, 0.5, m)
     pair = _pairs(t)[arr]
     # her bit: the sender's where her basis is the sender's (bit 3 of the
     # pair), else the coin
@@ -294,7 +315,7 @@ def _covert_policy(mode: CovertAttackMode, q: float, t: Transcript, rng) -> None
     candidates = np.flatnonzero(t.reported >= 0)
     for p in (mode.trojan.readout_success_prob, q):
         if p < 1.0:
-            candidates = candidates[rng.random(len(candidates)) < p]
+            candidates = candidates[_trials(rng, p, len(candidates))]
     keys = _key_bits(mode, len(candidates))
     announced = announce(candidates, t.bob_bit[candidates], keys)
     reported = np.full(t.n_slots, -1, dtype=np.int8)

@@ -41,99 +41,99 @@ MULTI_SLOTS = 23456
 
 GOLDEN = {
     "blinding_symmetric": (
-        "e206f630ed6c9273e2820796e214545e2c9d0879869996b575feaf57dffe9cf2",
-        "c803da92499d2aa473a4f595cfba45c329378958429fd05a0f2505a4712ac65c",
+        "044f176679b9aadad7578878ed0c1fa620590305820d7da4a54ddd4a3b878309",
+        "c1bb6a18df12bc92f6c6bc7c828f61ffc8be4933b75bb48271b008cf50d7ab4a",
     ),
     "blinding_tailored": (
-        "f298c162b8a4d79ebe7aa605a961d34b3ecb269188e84360c4d29ae27b0ab8c3",
-        "e5eb60c88a4fe811530e4f0e5e11f50a26433ecff43616ae5af45565685d9d12",
+        "4aaa16eb167c1857a3f15ee76a22d7210a684ab7661b4543370b7b2f9a7ae504",
+        "6eeadff5858ad3f3756ac03225fdfac205aa469de5d8d665731b11201135d5e0",
     ),
     "covert_keyed": (
-        "44a0d4a57cd9e3747936e639b791176126e7f221d1d540034edae5c4921821d5",
-        "97ec13b1b2ac38e0c15102049be76a29fe106d26de3ee4204dfd973c79400c26",
+        "1f02b13c6025c956f0285d277d0c2ccec25cf51a771882967094bd4a1a2ad2d4",
+        "50e46e89543a9825314a8a59bfe71c7ef52108f97585207561a5d66401d75aa5",
     ),
     "covert_unkeyed_biased": (
-        "749d7156b343bce87c6539df1ae1e98e7c4884322901b5be6f0f66b7d7d51473",
-        "acc8802b5865aab5205d651bad8c11ff8f4b8e8f24f613f0b77c871c43a5ebb9",
+        "722d51e2d557fcb875494b70f1fb55fef5e4b04734314bc4d3dde97dbe34b9f4",
+        "5688ab1c171d22c69cbd5d67d4828d8b4e44b4a6763f3205c88d14cf0d3d6b0e",
     ),
     "honest": (
-        "8b50585752f5e31a1e8b21c5b0d9324de840bdf94e30859927611825eefad8cf",
-        "e30628a3f27afee364157e127b50e351662b42a540c739e3d361e387012dfb51",
+        "fa942fc42f6ddd07d1be37e657911e05da2ca025a2a4b28c1463ddd39bdf19bf",
+        "ec5287bee99f211078e2f0097615c8bf44d10d702f3c3e248eddbbc8423ec3a1",
     ),
     "intercept_resend": (
-        "36ecc1b26d2215d27a9a48439b6032befece3689349a254e9ba747bd861843ab",
-        "8e7e77793ad97d835a89fd8ae424b7187b9a2f8112e7debf511bec5621d443ea",
+        "3b8f219e3323eade2139cc4c151734eda43d9eefd85eae48172d16cca44efe91",
+        "bbe4c4782770df2ebb20c9927cf3a4dcd1146c0333daf3b478a94a2749e37478",
     ),
 }
 
 GOLDEN_MULTI = {
     "blinding_symmetric": (
-        "554d4d191802806bc644a1b268159044519327adf51fd73e07a00c3a2c09d7d5",
-        "491d44f4dc76374c2d2068027c11f23455113d6c2fb209392ece127fbe72519d",
+        "3c6868d0c79b321664f822e8189286cce8d1dddd38696326654676ab642f80ce",
+        "ab80e8a9d8dc925ecf05dae6b2510a329ce958352ca763435bea9d3c23ecc1fd",
     ),
     "blinding_tailored": (
-        "616edd0c04c0294f14cf3ac434abb51b569b7cfb5106cca07287fad235b1760d",
-        "e8069ab627f75b60e9de480ccec7e95d76300d334a0694e9e1b6712c5799388e",
+        "048591c9a66344cc607b06f795af0732e972e29c7bf054c94014386429f03135",
+        "4431b24545cff057396ab4874575955e57b68b802327d2a2a96bcb5978321404",
     ),
     "covert_keyed": (
-        "5e53df6fcb955f62e3cab8a4ff51b1250dcf532ab0ca7ca652d4c97e7926fc27",
-        "c8a66199d2562f6ca08e8c74c2590aa3e42242f46d7321db81571417267b5278",
+        "633d04a6987b66959305fe521c280b374c921b938c4aab2a74e246a70d9831cc",
+        "26fc658497240104e489740075e23861c8f04cb598975224afaa96e91b616dc0",
     ),
     "covert_unkeyed_biased": (
-        "5867dfd436776b6334eca3d602ef6e4bdc134dbc69a7426b47196a811fb9a593",
-        "91a5a093c526af82c7f8346d27b4f943b19cb68c75ef9f99479ba666c7bb36cc",
+        "74a3554c9c298897d1337589f4b62676baf35402bf2d3f9c38e851e17a72273d",
+        "3e67ae3ef943b910ab6ce18a726b5de97d444e452dace0e80fc96e0cf254d84e",
     ),
     "honest": (
-        "0b6e5983f219b18bd9599701e80f8e4cd6a5dcef5aa1517c12e4c754cab67f70",
-        "59d8b27ddaaeb353d15c36e637b8f516484727c768ff5a8774827576f950da00",
+        "67f5f2bb191fc6acf782a866a7e807638a12c1bfa53d236b0441fa34c7fd9bd2",
+        "c9eca61d6e3f16126434486fd6bd29d05fce604e728ff063cdba218cee7fcd32",
     ),
     "intercept_resend": (
-        "d440b39aaab77292a54fdf2ddec211c50e7673389b2dfd4aff50ff46b1d2696a",
-        "c77cdd2dffc0edaa5e610f8941e2140cb67001de329acef7262097f6528fe7e2",
+        "5453345481982139ec3ec6a65cd77dcef9eaa8db1e229f10b008e38335fffa1c",
+        "dc8542967017b31a49628deab0e513686bbec47f1c38bfa36a9862c4a746ec9c",
     ),
 }
 
 
 GOLDEN_DARK = {
     ("honest_dark_0.001", 2000): (
-        "1f0328555189d88bf158cdb6534f1d70eb1da03b9275c5a96661635736f2a636",
-        "61b918ba6ab42c9ce95a6e76bfc0319f1314e86487bfa836ae27e51a6a68f85f",
+        "27bbb643a3537c8ba84bd64937ea06264ed50a2795085b4807658961edb71064",
+        "a07ef97ba28b6e0218e057d7a4b074aa140579083bd434513471600b03923535",
     ),
     ("honest_dark_0.001", 23456): (
-        "9158db4f6a022a571b0310ef3803dc449ac7b2ef493b95ba324b2edc3eb984f5",
-        "b9e8f97bdb7386ab9e79ac2f656c73149dcee5c095815f1eb60c461df42d9bf6",
+        "0fb5e02fe183b11fb861061c3c7b9bf56f09421602fd87b15d1e9c8ae05cd373",
+        "3537212b1b06ad592d09ab0e3c81b810cf8bc354541657297ab054f48e0088d6",
     ),
     ("honest_dark_0.05", 2000): (
-        "cce76df22db656b280b69acc71fbbd0592a32ce1b73a45ec558e07f1e0b4cc53",
-        "deba8184b01accceb3614bd33478091e3828ee42dc15e379133a1cc7d821d520",
+        "bf2d3b34edc0c513fa898c95f4920413a2994e234c981511f809f2dea8805246",
+        "f369e9e4d2ff17ceb0c788f5a0c5361ea9d50e2dd83180dfd97944927f31e986",
     ),
     ("honest_dark_0.05", 23456): (
-        "8390c494a8233356bca8845cb1eb9767b24f9cae99cfd2e6a87f00ec137db6ce",
-        "91b87b4f073349621d8741fadc2dc9b03eeadf67be0d00cef5c80a1a671c5ca5",
+        "eef4f69c907df0ecb7a9858e10682e3a06a01754668ab72c27904eeccb1a53a1",
+        "311248c66685ff1ed3533b1d1eef46e9c4671bafd830aa84b4684764365354e4",
     ),
     ("intercept_resend_dark_0.001", 2000): (
-        "c831f4ab73dadaf72e1c6668ece9d5e5ae9b8075a1b7272028c61e4e05f1c908",
-        "f54c9116416bf6eecef50e38a8b73e33a76739813f7a6e1a0cc7cd6f3d01293e",
+        "4ec464c9e9efc9116fc5d73c943a58aebbb267e962bd7ed7854dfab96e0491a8",
+        "8228844c777889caf6dc9b19caef49449960cf66953dfd837d14b5bea49232ac",
     ),
     ("intercept_resend_dark_0.001", 23456): (
-        "ea5ee4ebb1ad9a070c9870763c213b3d5a2c7d6dbe7a51115c461390ed812578",
-        "d339e13a913818a22c43a1d10fd3389e05214d0e5b4b2b2eb733c25ef0ae9744",
+        "9720853471ae332c0f301c10fec86b3c8784d35e7e324ca58a092bac8474954d",
+        "e3e90fd6053add1037add2c79e6494afade7e209f5ccb0e501b1ecc0a3af9919",
     ),
     ("intercept_resend_dark_0.05", 2000): (
-        "58c37d2b20eb9cf8e7af988b9e34bf9770f51f7d268e4238a5eab212c798cc9e",
-        "8a69adc804f8478bcc915e99ecb567d2d84ca9f9bed3779781a6a2bf036dbbe4",
+        "08bae32530517723a5768a02de6eff31b3a0f4c5962ba0662bfb18545f0f00c0",
+        "f18b23ace63d104ad6178c3ec7b9c9ef64c2210d671a8f9e4b52d8165943f3f3",
     ),
     ("intercept_resend_dark_0.05", 23456): (
-        "2413e906f7e83dba8e7029a91995250f7550d5552bbdfa45f4152d23e49da518",
-        "46fb023fc9378326afa2b5746b19361dd7c30109abbc9a7aeda092edc5d957a9",
+        "4451940c746a2fc83d912a38acee0c94ec2aaf5df2e3ebb9b602163c865b5e68",
+        "575c21f94021d6e7a53a856b7875db7d792f53d7f6e3a2f273b798dbd8542558",
     ),
     ("intercept_resend_mixed_detectors", 2000): (
-        "b9b56e41b89745da0ddf564334810167a21d7c626c418540d932c94d030c9a8b",
-        "4ff2036156d33a94e5e8f9a66061b78e3bb6660cdba28d1840c0e00c2e0070e2",
+        "152f668bfa47b29da5520c83ff700fd6ea6ea96c0f680411e3d4027f6968b7d4",
+        "135bcee766a58ce9d86a00f7dbbf48acfb0200ba86e15c45f1d60848f8b6979c",
     ),
     ("intercept_resend_mixed_detectors", 23456): (
-        "a4afa85639d6d0f1c06d1b46c7ac857c13e7a1e2bfb73dcaf9f23d983678362a",
-        "2702d2201e424112b21bef7b16757b201c49dad640fb026566c451e51b9079ff",
+        "9557e45e59ee1aa5c4af83a9e84fe465dc93d71ec216c088cee35160e65c6ffc",
+        "33f3e822b4d726405240f564c2db2a2619df807bcdf0f7782596010a402258c8",
     ),
 }
 
@@ -167,23 +167,23 @@ SWEEP_ARGS = (
     "--grid", str(CONFIGS / "sweep_transmittance.json"),
     "--seeds", "3", "--master-seed", "11",
 )
-GOLDEN_SWEEP = "bf2f8bb224e5d90ab6363a04e9e5a177c6541d17a5e6c447b5af6240b87ce11f"
+GOLDEN_SWEEP = "582ecd301b51a3713855dc2a0b69cb37886e5646ef7d8cc79fb95a5454d94199"
 
 
 # the JSON `ddiqkd analyze --out` writes for each scenario's transcript
 GOLDEN_ANALYZE = {
-    ("blinding_symmetric", 2000): "6f5c0768c39f520940f513580dd2dc20dec1434937deb3a416ddbe92bf6a56a8",
-    ("blinding_symmetric", 23456): "e5360956bce1019a1b76ec48cc985c49e095c81e218fd514dd1275accb195451",
-    ("blinding_tailored", 2000): "a1ad244ca044816ece175ce3dc69f7931521fb9e0391fad389c8920af6bf2807",
-    ("blinding_tailored", 23456): "d0039b6d4e416c56c62284ba4de97f919cf326ad0d8ab69ffe79766319bff317",
-    ("covert_keyed", 2000): "727d3ac7eefb74e0e2b382314045bb19615d9d7fef6ddc8cb3bc21add275b198",
-    ("covert_keyed", 23456): "6c66c155e641a45d24bfd8de617c66c224a46d2a83efd27cdfa4f5dbab401799",
-    ("covert_unkeyed_biased", 2000): "c1c584df22019ad0959eb0761f198148e5bfc28f64924cbfd5d18eda9348e408",
-    ("covert_unkeyed_biased", 23456): "9cbae6b1e5ffd7cc3234702a3bb87252432b7c0ea8aa59a7623fbe509f736534",
-    ("honest", 2000): "e00d1fc356ef4ace5ee7465c78021126da45048fab1a91c4b8288ccc4634b97f",
-    ("honest", 23456): "0b9beddbca09342b2e62da02c1c5841ce6fbe9a803b9d14f9d29591a4b9379a7",
-    ("intercept_resend", 2000): "05d7cbe09eb480dae4efa4b16dd4f5181870e18d372965f6e9865ecafbbe8a1d",
-    ("intercept_resend", 23456): "e1f43cb34d7c4ed57bf3b705d4c579340888227e25e823020f5063a64a13c9a5",
+    ("blinding_symmetric", 2000): "c8eca4f537aaeba7821301548a1bd9be7c0f69f63b612b03204e618c936c9cb2",
+    ("blinding_symmetric", 23456): "9d4015a2d5866e2da8f2dc73d1fd937af5ecd81dc481ebf2b40436567495d03d",
+    ("blinding_tailored", 2000): "ee03e037741876a09f573d3caa8b0e90a2c3c356ad06b193a1e0cd1417873d7b",
+    ("blinding_tailored", 23456): "fc9196ab628d36b0a8c53f92460a7c9b89a9a13178822b4e110462c6925fdef5",
+    ("covert_keyed", 2000): "825827361576d27faa71abdb3ca8c6bf72b99196af4d8a6606fafb5f6bdbfcca",
+    ("covert_keyed", 23456): "e0c00755dd924e28e7e9ae1c6c39ce7fbd5ec28348f3b25ea36d5ce957877a7e",
+    ("covert_unkeyed_biased", 2000): "6ac6bed29f1668997fea093a7b948b17caa96c5533e07474ac7496f94d74efc5",
+    ("covert_unkeyed_biased", 23456): "54db7f87cceb50054944d4d0b13dacff16c4684fa5206a12a46651e84440515e",
+    ("honest", 2000): "d40b1511f209590e40ef21184cfe735f5574190ec1b6ecd5252127a10956a3f8",
+    ("honest", 23456): "852c7aaf3f3a257f662de097cd54ae3905ac86e5bccdba5e981b1324fec60e2b",
+    ("intercept_resend", 2000): "8047c47425464782bd3796f7078f1e021214677ad8b4a1311839fb4696a01acd",
+    ("intercept_resend", 23456): "f8add0b669d43dcf35a265b4b24732926b5c0eb4d5f7e642c5aa6b44a24293a3",
 }
 
 # the config digest of each bench/configs/*.json scenario

@@ -16,6 +16,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddiqkd import protocol
-from ddiqkd.config import CovertAttackMode
+from ddiqkd.config import CovertAttackMode, parse_config
 from ddiqkd.covert import key_bits
 
 
 EDGE_PROBS = [0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53, 1.0]
+TABLE = [0.2, 0.6, 0.4, 0.3]  # per-outcome efficiencies of a mixed unit
 
 
 def session_rng(seed, prefix):
@@ -77,23 +79,46 @@ def test_random_compare_flips_at_the_bound(p):
     assert np.array_equal((words >> np.uint64(11)) * 2.0**-53 < p, expected)
 
 
+def reference_trials(rng, p, n, outcome=None):
+    """The one-byte rule, trial by trial: trial i reads byte i of the raw
+    words and succeeds below floor(256 p); a byte equal to it, where the
+    remainder f = 256 p - floor(256 p) is above 0, takes the next uniform in
+    slot order and succeeds below f. Exact arithmetic throughout."""
+    data = rng.bit_generator.random_raw(-(-n // 8)).astype("<u8").tobytes()[:n]
+    probs = [p] * n if outcome is None else [p[o] for o in outcome]
+    rules = {q: divmod(256 * Fraction(q), 1) for q in set(probs)}
+    hit = [b < rules[q][0] for b, q in zip(data, probs)]
+    ties = [i for i, (b, q) in enumerate(zip(data, probs)) if b == rules[q][0] and rules[q][1] > 0]
+    for i in ties:
+        hit[i] = Fraction(rng.random()) < rules[probs[i]][1]
+    return np.array(hit, dtype=bool)
+
+
+def settings_reference(rng, n, basis, bit_bias, transmittance):
+    return [reference_trials(rng, p, n) for p in (basis, 0.5, basis, bit_bias, transmittance)]
+
+
+def settings_columns(t):
+    return (t.alice_basis, t.alice_bit, t.bob_basis, t.bob_bit, t.arrived)
+
+
 @pytest.mark.parametrize("p", EDGE_PROBS)
-def test_settings_draw_at_edge_probabilities(p):
+def test_settings_draw_equals_byte_reference_at_edge_probabilities(p):
     # every trial of the settings draw at one edge probability
     n = 10_000
     config = SimpleNamespace(
         n_slots=n, basis_choice_prob=p, bob_bit_bias=p,
         channel=SimpleNamespace(transmittance=p),
     )
-    t = protocol._draw_settings(config, session_rng(3, 1))
-    ref = session_rng(3, 1)
-    expected = [ref.random(n) < p]
-    ref.integers(0, 2, size=n, dtype=np.int8)
-    expected += [ref.random(n) < p for _ in range(3)]
-    for got, want in zip((t.alice_basis, t.bob_basis, t.bob_bit, t.arrived), expected):
+    rng, ref = session_rng(3, 1), session_rng(3, 1)
+    t = protocol._draw_settings(config, rng)
+    expected = settings_reference(ref, n, p, p, p)
+    for got, want in zip(settings_columns(t), expected):
         assert np.array_equal(got, want)
+    for got in (t.alice_basis, t.bob_basis, t.bob_bit, t.arrived):
         if p in (0.0, 1.0):
             assert got.all() == (p == 1.0) and got.any() == (p == 1.0)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def settings_config(n):
@@ -106,21 +131,146 @@ def settings_config(n):
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
 @pytest.mark.parametrize("n", list(range(71)) + [9_999, 10_000, 100_003])
-def test_settings_draw_equals_numpy_draws(n, seed):
+def test_settings_draw_equals_byte_reference(n, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     t = protocol._draw_settings(settings_config(n), rng)
     ref = np.random.Generator(np.random.PCG64(seed))
-    assert np.array_equal(t.alice_basis, ref.random(n) < 0.3)
-    alice_bit = ref.integers(0, 2, size=n, dtype=np.int8)
-    assert t.alice_bit.dtype == np.int8
-    assert np.array_equal(t.alice_bit, alice_bit)
-    assert np.array_equal(t.bob_basis, ref.random(n) < 0.3)
-    assert np.array_equal(t.bob_bit, ref.random(n) < 0.6)
-    assert np.array_equal(t.arrived, ref.random(n) < 0.2)
-    # numpy may hold the last word's unread 32-bit half; the 64-bit draws
-    # after it are the same
-    assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
+    expected = settings_reference(ref, n, 0.3, 0.6, 0.2)
+    for got, want in zip(settings_columns(t), expected):
+        assert np.array_equal(got, want)
+    for flags in (t.alice_basis, t.alice_bit, t.bob_basis, t.bob_bit):
+        assert flags.dtype == np.int8
+    assert t.arrived.dtype == bool
+    assert rng.bit_generator.state == ref.bit_generator.state
     assert np.array_equal(rng.random(5), ref.random(5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from(EDGE_PROBS + [1e-3, 2.0**-9]), st.floats(0.0, 1.0)),
+    n=st.integers(0, 3000),
+    seed=st.integers(0, 2**32),
+)
+def test_trials_equal_byte_reference(p, n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ref = np.random.Generator(np.random.PCG64(seed))
+    assert np.array_equal(protocol._trials(rng, p, n), reference_trials(ref, p, n))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("table", [TABLE, [0.0, 1.0, 0.5, 2.0**-60], [1.0] * 4])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 10_001])
+def test_table_trials_equal_byte_reference(table, n):
+    rng = np.random.Generator(np.random.PCG64(n))
+    outcome = rng.integers(0, 4, size=n).astype(np.int8)
+    ref = np.random.Generator(np.random.PCG64(0))
+    rng = np.random.Generator(np.random.PCG64(0))
+    got = protocol._trials(rng, table, n, outcome=outcome)
+    assert np.array_equal(got, reference_trials(ref, table, n, outcome.tolist()))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class EveryByte:
+    """A generator stand-in whose 32 raw words hold every byte value once,
+    in order, and whose uniforms are all u."""
+
+    def __init__(self, u):
+        self.u, self.uniforms = u, 0
+        self.bit_generator = SimpleNamespace(random_raw=self.random_raw)
+
+    def random_raw(self, words):
+        assert words == 32
+        return np.arange(256, dtype=np.uint8).view("<u8").astype(np.uint64)
+
+    def random(self, k):
+        self.uniforms += k
+        return np.full(k, self.u)
+
+
+def success_probability(p, outcome=None):
+    """The exact probability that a trial at p (at p[outcome], one outcome
+    for all 256 bytes) succeeds, and the uniforms it draws: the bytes that
+    succeed whatever the uniform, plus the tie times the share of uniforms
+    (multiples of 2**-53) that pass it. That share is read off the trials:
+    a tie passes just below the bound ceil(f * 2**53) * 2**-53 and fails at
+    it."""
+    q = p if outcome is None else p[outcome[0]]
+    h = math.floor(256 * Fraction(q))
+    bound = math.ceil((256 * Fraction(q) - h) * 2**53)
+
+    def trial(u):
+        rng = EveryByte(u)
+        return protocol._trials(rng, p, 256, outcome), rng.uniforms
+
+    sure, uniforms = trial(np.nextafter(1.0, 0.0))
+    below, _ = trial((bound - 1) * 2.0**-53)
+    at, _ = trial(bound * 2.0**-53)
+    assert np.array_equal(at, sure)
+    ties = np.flatnonzero(below & ~sure).tolist()
+    assert ties == ([h] if bound else []) and len(ties) == uniforms
+    return Fraction(int(np.count_nonzero(sure)), 256) + Fraction(len(ties) * bound, 2**61), uniforms
+
+
+def exact_law(p):
+    return Fraction(math.ceil(Fraction(p) * 2**61), 2**61)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(st.sampled_from(EDGE_PROBS + [1e-3, 2.0**-9, 2.0**-9 - 2.0**-62]),
+                   st.floats(0.0, 1.0)))
+def test_trial_succeeds_with_probability_ceil_p_2_61(p):
+    prob, uniforms = success_probability(p)
+    assert prob == exact_law(p)
+    # p itself from 2**-9 up, and within 2**-61 above it below that
+    assert prob == p if p >= 2.0**-9 else 0 <= prob - Fraction(p) < Fraction(1, 2**61)
+    # a tie draws a uniform only where 256 p is not whole
+    assert uniforms == (0 if 256 * p == math.floor(256 * p) else 1)
+
+
+@pytest.mark.parametrize("p", [1e-3, 2.0**-60])
+def test_below_one_in_256_only_ties_succeed(p):
+    assert np.flatnonzero(protocol._trials(EveryByte(0.0), p, 256)).tolist() == [0]
+    assert not protocol._trials(EveryByte(np.nextafter(1.0, 0.0)), p, 256).any()
+    prob, uniforms = success_probability(p)
+    assert prob == exact_law(p) and uniforms == 1
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_certain_trials_draw_no_uniform(p):
+    rng = EveryByte(0.0)
+    got = protocol._trials(rng, p, 256)
+    assert rng.uniforms == 0
+    assert got.all() == (p == 1.0) and got.any() == (p == 1.0)
+    assert success_probability(p) == (p, 0)
+
+
+@pytest.mark.parametrize("o", range(4))
+def test_table_trial_follows_the_law_per_outcome(o):
+    outcome = np.full(256, o, dtype=np.int8)
+    assert success_probability(TABLE, outcome) == (Fraction(TABLE[o]), 1)
+    # a certain outcome beside uncertain ones draws no uniform
+    table = TABLE[:o] + [1.0] + TABLE[o + 1:]
+    assert success_probability(table, outcome) == (1, 0)
+
+
+def test_honest_session_reads_one_byte_per_trial(monkeypatch):
+    # every probability at 0.5 and no dark counts: no trial ties, so the
+    # session reads 5 * ceil(n / 8) words of settings, m Bell uniforms and
+    # ceil(m / 8) words of efficiency trials for its m arrivals
+    made = []
+    generator = np.random.Generator
+    monkeypatch.setattr(np.random, "Generator", lambda bits: made.append(generator(bits)) or made[-1])
+    n = 10_003
+    config = parse_config({
+        "n_slots": n, "seed": 11, "channel": {"transmittance": 0.5},
+        "detectors": {"efficiency": 0.5}, "eta_expected": 0.5, "mode": {"kind": "honest"},
+    })
+    _, report = protocol.run_session(config)
+    m = report.arrived
+    assert 0 < m < n
+    twin = np.random.PCG64(config.seed)
+    twin.advance(5 * -(-n // 8) + m + -(-m // 8))
+    assert made[0].bit_generator.state == twin.state
 
 
 def test_key_bits_one_draw_per_key_seed():
