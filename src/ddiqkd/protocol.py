@@ -207,6 +207,13 @@ def _pairs(t: Transcript) -> np.ndarray:
     return 4 * _prep(t.alice_basis, t.alice_bit) + _prep(t.bob_basis, t.bob_bit)
 
 
+def _arrived_index(arrived: np.ndarray) -> np.ndarray:
+    """What selects the arrived slots fastest: the mask itself where nearly
+    every slot arrived, its positions elsewhere. Indexing by a mask pays a
+    branch per slot, which is cheap only when nearly all slots agree."""
+    return arrived if np.count_nonzero(arrived) >= 0.95 * len(arrived) else np.flatnonzero(arrived)
+
+
 def _bell_outcomes(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The per-slot cumulative-sum draw over the Bell table that the tests
     hold as reference, one uniform per slot, for the preparation pair
@@ -217,10 +224,13 @@ def _bell_outcomes(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _OUTCOME_BY_RANK[rank]
 
 
-def _detect(t: Transcript, pair: np.ndarray, detectors: list[tuple[float, float]], rng) -> None:
+def _detect(
+    t: Transcript, arr: np.ndarray, pair: np.ndarray, detectors: list[tuple[float, float]], rng
+) -> None:
     """The clicks of detectors of the given (efficiency, dark-count
-    probability) on the arrived photons of preparation pair
-    4 * source + receiver (one entry per arrived slot): a Bell outcome, then
+    probability) on the arrived photons (arr, see _arrived_index) of
+    preparation pair 4 * source + receiver (one entry per arrived slot): a
+    Bell outcome, then
     that detector's efficiency trial; a photon that fails it is absorbed
     silently. Then each detector with a dark-count probability fires
     independently over all slots.
@@ -233,7 +243,7 @@ def _detect(t: Transcript, pair: np.ndarray, detectors: list[tuple[float, float]
     passed = _trials(rng, [eta for eta, _ in detectors], len(k), outcome=k)
     k = passed * (k + 1) - 1
     photon = np.full(t.n_slots, -1, dtype=np.int8)
-    photon[t.arrived] = k
+    photon[arr] = k
     dark = [(i, p) for i, (_, p) in enumerate(detectors) if p > 0.0]
     if not dark:
         t.reported = photon
@@ -254,16 +264,14 @@ def _detect(t: Transcript, pair: np.ndarray, detectors: list[tuple[float, float]
     t.reported = (which + 1) * (clicks == 1) - 1
 
 
-def _intercept(t: Transcript, rng) -> np.ndarray:
-    """The interceptor measures every arrived photon in a uniformly drawn
-    basis: she gets the sender's bit when the bases match (an eigenstate),
-    a fair coin otherwise. Records her basis and bit; returns the pair index
+def _intercept(t: Transcript, arr: np.ndarray, pair: np.ndarray, rng) -> np.ndarray:
+    """The interceptor measures every arrived photon (arr, with the parties'
+    preparation pair per arrived slot) in a uniformly drawn basis: she gets
+    the sender's bit when the bases match (an eigenstate), a fair coin
+    otherwise. Records her basis and bit; returns the pair index
     4 * her resent preparation + the receiver's preparation per arrived slot."""
-    arr = t.arrived
-    m = int(np.count_nonzero(arr))
-    basis = _trials(rng, 0.5, m)
-    coin = _trials(rng, 0.5, m)
-    pair = _pairs(t)[arr]
+    basis = _trials(rng, 0.5, len(pair))
+    coin = _trials(rng, 0.5, len(pair))
     # her bit: the sender's where her basis is the sender's (bit 3 of the
     # pair), else the coin
     bit = coin ^ ((basis == pair >> 3) & ((pair >> 2) ^ coin))
@@ -324,7 +332,7 @@ def _covert_policy(mode: CovertAttackMode, q: float, t: Transcript, rng) -> None
 
 
 def _run_blinding(
-    config: SessionConfig, mode: BlindingMode, t: Transcript, pair: np.ndarray
+    config: SessionConfig, mode: BlindingMode, t: Transcript, arr: np.ndarray, pair: np.ndarray
 ) -> BlindingPlan | None:
     if mode.optimize:
         plan = optimize_pulse(config.detectors, mode.wavelength_grid, mode.power_grid)
@@ -333,7 +341,6 @@ def _run_blinding(
         plan = None
         wavelength, power = mode.wavelength_nm, mode.pulse_power
     outcome, double = click_table(config.detectors, wavelength, power)
-    arr = t.arrived
     pair = pair.astype(np.intp)
     t.reported[arr] = outcome.ravel().take(pair)
     t.double_click[arr] = double.ravel().take(pair)
@@ -418,13 +425,16 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     q = _covert_acceptance(config, mode) if isinstance(mode, CovertAttackMode) else None
     rng = np.random.Generator(np.random.PCG64(config.seed))
     t = _draw_settings(config, rng)
-    pair = _intercept(t, rng) if isinstance(mode, (BlindingMode, InterceptResendMode)) else _pairs(t)[t.arrived]
+    arr = _arrived_index(t.arrived)
+    pair = _pairs(t)[arr]
+    if isinstance(mode, (BlindingMode, InterceptResendMode)):
+        pair = _intercept(t, arr, pair, rng)
     plan: BlindingPlan | None = None
     if isinstance(mode, BlindingMode):
-        plan = _run_blinding(config, mode, t, pair)
+        plan = _run_blinding(config, mode, t, arr, pair)
     else:
         real = [(d.efficiency_at(config.signal_wavelength_nm), d.dark_count_prob) for d in config.detectors]
-        _detect(t, pair, real if q is None else [(mode.eta_true, 0.0)] * 4, rng)
+        _detect(t, arr, pair, real if q is None else [(mode.eta_true, 0.0)] * 4, rng)
     if q is not None:
         _covert_policy(mode, q, t, rng)
     return t, build_report(config, t, plan)
