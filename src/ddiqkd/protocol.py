@@ -145,18 +145,13 @@ def compute_qber(transcript: Transcript, sifted_slots: np.ndarray) -> float | No
 
 
 def _trials(rng, p, n: int, outcome: np.ndarray | None = None) -> np.ndarray:
-    """n Bernoulli trials at probability p (bool), one random byte each;
-    given outcome, p is a table and trial i's probability is p[outcome[i]].
-
-    Trial i reads byte i of ceil(n / 8) raw words, little-endian, and
-    succeeds when the byte is below h = floor(256 p). Where f = 256 p - h is
-    above 0, a byte equal to h is decided by one uniform below f; those
-    uniforms are drawn after the bytes, in slot order. So a trial succeeds
-    with probability ceil(p * 2**61) / 2**61."""
+    """n Bernoulli trials (bool) at probability p, or at p[outcome[i]] for a
+    table p. Trial i reads byte i of ceil(n / 8) raw words, little-endian,
+    and succeeds below h = floor(256 p); where f = 256 p - h > 0, a byte
+    equal to h takes one uniform, drawn after the bytes in slot order, and
+    succeeds below f. So a trial succeeds with probability ceil(p * 2**61) / 2**61."""
     byte = rng.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
-    scaled = 256.0 * np.asarray(p, dtype=float)
-    head = np.floor(scaled)
-    frac = scaled - head
+    frac, head = np.modf(256.0 * np.asarray(p, dtype=float))
     if outcome is None:
         # a Python int compares with the bytes as uint8; 256 would not fit
         heads = int(head)
@@ -207,13 +202,6 @@ def _pairs(t: Transcript) -> np.ndarray:
     return 4 * _prep(t.alice_basis, t.alice_bit) + _prep(t.bob_basis, t.bob_bit)
 
 
-def _arrived_index(arrived: np.ndarray) -> np.ndarray:
-    """What selects the arrived slots fastest: the mask itself where nearly
-    every slot arrived, its positions elsewhere. Indexing by a mask pays a
-    branch per slot, which is cheap only when nearly all slots agree."""
-    return arrived if np.count_nonzero(arrived) >= 0.95 * len(arrived) else np.flatnonzero(arrived)
-
-
 def _bell_outcomes(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The per-slot cumulative-sum draw over the Bell table that the tests
     hold as reference, one uniform per slot, for the preparation pair
@@ -224,13 +212,11 @@ def _bell_outcomes(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _OUTCOME_BY_RANK[rank]
 
 
-def _detect(
-    t: Transcript, arr: np.ndarray, pair: np.ndarray, detectors: list[tuple[float, float]], rng
-) -> None:
+def _detect(t: Transcript, arr, pair: np.ndarray, detectors: list[tuple[float, float]], rng) -> None:
     """The clicks of detectors of the given (efficiency, dark-count
-    probability) on the arrived photons (arr, see _arrived_index) of
-    preparation pair 4 * source + receiver (one entry per arrived slot): a
-    Bell outcome, then
+    probability) on the arrived photons (selected by arr) of preparation
+    pair 4 * source + receiver (one entry per arrived slot): a Bell
+    outcome, then
     that detector's efficiency trial; a photon that fails it is absorbed
     silently. Then each detector with a dark-count probability fires
     independently over all slots.
@@ -264,12 +250,13 @@ def _detect(
     t.reported = (which + 1) * (clicks == 1) - 1
 
 
-def _intercept(t: Transcript, arr: np.ndarray, pair: np.ndarray, rng) -> np.ndarray:
-    """The interceptor measures every arrived photon (arr, with the parties'
-    preparation pair per arrived slot) in a uniformly drawn basis: she gets
-    the sender's bit when the bases match (an eigenstate), a fair coin
-    otherwise. Records her basis and bit; returns the pair index
-    4 * her resent preparation + the receiver's preparation per arrived slot."""
+def _intercept(t: Transcript, arr, rng) -> np.ndarray:
+    """The interceptor measures every arrived photon (selected by arr) in a
+    uniformly drawn basis: she gets the sender's bit when the bases match
+    (an eigenstate), a fair coin otherwise. Records her basis and bit;
+    returns the pair index 4 * her resent preparation + the receiver's
+    preparation per arrived slot."""
+    pair = _pairs(t)[arr]
     basis = _trials(rng, 0.5, len(pair))
     coin = _trials(rng, 0.5, len(pair))
     # her bit: the sender's where her basis is the sender's (bit 3 of the
@@ -332,7 +319,7 @@ def _covert_policy(mode: CovertAttackMode, q: float, t: Transcript, rng) -> None
 
 
 def _run_blinding(
-    config: SessionConfig, mode: BlindingMode, t: Transcript, arr: np.ndarray, pair: np.ndarray
+    config: SessionConfig, mode: BlindingMode, t: Transcript, arr, pair: np.ndarray
 ) -> BlindingPlan | None:
     if mode.optimize:
         plan = optimize_pulse(config.detectors, mode.wavelength_grid, mode.power_grid)
@@ -425,10 +412,11 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     q = _covert_acceptance(config, mode) if isinstance(mode, CovertAttackMode) else None
     rng = np.random.Generator(np.random.PCG64(config.seed))
     t = _draw_settings(config, rng)
-    arr = _arrived_index(t.arrived)
-    pair = _pairs(t)[arr]
-    if isinstance(mode, (BlindingMode, InterceptResendMode)):
-        pair = _intercept(t, arr, pair, rng)
+    # the arrived slots' positions, or where nearly all arrived the mask,
+    # whose branch per slot is cheap only when nearly every slot agrees
+    arr = t.arrived if np.count_nonzero(t.arrived) >= 0.95 * t.n_slots else np.flatnonzero(t.arrived)
+    interceptor = isinstance(mode, (BlindingMode, InterceptResendMode))
+    pair = _intercept(t, arr, rng) if interceptor else _pairs(t)[arr]
     plan: BlindingPlan | None = None
     if isinstance(mode, BlindingMode):
         plan = _run_blinding(config, mode, t, arr, pair)
