@@ -216,10 +216,9 @@ def _detect(t: Transcript, arr, pair: np.ndarray, detectors: list[tuple[float, f
     """The clicks of detectors of the given (efficiency, dark-count
     probability) on the arrived photons (selected by arr) of preparation
     pair 4 * source + receiver (one entry per arrived slot): a Bell
-    outcome, then
-    that detector's efficiency trial; a photon that fails it is absorbed
-    silently. Then each detector with a dark-count probability fires
-    independently over all slots.
+    outcome, then that detector's efficiency trial; a photon that fails it
+    is absorbed silently. Then each detector with a dark-count probability
+    fires independently over all slots.
 
     The draws are those of the per-slot rule, in the same order and sizes;
     a unit with no dark-count detector draws no dark vector and writes

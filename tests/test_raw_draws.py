@@ -1,15 +1,16 @@
 """The session's draws against the generator words they read.
 
-Every Bernoulli trial is rng.random(n) < p, one 64-bit word per trial with
-numpy's uniform (w >> 11) * 2**-53; the sender bits, read off raw words,
-count on that, so a trial must equal the compare of its raw word, succeed
-below the bound ceil(p * 2**53) << 11, and leave the generator where
-random_raw(n) leaves it. The settings draw reads
-the sender bits off raw bytes between those trials; the bits must be the
-values rng.integers(0, 2, n, int8) gives, and the generator must be left
-where numpy's own draws leave it for every later 64-bit draw. The covert key
-is drawn once per key seed, and every prefix of that draw must be a fresh
-draw.
+Every Bernoulli trial reads one random byte (protocol._trials): trial i
+reads byte i of the raw words and succeeds below floor(256 p), and a byte
+equal to that head takes a tie uniform, after the bytes in slot order,
+that must fall below the remainder. The trials and the settings draw must
+equal a byte-by-byte reference and leave the generator where it leaves
+it; summed over all 256 bytes, a trial must succeed with probability
+ceil(p * 2**61) / 2**61, and an honest session must read one byte per
+trial. Tie and Bell-outcome uniforms are numpy's (w >> 11) * 2**-53, one
+64-bit word each, so a compare at p succeeds below the bound
+ceil(p * 2**53) << 11. The covert key is drawn once per key seed, and every
+prefix of that draw must be a fresh draw.
 """
 
 from dataclasses import replace
@@ -54,8 +55,7 @@ def test_random_compare_reads_one_raw_word_per_trial(p, n, seed, prefix):
     words = raw.bit_generator.random_raw(n)
     assert np.array_equal(got, (words >> np.uint64(11)) * 2.0**-53 < p)
     assert trial.bit_generator.state == raw.bit_generator.state
-    # into an int8 buffer as the settings draw writes it, and the
-    # complement as a compare >= p as _intercept writes it
+    # into an int8 buffer, and the complement as a compare >= p
     flags = np.less(trial.random(n), p, out=np.empty(n, dtype=np.int8))
     words = raw.bit_generator.random_raw(n)
     assert flags.dtype == np.int8
