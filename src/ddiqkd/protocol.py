@@ -22,9 +22,11 @@ Determinism contract: a session is fully determined by (config, seed). Party
 settings and arrivals are drawn in bulk in a fixed order, then each mode's
 draws follow, also in bulk and in a fixed order (see run_session). Every
 Bernoulli trial reads one random byte (_trials) and succeeds with
-probability ceil(p * 2**61) / 2**61, which is p for every p >= 2**-9; only
-the Bell outcomes take a uniform each. The covert key is drawn once per key
-seed (_key_bits).
+probability ceil(p * 2**61) / 2**61, which is p for every p >= 2**-9. A
+Bell outcome reads one byte too: its top two bits pick one of four equally
+likely quarters, and every Bell probability is a whole number of quarters,
+so the outcome follows BELL_TABLE exactly. The covert key is drawn once per
+key seed (_key_bits).
 """
 
 from __future__ import annotations
@@ -89,22 +91,13 @@ class SessionReport:
     plan: BlindingPlan | None = None
 
 
-# running sums of BELL_TABLE over outcomes, one row per preparation pair
-_BELL_CDF = np.cumsum(BELL_TABLE, axis=2).reshape(16, 4)
-
-# Outcome sampling by rank. A uniform u in [0, 1) picks the first outcome
-# whose running sum exceeds it, so the outcome is how many of the pair's
-# first three running sums (_SUMS) are <= u. Every uniform of one rank (how
-# many of the distinct sums strictly inside (0, 1), _CDF_STEPS, are <= it)
-# is >= the same sums as the smallest value of that rank (0 or the step),
-# so the outcome of (pair, rank) is one entry of _OUTCOME_BY_RANK, flat at
-# index pair * _RANKS + rank (below 128, so int8 holds it).
-_SUMS = _BELL_CDF[:, :3]
-_CDF_STEPS = np.unique(_SUMS[(_SUMS > 0.0) & (_SUMS < 1.0)])
-_RANKS = len(_CDF_STEPS) + 1
-_OUTCOME_BY_RANK = np.count_nonzero(
-    np.concatenate(([0.0], _CDF_STEPS))[None, :, None] >= _SUMS[:, None, :], axis=2
-).astype(np.int8).ravel()
+# The Bell outcome of preparation pair p whose byte's top two bits read q,
+# at index 4 * p + q: each pair's outcomes take as many of the four quarters
+# as their probabilities hold, in outcome order.
+_QUARTERS = np.rint(4.0 * BELL_TABLE).reshape(16, 4)
+if np.abs(_QUARTERS - 4.0 * BELL_TABLE.reshape(16, 4)).max() > 1e-12 or (_QUARTERS.sum(axis=1) != 4).any():
+    raise ImportError("every Bell probability must be a whole number of quarters")
+_BELL_BY_QUARTER = np.repeat(np.tile(np.arange(4, dtype=np.int8), 16), _QUARTERS.astype(int).ravel())
 _XOR_FLAT = XOR_TABLE.ravel()
 
 
@@ -144,13 +137,18 @@ def compute_qber(transcript: Transcript, sifted_slots: np.ndarray) -> float | No
     return float(np.count_nonzero(errors) / len(sifted_slots))
 
 
+def _bytes(rng, n: int) -> np.ndarray:
+    """n random bytes: byte i of ceil(n / 8) raw words, little-endian."""
+    return rng.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+
+
 def _trials(rng, p, n: int, outcome: np.ndarray | None = None) -> np.ndarray:
     """n Bernoulli trials (bool) at probability p, or at p[outcome[i]] for a
-    table p. Trial i reads byte i of ceil(n / 8) raw words, little-endian,
-    and succeeds below h = floor(256 p); where f = 256 p - h > 0, a byte
-    equal to h takes one uniform, drawn after the bytes in slot order, and
-    succeeds below f. So a trial succeeds with probability ceil(p * 2**61) / 2**61."""
-    byte = rng.bit_generator.random_raw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+    table p. Trial i reads byte i (_bytes) and succeeds below h = floor(256 p);
+    where f = 256 p - h > 0, a byte equal to h takes one uniform, drawn after
+    the bytes in slot order, and succeeds below f. So a trial succeeds with
+    probability ceil(p * 2**61) / 2**61."""
+    byte = _bytes(rng, n)
     frac, head = np.modf(256.0 * np.asarray(p, dtype=float))
     if outcome is None:
         # a Python int compares with the bytes as uint8; 256 would not fit
@@ -202,36 +200,23 @@ def _pairs(t: Transcript) -> np.ndarray:
     return 4 * _prep(t.alice_basis, t.alice_bit) + _prep(t.bob_basis, t.bob_bit)
 
 
-def _bell_outcomes(pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The per-slot cumulative-sum draw over the Bell table that the tests
-    hold as reference, one uniform per slot, for the preparation pair
-    4 * source + receiver (int8); see _OUTCOME_BY_RANK."""
-    rank = _RANKS * pair
-    for step in _CDF_STEPS:
-        rank += u >= step
-    return _OUTCOME_BY_RANK[rank]
-
-
 def _detect(t: Transcript, arr, pair: np.ndarray, detectors: list[tuple[float, float]], rng) -> None:
     """The clicks of detectors of the given (efficiency, dark-count
     probability) on the arrived photons (selected by arr) of preparation
     pair 4 * source + receiver (one entry per arrived slot): a Bell
-    outcome, then that detector's efficiency trial; a photon that fails it
-    is absorbed silently. Then each detector with a dark-count probability
-    fires independently over all slots.
-
-    The draws are those of the per-slot rule, in the same order and sizes;
-    a unit with no dark-count detector draws no dark vector and writes
-    the photon outcomes straight into the transcript."""
-    k = _bell_outcomes(pair, rng.random(len(pair)))
+    outcome, its byte's top two bits read in _BELL_BY_QUARTER, then that
+    detector's efficiency trial (one trial for equal detectors, which reads
+    the same bytes and ties); a photon that fails it is absorbed silently.
+    Then each detector with a dark-count probability fires independently
+    over all slots; a unit with none draws no dark vector."""
+    k = _BELL_BY_QUARTER.take(4 * pair.view(np.uint8) + (_bytes(rng, len(pair)) >> 6))
+    etas = [eta for eta, _ in detectors]
+    passed = _trials(rng, etas[0], len(k)) if len(set(etas)) == 1 else _trials(rng, etas, len(k), outcome=k)
     # the outcome where its detector's efficiency trial passes, else -1
-    passed = _trials(rng, [eta for eta, _ in detectors], len(k), outcome=k)
-    k = passed * (k + 1) - 1
-    photon = np.full(t.n_slots, -1, dtype=np.int8)
-    photon[arr] = k
+    t.reported[arr] = passed * (k + 1) - 1
+    photon = t.reported
     dark = [(i, p) for i, (_, p) in enumerate(detectors) if p > 0.0]
     if not dark:
-        t.reported = photon
         t.detected = photon >= 0
         return
     clicks = (photon >= 0).view(np.int8)
@@ -390,6 +375,15 @@ def build_report(
     )
 
 
+def _select(arrived: np.ndarray):
+    """The arrived slots as the kernels index them: a slice where all
+    arrived, so a gather is a view and a scatter a copy; the mask where
+    nearly all did (its branch per slot is cheap only when nearly every
+    slot agrees); else their positions."""
+    m = np.count_nonzero(arrived)
+    return slice(None) if m == len(arrived) else arrived if m >= 0.95 * len(arrived) else np.flatnonzero(arrived)
+
+
 def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     """Simulate one session; deterministic in (config, seed).
 
@@ -411,9 +405,7 @@ def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:
     q = _covert_acceptance(config, mode) if isinstance(mode, CovertAttackMode) else None
     rng = np.random.Generator(np.random.PCG64(config.seed))
     t = _draw_settings(config, rng)
-    # the arrived slots' positions, or where nearly all arrived the mask,
-    # whose branch per slot is cheap only when nearly every slot agrees
-    arr = t.arrived if np.count_nonzero(t.arrived) >= 0.95 * t.n_slots else np.flatnonzero(t.arrived)
+    arr = _select(t.arrived)
     interceptor = isinstance(mode, (BlindingMode, InterceptResendMode))
     pair = _intercept(t, arr, rng) if interceptor else _pairs(t)[arr]
     plan: BlindingPlan | None = None

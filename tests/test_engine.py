@@ -3,6 +3,9 @@ replace, and the shared click kernel's dark-count statistics."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from ddiqkd.config import (
     SessionConfig,
     parse_config,
 )
-from ddiqkd.protocol import _BELL_CDF, _bell_outcomes, run_session
+from ddiqkd.protocol import _BELL_BY_QUARTER, run_session
 from ddiqkd.states import (
     BELL_TABLE,
     PREPARATIONS,
@@ -53,42 +56,31 @@ def test_bell_table_rows_equal_bell_probabilities_exactly():
             state = tensor(prepare(*pol), prepare(*spa))
             probs = bell_probabilities(state)
             assert tuple(BELL_TABLE[i, j]) == probs
-            assert tuple(_BELL_CDF[4 * i + j]) == tuple(np.cumsum(probs))
 
 
-def sample_outcome(probabilities, u):
-    """The per-slot draw _bell_outcomes replaced: map a uniform u in [0,1)
-    to an outcome index by cumulative sums."""
-    acc = 0.0
-    for k, p in enumerate(probabilities):
-        acc += p
-        if u < acc:
-            return k
-    return len(probabilities) - 1
+@pytest.mark.parametrize("pair", range(16))
+def test_quarter_table_gives_each_pair_its_bell_probabilities(pair):
+    # a byte's top two bits pick each quarter of the pair's row equally
+    # often, so outcome k comes out with its share of the four quarters
+    row = _BELL_BY_QUARTER[4 * pair:4 * pair + 4]
+    assert row.dtype == np.int8 and len(_BELL_BY_QUARTER) == 64
+    shares = np.bincount(row, minlength=4) / 4
+    assert np.allclose(shares, BELL_TABLE[pair >> 2, pair & 3], rtol=0.0, atol=1e-12)
+    # outcomes in order, so the quarters of one outcome are contiguous
+    assert row.tolist() == sorted(row.tolist())
 
 
-def test_sample_outcome_cumulative():
-    probs = (0.5, 0.5, 0.0, 0.0)
-    assert sample_outcome(probs, 0.0) == 0
-    assert sample_outcome(probs, 0.499) == 0
-    assert sample_outcome(probs, 0.5) == 1
-    assert sample_outcome(probs, 0.999999) == 1
-    assert sample_outcome((0.25,) * 4, 0.8) == 3
-
-
-def test_bell_outcomes_match_sample_outcome_at_every_breakpoint():
-    rng = np.random.default_rng(5)
-    for i in range(4):
-        for j in range(4):
-            cdf = _BELL_CDF[4 * i + j]
-            u = np.concatenate([
-                [0.0, np.nextafter(1.0, 0.0)],
-                cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
-                rng.random(200),
-            ])
-            u = u[u < 1.0]
-            got = _bell_outcomes(np.full(len(u), 4 * i + j, dtype=np.int8), u)
-            assert got.tolist() == [sample_outcome(BELL_TABLE[i, j], x) for x in u]
+def test_import_refuses_a_bell_table_off_whole_quarters():
+    code = (
+        "import ddiqkd.states as states\n"
+        "states.BELL_TABLE = states.BELL_TABLE.copy()\n"
+        "states.BELL_TABLE[0, 0, :2] += (1e-9, -1e-9)\n"
+        "import ddiqkd.protocol\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode != 0 and "ImportError: every Bell probability" in done.stderr
 
 
 def blinding_working_point(name):

@@ -49,20 +49,20 @@ GOLDEN = {
         "6eeadff5858ad3f3756ac03225fdfac205aa469de5d8d665731b11201135d5e0",
     ),
     "covert_keyed": (
-        "1f02b13c6025c956f0285d277d0c2ccec25cf51a771882967094bd4a1a2ad2d4",
-        "50e46e89543a9825314a8a59bfe71c7ef52108f97585207561a5d66401d75aa5",
+        "1a5cd036b3683fb783eeaff7dcdee1ae3f702b485dce1d068122cc45bdea78c8",
+        "e1f1b56e041a98504347989825629e65756c8b186a260c89bef2b45e879309f0",
     ),
     "covert_unkeyed_biased": (
-        "722d51e2d557fcb875494b70f1fb55fef5e4b04734314bc4d3dde97dbe34b9f4",
-        "5688ab1c171d22c69cbd5d67d4828d8b4e44b4a6763f3205c88d14cf0d3d6b0e",
+        "1946b87fc372ba74fc1ac1014c5762ca28396847ba48cc820b3fd270fa1aef1b",
+        "6726bf76e18f4386d2d0188fe3508c80b2489e4c542a72f49d7749153163bd6c",
     ),
     "honest": (
-        "fa942fc42f6ddd07d1be37e657911e05da2ca025a2a4b28c1463ddd39bdf19bf",
-        "ec5287bee99f211078e2f0097615c8bf44d10d702f3c3e248eddbbc8423ec3a1",
+        "7c09f50f77e83c93efceb11262074bdc6ca7adfa17deb9bdb6e9aaa4299a9574",
+        "942273d59661dd5b3377a1cc2b47399dd49fba15dee8bb8ed3f5754724675afb",
     ),
     "intercept_resend": (
-        "3b8f219e3323eade2139cc4c151734eda43d9eefd85eae48172d16cca44efe91",
-        "bbe4c4782770df2ebb20c9927cf3a4dcd1146c0333daf3b478a94a2749e37478",
+        "d76ab27ff5e694aaf12f9fe68d48b0c28b2841435f18e277804dc00240171979",
+        "63260d1fbbf8d3b98bf8d0cca69c72c1d25814f4d94959aca7c1083fd15bd58d",
     ),
 }
 
@@ -76,64 +76,64 @@ GOLDEN_MULTI = {
         "4431b24545cff057396ab4874575955e57b68b802327d2a2a96bcb5978321404",
     ),
     "covert_keyed": (
-        "633d04a6987b66959305fe521c280b374c921b938c4aab2a74e246a70d9831cc",
-        "26fc658497240104e489740075e23861c8f04cb598975224afaa96e91b616dc0",
+        "c9e11c6a18c1a4a5b5b7b8b575e5800d66906758f600790c253c704aa33fe821",
+        "0ca4c1dc6f87f3129b54304dccc6334e2e534be48e6859eabd792aed52fc1f2f",
     ),
     "covert_unkeyed_biased": (
-        "74a3554c9c298897d1337589f4b62676baf35402bf2d3f9c38e851e17a72273d",
-        "3e67ae3ef943b910ab6ce18a726b5de97d444e452dace0e80fc96e0cf254d84e",
+        "8e5538928b86865f67eb1d7797c0bf82e9bcf3f68e513104b21d3ff402a60f08",
+        "bda121a1da764ba8688c2913daed9195221312d77c6ed9cec4fddd562f0fbac6",
     ),
     "honest": (
-        "67f5f2bb191fc6acf782a866a7e807638a12c1bfa53d236b0441fa34c7fd9bd2",
-        "c9eca61d6e3f16126434486fd6bd29d05fce604e728ff063cdba218cee7fcd32",
+        "c9e58dfe2e3e5451fe1939e806eeb44bfd99fce71d53ce9a751a6f62153d8170",
+        "d91d4f4c42d6e23593cd60f059d20cc7a3e36e8b90e3957b5b086c04d715147c",
     ),
     "intercept_resend": (
-        "5453345481982139ec3ec6a65cd77dcef9eaa8db1e229f10b008e38335fffa1c",
-        "dc8542967017b31a49628deab0e513686bbec47f1c38bfa36a9862c4a746ec9c",
+        "1e9ef92980a15a4da0a84a9f8c69e10946b50833d751502f9f5cd32e9f6ea6eb",
+        "176bf002e502b6d5dcf2f3bb60898713f70e8ed3e1cca3e5611e212eb49b2f75",
     ),
 }
 
 
 GOLDEN_DARK = {
     ("honest_dark_0.001", 2000): (
-        "27bbb643a3537c8ba84bd64937ea06264ed50a2795085b4807658961edb71064",
-        "a07ef97ba28b6e0218e057d7a4b074aa140579083bd434513471600b03923535",
+        "90718e4763dc7097ce9ef00fe2f4ed07ec354e0c854aa9b9e48a14ef39f1e6c4",
+        "7a3e330d7f3f36746f56d016b60aef0b37d2513bc522b12e804b951911ce2569",
     ),
     ("honest_dark_0.001", 23456): (
-        "0fb5e02fe183b11fb861061c3c7b9bf56f09421602fd87b15d1e9c8ae05cd373",
-        "3537212b1b06ad592d09ab0e3c81b810cf8bc354541657297ab054f48e0088d6",
+        "d80d7a11dfddfa77bdbef3d46bdef2d6ed9003ecd7ee322849a38ee5df8dd501",
+        "378982c2fecee68a621e7981d0514348f6f23076973c091c29953f16ef60cbaf",
     ),
     ("honest_dark_0.05", 2000): (
-        "bf2d3b34edc0c513fa898c95f4920413a2994e234c981511f809f2dea8805246",
-        "f369e9e4d2ff17ceb0c788f5a0c5361ea9d50e2dd83180dfd97944927f31e986",
+        "79ee8956a771c1a655c37c96f29ba16b5828de6444d4e92a9b3f857453078af6",
+        "85504bfd1a7eec4b08ebaf89cbbda1f24844a0b2adc1a23b968ddc56d98ea309",
     ),
     ("honest_dark_0.05", 23456): (
-        "eef4f69c907df0ecb7a9858e10682e3a06a01754668ab72c27904eeccb1a53a1",
-        "311248c66685ff1ed3533b1d1eef46e9c4671bafd830aa84b4684764365354e4",
+        "d9bff1710cdca4234bd2e18df5aa679bf409f8c594c7cd6c82b45534fd15d92e",
+        "3ce4fe931bb33313609e830b471c348ff754cf3b2f6f0e2eaed7a8efaffc6c39",
     ),
     ("intercept_resend_dark_0.001", 2000): (
-        "4ec464c9e9efc9116fc5d73c943a58aebbb267e962bd7ed7854dfab96e0491a8",
-        "8228844c777889caf6dc9b19caef49449960cf66953dfd837d14b5bea49232ac",
+        "20db11e3bfda3b7f2b6f16ca3f98eef133fcae6c1997a7fac5b451c83d3be7e0",
+        "72383a1387e5b0bd6c0246abdf807672ccce1f8f2ba214cc91c5f90ff1ffab11",
     ),
     ("intercept_resend_dark_0.001", 23456): (
-        "9720853471ae332c0f301c10fec86b3c8784d35e7e324ca58a092bac8474954d",
-        "e3e90fd6053add1037add2c79e6494afade7e209f5ccb0e501b1ecc0a3af9919",
+        "aad8cb7fb28ae0231d776fe764c191ac049b0d2d6a5f018ed74ca5d60ddb7410",
+        "245e2c2dde805ccbc4964023db2e8be3eecc8e1fda567e5ccf1941e90fff8fa2",
     ),
     ("intercept_resend_dark_0.05", 2000): (
-        "08bae32530517723a5768a02de6eff31b3a0f4c5962ba0662bfb18545f0f00c0",
-        "f18b23ace63d104ad6178c3ec7b9c9ef64c2210d671a8f9e4b52d8165943f3f3",
+        "11433cf572e42df220a5a7f92e4b5d8247f0546b932d2a64d0d10dfd988ae0b3",
+        "da35cbe4d8b2d3694776c9119b62f627830b41db9b0f790fdf7e78ef62520b5a",
     ),
     ("intercept_resend_dark_0.05", 23456): (
-        "4451940c746a2fc83d912a38acee0c94ec2aaf5df2e3ebb9b602163c865b5e68",
-        "575c21f94021d6e7a53a856b7875db7d792f53d7f6e3a2f273b798dbd8542558",
+        "bd805b8b52d4adc0f0f11522b69a5658a3c79d3dd0a1dffc0aabf00ceac76098",
+        "6281172094a6455dced0f6ec481f3c6f85ed45bad600a45dc88f00af57cba40d",
     ),
     ("intercept_resend_mixed_detectors", 2000): (
-        "152f668bfa47b29da5520c83ff700fd6ea6ea96c0f680411e3d4027f6968b7d4",
-        "135bcee766a58ce9d86a00f7dbbf48acfb0200ba86e15c45f1d60848f8b6979c",
+        "52d27655e93fea8414193c597b65de4635d3b12bf1056a33ad0a4b3f6a69e294",
+        "8b24aab20740e20dcd826396646238ed654070ad3a35e67178c5e28f2ed781e2",
     ),
     ("intercept_resend_mixed_detectors", 23456): (
-        "9557e45e59ee1aa5c4af83a9e84fe465dc93d71ec216c088cee35160e65c6ffc",
-        "33f3e822b4d726405240f564c2db2a2619df807bcdf0f7782596010a402258c8",
+        "2c64f00cea98fe06ea9d0dd742166a83b6dfef4e55b3421dab41bd437544c2da",
+        "c3952bc439ac3823855a3ef6f8a5279fad1351b8088c3c69e09ffc261b81f948",
     ),
 }
 
@@ -167,7 +167,7 @@ SWEEP_ARGS = (
     "--grid", str(CONFIGS / "sweep_transmittance.json"),
     "--seeds", "3", "--master-seed", "11",
 )
-GOLDEN_SWEEP = "582ecd301b51a3713855dc2a0b69cb37886e5646ef7d8cc79fb95a5454d94199"
+GOLDEN_SWEEP = "cbe38473d9c2e0159ae999aa0156afa3480cada814dff4e6c6f3bdfb0bb2ce13"
 
 
 # the JSON `ddiqkd analyze --out` writes for each scenario's transcript
@@ -176,14 +176,14 @@ GOLDEN_ANALYZE = {
     ("blinding_symmetric", 23456): "9d4015a2d5866e2da8f2dc73d1fd937af5ecd81dc481ebf2b40436567495d03d",
     ("blinding_tailored", 2000): "ee03e037741876a09f573d3caa8b0e90a2c3c356ad06b193a1e0cd1417873d7b",
     ("blinding_tailored", 23456): "fc9196ab628d36b0a8c53f92460a7c9b89a9a13178822b4e110462c6925fdef5",
-    ("covert_keyed", 2000): "825827361576d27faa71abdb3ca8c6bf72b99196af4d8a6606fafb5f6bdbfcca",
-    ("covert_keyed", 23456): "e0c00755dd924e28e7e9ae1c6c39ce7fbd5ec28348f3b25ea36d5ce957877a7e",
-    ("covert_unkeyed_biased", 2000): "6ac6bed29f1668997fea093a7b948b17caa96c5533e07474ac7496f94d74efc5",
-    ("covert_unkeyed_biased", 23456): "54db7f87cceb50054944d4d0b13dacff16c4684fa5206a12a46651e84440515e",
-    ("honest", 2000): "d40b1511f209590e40ef21184cfe735f5574190ec1b6ecd5252127a10956a3f8",
-    ("honest", 23456): "852c7aaf3f3a257f662de097cd54ae3905ac86e5bccdba5e981b1324fec60e2b",
-    ("intercept_resend", 2000): "8047c47425464782bd3796f7078f1e021214677ad8b4a1311839fb4696a01acd",
-    ("intercept_resend", 23456): "f8add0b669d43dcf35a265b4b24732926b5c0eb4d5f7e642c5aa6b44a24293a3",
+    ("covert_keyed", 2000): "7fec5f2616b03c017b4b2d43b4120f9629feb4df53f094d3f203d2dd58974f01",
+    ("covert_keyed", 23456): "63d08f30de7392b67fde467c7709b58720f73bd26db2bfc8863a2aec77861b0d",
+    ("covert_unkeyed_biased", 2000): "88bd12e9cfba6ab760695a0b6506cce09a16f46355306392d957dfb2bf743b3e",
+    ("covert_unkeyed_biased", 23456): "7aec45f4317ebfb202c264383336dfb7b44ef4ac4ebcd9581a5d87fc1a97e944",
+    ("honest", 2000): "109889044bdd22004d5964e143b7ff619621835cf726631929103b73da68c230",
+    ("honest", 23456): "0301ebe66f138004c72ea77740d84b67554136c280ad1ed853599cba3e766722",
+    ("intercept_resend", 2000): "80c718d499b4886bb1a12e4405a26043907306cf494d590a4eb639b3b461d765",
+    ("intercept_resend", 23456): "0aa2121c16f34dcf569b6d0cd704ce8627c52f7ff4d441e4869fd6f319d006fd",
 }
 
 # the config digest of each bench/configs/*.json scenario

@@ -7,17 +7,23 @@ that must fall below the remainder. The trials and the settings draw must
 equal a byte-by-byte reference and leave the generator where it leaves
 it; summed over all 256 bytes, a trial must succeed with probability
 ceil(p * 2**61) / 2**61, and an honest session must read one byte per
-trial. Tie and Bell-outcome uniforms are numpy's (w >> 11) * 2**-53, one
-64-bit word each, so a compare at p succeeds below the bound
-ceil(p * 2**53) << 11. The covert key is drawn once per key seed, and every
-prefix of that draw must be a fresh draw.
+trial and per Bell outcome. A Bell outcome reads one byte too, whose top
+two bits pick a quarter of its preparation pair's row of the Bell table;
+the click kernel must equal a photon-by-photon reference of that rule. A
+table of equal probabilities must draw as its one scalar trial, and a
+session where every photon arrived must write the same transcript whether
+the kernels index the arrivals by slice, mask or positions. Tie uniforms
+are numpy's (w >> 11) * 2**-53, one 64-bit word each, so a compare at p
+succeeds below the bound ceil(p * 2**53) << 11. The covert key is drawn
+once per key seed, and every prefix of that draw must be a fresh draw.
 """
 
-from dataclasses import replace
-from types import SimpleNamespace
-
+import json
 import math
+from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,8 +33,10 @@ from hypothesis import strategies as st
 from ddiqkd import protocol
 from ddiqkd.config import CovertAttackMode, parse_config
 from ddiqkd.covert import key_bits
+from ddiqkd.states import BELL_TABLE
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EDGE_PROBS = [0.0, 2.0**-60, 0.5, 1.0 - 2.0**-53, 1.0]
 TABLE = [0.2, 0.6, 0.4, 0.3]  # per-outcome efficiencies of a mixed unit
 
@@ -253,10 +261,88 @@ def test_table_trial_follows_the_law_per_outcome(o):
     assert success_probability(table, outcome) == (1, 0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    # head 0 and 256 with no remainder (p = 0, 1), head 0 with one (1e-3),
+    # and heads in between with and without one
+    p=st.one_of(st.sampled_from([0.0, 1.0, 1e-3, 2.0**-60, 0.5, 0.25 + 2.0**-20]), st.floats(0.0, 1.0)),
+    n=st.integers(0, 3000),
+    seed=st.integers(0, 2**32),
+)
+def test_equal_table_trials_equal_the_scalar_trial(p, n, seed):
+    outcome = np.random.Generator(np.random.PCG64(seed + 1)).integers(0, 4, size=n).astype(np.int8)
+    table, scalar = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    assert np.array_equal(protocol._trials(table, [p] * 4, n, outcome=outcome), protocol._trials(scalar, p, n))
+    assert table.bit_generator.state == scalar.bit_generator.state
+
+
+def reference_outcomes(rng, pairs):
+    """A Bell outcome per photon: byte i of the raw words, read
+    little-endian, picks quarter byte >> 6, and the outcomes of pair
+    4 * source + receiver take, in order, as many quarters as their Bell
+    probabilities hold."""
+    data = rng.bit_generator.random_raw(-(-len(pairs) // 8)).astype("<u8").tobytes()
+    outcomes = []
+    for b, pair in zip(data, pairs):
+        quarters = [round(4 * p) for p in BELL_TABLE[pair >> 2, pair & 3]]
+        outcomes.append(next(k for k in range(4) if b >> 6 < sum(quarters[:k + 1])))
+    return outcomes
+
+
+@pytest.mark.parametrize("efficiencies", [[1.0] * 4, [0.5] * 4, TABLE])
+@pytest.mark.parametrize("n", [1, 9, 10_001])
+def test_detect_equals_photon_by_photon_reference(efficiencies, n):
+    # a photon clicks on its Bell outcome where its detector's efficiency
+    # trial passes; the trials follow the outcomes in the generator
+    rng = np.random.Generator(np.random.PCG64(n))
+    t = protocol._draw_settings(settings_config(n), rng)
+    arr = protocol._select(t.arrived)
+    pair = protocol._pairs(t)[arr]
+    state = rng.bit_generator.state
+    protocol._detect(t, arr, pair, [(eta, 0.0) for eta in efficiencies], rng)
+    ref = np.random.Generator(np.random.PCG64(0))
+    ref.bit_generator.state = state
+    outcome = reference_outcomes(ref, pair.tolist())
+    passed = reference_trials(ref, efficiencies, len(outcome), outcome)
+    expected = np.full(n, -1, dtype=np.int8)
+    expected[arr] = np.where(passed, outcome, -1)
+    assert np.array_equal(t.reported, expected) and t.reported.dtype == np.int8
+    assert np.array_equal(t.detected, expected >= 0)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def session_doc(name):
+    return json.loads((CONFIGS / f"{name}.json").read_text())
+
+
+@pytest.mark.parametrize("doc", [
+    session_doc("intercept_resend"),
+    session_doc("blinding_symmetric"),
+    session_doc("blinding_tailored"),
+    # dark counts and unequal detectors, on the click kernel's other paths
+    dict(session_doc("intercept_resend"), detectors=[
+        {"efficiency": eta, "dark_count_prob": 0.01} for eta in TABLE
+    ]),
+], ids=["intercept_resend", "blinding_symmetric", "blinding_tailored", "intercept_resend_mixed_dark"])
+@pytest.mark.parametrize("select", [lambda arrived: arrived, np.flatnonzero], ids=["mask", "positions"])
+def test_every_photon_arrived_transcript_is_the_same_through_the_slice(doc, select, monkeypatch):
+    config = parse_config(dict(doc, n_slots=20_000))
+    assert config.channel.transmittance == 1.0
+    assert protocol._select(np.ones(3, dtype=bool)) == slice(None)
+    sliced, _ = protocol.run_session(config)
+    monkeypatch.setattr(protocol, "_select", select)
+    selected, _ = protocol.run_session(config)
+    for field in fields(protocol.Transcript):
+        got, want = getattr(sliced, field.name), getattr(selected, field.name)
+        assert np.array_equal(got, want), field.name
+        assert getattr(got, "dtype", None) == getattr(want, "dtype", None), field.name
+
+
 def test_honest_session_reads_one_byte_per_trial(monkeypatch):
     # every probability at 0.5 and no dark counts: no trial ties, so the
-    # session reads 5 * ceil(n / 8) words of settings, m Bell uniforms and
-    # ceil(m / 8) words of efficiency trials for its m arrivals
+    # session reads 5 * ceil(n / 8) words of settings, then ceil(m / 8)
+    # words of Bell outcomes and ceil(m / 8) of efficiency trials for its
+    # m arrivals
     made = []
     generator = np.random.Generator
     monkeypatch.setattr(np.random, "Generator", lambda bits: made.append(generator(bits)) or made[-1])
@@ -269,7 +355,7 @@ def test_honest_session_reads_one_byte_per_trial(monkeypatch):
     m = report.arrived
     assert 0 < m < n
     twin = np.random.PCG64(config.seed)
-    twin.advance(5 * -(-n // 8) + m + -(-m // 8))
+    twin.advance(5 * -(-n // 8) + 2 * -(-m // 8))
     assert made[0].bit_generator.state == twin.state
 
 
