@@ -338,6 +338,16 @@ def test_every_photon_arrived_transcript_is_the_same_through_the_slice(doc, sele
         assert getattr(got, "dtype", None) == getattr(want, "dtype", None), field.name
 
 
+@pytest.mark.parametrize("transmittance", [0.5, 0.98, 1.0])
+def test_select_takes_the_slice_only_when_every_slot_arrived(transmittance):
+    doc = dict(session_doc("intercept_resend"), n_slots=20_000, channel={"transmittance": transmittance})
+    t, _ = protocol.run_session(parse_config(doc))
+    assert isinstance(protocol._select(t.arrived), slice) == t.arrived.all()
+    # no click and no interceptor record where no photon arrived
+    assert (t.reported[~t.arrived] == -1).all() and (t.eve_basis[~t.arrived] == -1).all()
+    assert (t.eve_basis[t.arrived] >= 0).all()
+
+
 def test_honest_session_reads_one_byte_per_trial(monkeypatch):
     # every probability at 0.5 and no dark counts: no trial ties, so the
     # session reads 5 * ceil(n / 8) words of settings, then ceil(m / 8)
