@@ -377,11 +377,9 @@ def build_report(
 
 def _select(arrived: np.ndarray):
     """The arrived slots as the kernels index them: a slice where all
-    arrived, so a gather is a view and a scatter a copy; the mask where
-    nearly all did (its branch per slot is cheap only when nearly every
-    slot agrees); else their positions."""
-    m = np.count_nonzero(arrived)
-    return slice(None) if m == len(arrived) else arrived if m >= 0.95 * len(arrived) else np.flatnonzero(arrived)
+    arrived, so a gather is a view and a scatter a copy; else their
+    positions."""
+    return slice(None) if arrived.all() else np.flatnonzero(arrived)
 
 
 def run_session(config: SessionConfig) -> tuple[Transcript, SessionReport]:

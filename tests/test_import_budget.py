@@ -38,14 +38,16 @@ def _python(code, *args):
                           capture_output=True, text=True).stdout
 
 
-@pytest.mark.parametrize("module,unloaded", [
-    # numpy.ma loads with np.unique, which no import-time table calls
-    ("ddiqkd.cli", ["scipy", "scipy.special", "numpy.ma"]),
+@pytest.mark.parametrize("module,preloaded,unloaded", [
+    # numpy.ma loads with np.unique, which no import-time table calls; numpy
+    # 1.x loads it with numpy itself, so only what numpy leaves out counts
+    ("ddiqkd.cli", "numpy", ["scipy", "scipy.special", "numpy.ma"]),
     # the config model sits below the engine and needs no array library
-    ("ddiqkd.config", ["numpy", "ddiqkd.protocol"]),
+    ("ddiqkd.config", "sys", ["numpy", "ddiqkd.protocol"]),
 ], ids=["cli", "config"])
-def test_import_leaves_modules_unloaded(module, unloaded):
-    code = f"import sys, {module}; print([m for m in {unloaded!r} if m in sys.modules])"
+def test_import_leaves_modules_unloaded(module, preloaded, unloaded):
+    code = (f"import sys, {preloaded}; before = set(sys.modules); import {module}; "
+            f"print([m for m in {unloaded!r} if m in sys.modules and m not in before])")
     assert _python(code).strip() == "[]"
 
 
