@@ -41,6 +41,23 @@ def _chi2_sf(x: float, dof: int) -> float:
     return math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * series
 
 
+# From this many announced outcomes on, three bit-plane counts beat
+# bincount, which first casts every outcome to a machine integer; below it
+# (an analyze block holds about 200) bincount's one call is cheaper.
+_BIT_PLANES_FROM = 2048
+
+
+def _outcome_counts(outcomes: np.ndarray) -> tuple[int, ...]:
+    """How often each Bell outcome 0..3 occurs among outcomes."""
+    m = len(outcomes)
+    if m < _BIT_PLANES_FROM:
+        return tuple(np.bincount(outcomes, minlength=4).tolist())
+    low = np.count_nonzero(outcomes & 1)
+    high = np.count_nonzero(outcomes >> 1)
+    both = np.count_nonzero(outcomes == 3)
+    return (m - low - high + both, low - both, high - both, both)
+
+
 @dataclass(frozen=True)
 class MonitorStats:
     """The counts the monitors read from a span of slots: its length, the
@@ -65,7 +82,7 @@ class MonitorStats:
         slots = np.flatnonzero(announced)
         first, last = (int(slots[0]), int(slots[-1])) if len(slots) else (-1, -1)
         odd = int(np.count_nonzero((slots[1:] - slots[:-1]) & 1))
-        counts = tuple(np.bincount(reported[slots], minlength=4).tolist())
+        counts = _outcome_counts(reported[slots])
         return cls(len(reported), len(slots), int(np.count_nonzero(double_click)), first, last, odd, counts)
 
     def merge(self, later: MonitorStats) -> MonitorStats:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import DetectorSpec
 from .errors import NoViablePlanError, ValidationError
-from .states import BELL_TABLE, PREPARATIONS, XOR_TABLE
+from .states import BELL_TABLE, PREPARATIONS
 
 # [interceptor preparation, receiver preparation] pairs with matching bases
 _BASES = np.array([basis for basis, _ in PREPARATIONS])
@@ -136,33 +136,17 @@ class BlindingStats:
     eve_key_fraction: float
 
 
-def eve_recovered_bits(transcript) -> np.ndarray:
-    """Receiver bits the interceptor reconstructs for single-click slots.
-
-    She combines her own measurement record with the public outcome: the
-    announced Bell state fixes the XOR of her bit and the receiver's whenever
-    their bases agree, which under a valid plan is the only way a blinded
-    round clicks. Returns an array aligned with transcript.reported_slots().
-    """
-    slots = transcript.reported_slots()
-    bases, outcomes = transcript.eve_basis[slots], transcript.reported[slots]
-    return transcript.eve_bit[slots] ^ XOR_TABLE[bases, outcomes]
-
-
 def blinding_session_stats(transcript) -> BlindingStats:
     """Aggregate detection rate, QBER, double-click rate, and the fraction of
-    sifted receiver bits the interceptor recovered."""
-    from .protocol import compute_qber, sift
+    sifted receiver bits the interceptor recovered: her bit XOR the XOR
+    that the announced Bell state implies in her basis, which under a valid
+    plan is the only way a blinded round clicks (protocol.sift_counts)."""
+    from .protocol import sift_counts
 
     n = transcript.n_slots
-    singles = transcript.reported_slots()
+    announced = transcript.reported >= 0
+    singles = int(np.count_nonzero(announced))
     doubles = int(np.count_nonzero(transcript.double_click))
-    detection_rate = (len(singles) + doubles) / n
-    sifted = sift(transcript)
-    qber = compute_qber(transcript, sifted)
-    if len(sifted) == 0:
-        eve_fraction = 0.0
-    else:
-        recovered = eve_recovered_bits(transcript)[np.isin(singles, sifted)]
-        eve_fraction = float(np.mean(recovered == transcript.bob_bit[sifted]))
-    return BlindingStats(detection_rate, qber, doubles / n, eve_fraction)
+    sifted, errors, hits = sift_counts(transcript, announced, "receiver")
+    qber = errors / sifted if sifted else None
+    return BlindingStats((singles + doubles) / n, qber, doubles / n, hits / sifted if sifted else 0.0)

@@ -10,6 +10,10 @@ its announced outcomes and double clicks. Sifting keeps announced single
 clicks where the bases matched, double clicks are discarded from key
 material but counted.
 
+The report's sifted, error and interceptor-hit totals are each one count
+over dense int8 passes on the full-length columns, no sifted slot gathered
+(sift_counts); a slot where the interceptor holds no bit is a miss.
+
 Every mode runs one unit: its real detectors click, then a policy picks
 the clicks it announces. The clicks come from two small tables: the Bell
 probabilities of the 16 (source, receiver) preparation pairs, and for
@@ -98,7 +102,9 @@ _QUARTERS = np.rint(4.0 * BELL_TABLE).reshape(16, 4)
 if np.abs(_QUARTERS - 4.0 * BELL_TABLE.reshape(16, 4)).max() > 1e-12 or (_QUARTERS.sum(axis=1) != 4).any():
     raise ImportError("every Bell probability must be a whole number of quarters")
 _BELL_BY_QUARTER = np.repeat(np.tile(np.arange(4, dtype=np.int8), 16), _QUARTERS.astype(int).ravel())
-_XOR_FLAT = XOR_TABLE.ravel()
+# the outcome-implied XOR in basis b is bit 1 of o << b: o >> 1 in Z, o & 1 in X
+if any((o << b) >> 1 & 1 != XOR_TABLE[b, o] for b in (0, 1) for o in range(4)):
+    raise ImportError("XOR_TABLE must be bit 1 of outcome << basis")
 
 
 def binary_entropy(q: float) -> float:
@@ -120,21 +126,53 @@ def key_rate(qber: float, sifted_fraction: float) -> float:
     return sifted_fraction * max(0.0, 1.0 - 2.0 * binary_entropy(q))
 
 
-def sift(transcript: Transcript) -> np.ndarray:
-    """Slots of announced single clicks where the parties' bases agree."""
-    t = transcript
-    return np.flatnonzero((t.reported >= 0) & (t.alice_basis == t.bob_basis))
+def _implied_xor(basis: np.ndarray, outcome: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """XOR_TABLE[basis, outcome] per slot into out (int8), as bit 1 of
+    outcome << basis, in place. Where the outcome is -1 (nothing announced)
+    or the basis is -1 (no interceptor bit) the entry is 0 or 1 all the
+    same, so the caller's mask or bit decides."""
+    np.multiply(outcome, basis, out=out)
+    out += outcome
+    out >>= 1
+    out &= 1
+    return out
 
 
-def compute_qber(transcript: Transcript, sifted_slots: np.ndarray) -> float | None:
-    """Fraction of sifted events where the outcome-implied sender bit differs
-    from the actual one; None when nothing was sifted."""
-    if len(sifted_slots) == 0:
-        return None
-    t = transcript
-    xor = _XOR_FLAT[4 * t.bob_basis[sifted_slots] + t.reported[sifted_slots]]
-    errors = xor ^ t.bob_bit[sifted_slots] ^ t.alice_bit[sifted_slots]
-    return float(np.count_nonzero(errors) / len(sifted_slots))
+def sift_counts(t: Transcript, announced: np.ndarray, eve_target: str | None = None) -> tuple[int, int, int]:
+    """(sifted, errors, hits) over the sifted slots, announced single clicks
+    (announced is reported >= 0) where the parties' bases agree. Each is
+    one count_nonzero over full-length int8 passes, no sifted slot
+    gathered. An error is a sifted slot whose outcome-implied XOR in the
+    receiver's basis differs from the XOR of the parties' bits. A hit is a
+    sifted slot where the interceptor holds the bit she targets: with
+    eve_target "sender" (intercept-resend) her bit is the sender's; with
+    "receiver" (blinding) her bit XOR the outcome-implied XOR in her basis
+    is the receiver's; with None hits is 0. A slot where she holds no bit
+    (-1) is a miss. announced is overwritten: the passes reuse its bytes."""
+    sifted = np.equal(t.alice_basis, t.bob_basis)
+    sifted &= announced
+    n_sifted = int(np.count_nonzero(sifted))
+    if n_sifted == 0:
+        return 0, 0, 0
+    work = announced.view(np.int8)
+    _implied_xor(t.bob_basis, t.reported, work)
+    work ^= t.alice_bit
+    work ^= t.bob_bit
+    work &= sifted.view(np.int8)
+    errors = int(np.count_nonzero(work))
+    if eve_target is None:
+        return n_sifted, errors, 0
+    # a miss is a nonzero XOR of her guess and the target bit; where she
+    # holds no bit, her -1 sets the high bits, so the XOR is nonzero there
+    # even where its low bit is 0
+    if eve_target == "sender":
+        np.bitwise_xor(t.eve_bit, t.alice_bit, out=work)
+    else:
+        _implied_xor(t.eve_basis, t.reported, work)
+        work ^= t.eve_bit
+        work ^= t.bob_bit
+    misses = int(np.count_nonzero(np.logical_and(work, sifted, out=sifted)))
+    return n_sifted, errors, n_sifted - misses
 
 
 def _bytes(rng, n: int) -> np.ndarray:
@@ -319,56 +357,52 @@ def _run_blinding(
     return plan
 
 
-def _leak_fraction(config: SessionConfig, t: Transcript, sifted: np.ndarray) -> float:
-    """Fraction of the relevant secret the in-channel or in-unit adversary
-    actually recovered, from ground truth: per announced single, the
-    receiver bits decoded from their gaps under the covert key, a prefix of
-    the reporter's draw; per sifted slot, the bits the interceptor holds
-    (intercept-resend, blinding)."""
-    mode = config.mode
-    if isinstance(mode, CovertAttackMode):
-        singles = t.reported_slots()
-        if len(singles) == 0:
-            return 0.0
-        decoded = eve_decode(singles, _key_bits(mode, len(singles) - 1))
-        return np.count_nonzero(decoded == t.bob_bit[singles[:-1]]) / len(singles)
-    blinding = isinstance(mode, BlindingMode)
-    if len(sifted) == 0 or not (blinding or isinstance(mode, InterceptResendMode)):
+# the bit each in-channel interceptor's record targets (sift_counts)
+_EVE_TARGET = {InterceptResendMode: "sender", BlindingMode: "receiver"}
+
+
+def _covert_leak(mode: CovertAttackMode, t: Transcript) -> float:
+    """Per announced single, the receiver bits decoded from their gaps
+    under the covert key, a prefix of the reporter's draw, that are right."""
+    singles = t.reported_slots()
+    if len(singles) == 0:
         return 0.0
-    eve_bit = t.eve_bit[sifted]
-    if blinding:
-        # the announced outcome turns her bit into the receiver's
-        eve_bit = eve_bit ^ XOR_TABLE[t.eve_basis[sifted], t.reported[sifted]]
-        return float(np.mean(eve_bit == t.bob_bit[sifted]))
-    return float(np.mean(eve_bit == t.alice_bit[sifted]))
+    decoded = eve_decode(singles, _key_bits(mode, len(singles) - 1))
+    return np.count_nonzero(decoded == t.bob_bit[singles[:-1]]) / len(singles)
 
 
 def build_report(
     config: SessionConfig, transcript: Transcript, plan: BlindingPlan | None = None,
 ) -> SessionReport:
-    """The session report in one pass: the monitors' count record, the
-    sifted slots and the expected rate are each taken once, and the counts,
-    QBER, leak fraction and monitors (double-click rate included) all read
-    from them."""
-    stats = MonitorStats.of(transcript.reported, transcript.reported >= 0, transcript.double_click)
+    """The session report: the monitors' record from the announced mask,
+    then one dense pass (sift_counts) over the basis, bit, outcome and
+    interceptor columns. The leak fraction is the share of sifted slots the
+    interceptor hits, or of announced singles the covert decoder gets."""
+    t = transcript
+    announced = t.reported >= 0
+    stats = MonitorStats.of(t.reported, announced, t.double_click)
     expected = config.expected_report_rate()
     det = detectability_report(stats, expected, config.alpha)
-    sifted = sift(transcript)
-    qber = compute_qber(transcript, sifted)
+    mode = config.mode
+    sifted, errors, hits = sift_counts(t, announced, _EVE_TARGET.get(type(mode)))
+    if isinstance(mode, CovertAttackMode):
+        leak = _covert_leak(mode, t)
+    else:
+        leak = hits / sifted if sifted else 0.0
+    qber = errors / sifted if sifted else None
     n = config.n_slots
     reported = stats.announced_events
-    rate = 0.0 if qber is None else key_rate(qber, len(sifted) / n)
     return SessionReport(
-        mode=config.mode.kind,
+        mode=mode.kind,
         sent=n,
-        arrived=int(np.count_nonzero(transcript.arrived)),
+        arrived=int(np.count_nonzero(t.arrived)),
         reported=reported,
-        sifted=int(len(sifted)),
+        sifted=sifted,
         qber=qber,
-        key_rate=rate,
+        key_rate=0.0 if qber is None else key_rate(qber, sifted / n),
         reported_rate=reported / n,
         double_click_rate=det.double_click_rate,
-        eve_leak_fraction=_leak_fraction(config, transcript, sifted),
+        eve_leak_fraction=leak,
         expected_report_rate=expected,
         detectability=det,
         plan=plan,

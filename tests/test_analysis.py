@@ -69,6 +69,18 @@ def test_record_equals_reference_for_kernel_and_reader_bytes(cols):
     assert MonitorStats.of(read, read < 4, double_click) == expected
 
 
+@pytest.mark.parametrize("announce_p", [0.3, 1.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_record_of_thousands_of_announcements_equals_reference(seed, announce_p):
+    # past the count at which the outcomes are counted by bit planes
+    reported, double_click = random_columns(9_000, seed, announce_p, 0.1)
+    expected = reference_stats(reported.tolist(), double_click.tolist())
+    assert expected.singles >= 2_048
+    assert MonitorStats.of(reported, reported >= 0, double_click) == expected
+    read = np.where(reported < 0, ord("-") - ord("0") + 256, reported).astype(np.uint8)
+    assert MonitorStats.of(read, read < 4, double_click) == expected
+
+
 @settings(max_examples=500, deadline=None)
 @given(cols=columns, data=st.data())
 def test_merge_of_split_spans_equals_record_of_whole(cols, data):
