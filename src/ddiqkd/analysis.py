@@ -120,8 +120,6 @@ def gap_parity_uniformity(odd_gaps: int, gaps: int) -> tuple[float, float] | Non
 def rate_consistency(observed_reports: int, n_slots: int, expected_rate: float) -> float:
     """Binomial z-score of the announced-event count against the rate the
     receiver expects (transmittance times believed efficiency)."""
-    if n_slots < 1:
-        raise ValidationError(f"n_slots must be >= 1, got {n_slots}")
     if not 0.0 <= expected_rate <= 1.0:
         raise ValidationError(f"expected_rate must be in [0,1], got {expected_rate}")
     diff = observed_reports - n_slots * expected_rate

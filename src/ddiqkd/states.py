@@ -8,7 +8,9 @@ onto the four Bell states and announces one outcome per detector.
 States are plain tuples of complex amplitudes: a qubit is its (amp0, amp1)
 pair, prepared by one function for both degrees of freedom, and the joint
 photon its 4-tuple. The pipeline never handles a state; it reads BELL_TABLE
-and XOR_TABLE, which this module builds once at import.
+and XOR_TABLE, which this module builds once at import. BELL_TABLE holds
+each Bell probability as its exact quarter (0, 1/4, 1/2 or 1), not as the
+rounded float bell_probabilities gives, so a threshold ties exactly.
 
 Conventions (fixed here, used everywhere else):
   * bit 0 maps to H (polarization) and to mode a (spatial); the X-basis
@@ -23,8 +25,6 @@ import math
 from enum import IntEnum
 
 import numpy as np
-
-from .errors import ValidationError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -46,12 +46,6 @@ class BellOutcome(IntEnum):
     PSI_MINUS = 3
 
 
-def _check_bit(bit: int) -> int:
-    if bit not in (0, 1):
-        raise ValidationError(f"bit must be 0 or 1, got {bit!r}")
-    return bit
-
-
 # bit -> (amp0, amp1) in the given basis
 _BB84_AMPLITUDES: dict[tuple[Basis, int], Qubit] = {
     (Basis.Z, 0): (1.0 + 0j, 0j),
@@ -64,7 +58,7 @@ _BB84_AMPLITUDES: dict[tuple[Basis, int], Qubit] = {
 def prepare(basis: Basis, bit: int) -> Qubit:
     """A BB84 qubit (amp0, amp1), as polarization (amp_h, amp_v): (Z,0)=H,
     (Z,1)=V, (X,0)=D, (X,1)=A; or as spatial mode (amp_a, amp_b)."""
-    return _BB84_AMPLITUDES[(Basis(basis), _check_bit(bit))]
+    return _BB84_AMPLITUDES[(Basis(basis), bit)]
 
 
 def tensor(pol: Qubit, spa: Qubit) -> Joint:
@@ -105,10 +99,10 @@ def xor_from_outcome(outcome: BellOutcome, basis: Basis) -> int:
 PREPARATIONS = tuple((basis, bit) for basis in Basis for bit in (0, 1))
 
 # Bell probabilities of every preparation pair, [polarization, spatial, outcome]
-BELL_TABLE = np.array([
+BELL_TABLE = np.rint(4.0 * np.array([
     [bell_probabilities(tensor(prepare(*pol), prepare(*spa))) for spa in PREPARATIONS]
     for pol in PREPARATIONS
-])
+])) / 4.0
 
 # xor_from_outcome as a lookup, [basis, outcome]
 XOR_TABLE = np.array(

@@ -1,15 +1,9 @@
 import pytest
 
-from ddiqkd.blinding import (
-    BlindingPlan,
-    blinding_session_stats,
-    click_table,
-    evaluate_pulse,
-    optimize_pulse,
-)
-from ddiqkd.config import BlindingMode, DetectorSpec, SessionConfig
-from ddiqkd.errors import NoViablePlanError, ValidationError
-from ddiqkd.protocol import run_session
+from ddiqkd.blinding import click_table, evaluate_pulse, optimize_pulse
+from ddiqkd.config import BlindingMode, DetectorSpec, SessionConfig, parse_config
+from ddiqkd.errors import NoViablePlanError
+from ddiqkd.protocol import blinding_session_stats, run_session
 from ddiqkd.states import BellOutcome
 
 TAILORED = (0.9, 1.3, 1.3, 0.9)
@@ -19,14 +13,6 @@ def tailored_detectors(thresholds=TAILORED, wavelength=1550.0):
     return tuple(
         DetectorSpec({wavelength: 0.2}, 0.0, {wavelength: th}) for th in thresholds
     )
-
-
-def test_plan_requires_zero_cross_clicks():
-    BlindingPlan(1550.0, 2.0, 1.0, 0.0, 0.0)
-    with pytest.raises(ValidationError):
-        BlindingPlan(1550.0, 2.0, 1.0, 0.0, 0.25)
-    with pytest.raises(ValidationError):
-        BlindingPlan(1550.0, 2.0, 1.5, 0.0, 0.0)
 
 
 def test_click_table_symmetric_thresholds_double_on_matched_basis():
@@ -43,11 +29,6 @@ def test_click_table_tailored_thresholds_single_click():
     outcome, double = click_table(tailored_detectors(), 1550.0, 2.0)
     # V x a puts 1.0 on each Psi detector; only the 0.9 threshold fires
     assert outcome[1, 0] == BellOutcome.PSI_MINUS and not double[1, 0]
-
-
-def test_click_table_rejects_nonpositive_power():
-    with pytest.raises(ValidationError):
-        click_table((DetectorSpec(),) * 4, 1550.0, 0.0)
 
 
 def test_evaluate_pulse_symmetric_all_doubles():
@@ -108,10 +89,6 @@ def test_optimizer_no_viable_plan():
         optimize_pulse(
             (DetectorSpec(blind_threshold={1550.0: 1.0}),) * 4, [1550.0], [1.0, 1.5, 1.7]
         )
-    with pytest.raises(ValidationError):
-        optimize_pulse((DetectorSpec(),) * 4, [], [2.0])
-    with pytest.raises(ValidationError):
-        optimize_pulse((DetectorSpec(),) * 4, [1550.0], [2.0, -1.0])
 
 
 def test_session_stats_tailored_full_leak_no_errors():
@@ -136,3 +113,12 @@ def test_session_stats_symmetric_doubles_only():
     assert stats.qber is None  # nothing sifted
     assert len(transcript.reported_slots()) == 0
     assert stats.double_click_rate == pytest.approx(0.5, abs=0.03)
+
+
+def test_default_blinding_session_double_clicks_half_its_slots():
+    # pulse 2.0 against thresholds 1.0: the half landing on each detector of
+    # a basis-matched pair meets its threshold exactly, in either basis
+    config = parse_config({"n_slots": 20_000, "mode": {"kind": "blinding"}})
+    transcript, report = run_session(config)
+    assert len(transcript.reported_slots()) == 0
+    assert report.double_click_rate == pytest.approx(0.5, abs=0.02)

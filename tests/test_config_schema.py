@@ -97,6 +97,10 @@ def test_non_finite_wavelength_key_rejected(key):
      "mode: wavelength_grid entries must be > 0, got -1.0"),
     ({"mode": dict(BLINDING, optimize=True, wavelength_grid=[0, 1550], power_grid=[2.0])},
      "mode: wavelength_grid entries must be > 0, got 0.0"),
+    ({"mode": dict(BLINDING, optimize=True, wavelength_grid=[1550], power_grid=[2.0, -1.0])},
+     "mode: power_grid entries must be > 0, got -1.0"),
+    ({"mode": dict(BLINDING, optimize=True, wavelength_grid=[1550], power_grid=[])},
+     "mode: optimize=True needs non-empty wavelength and power grids"),
     ({"detectors": {"efficiency": {"-1550": 0.2}}}, "detectors: efficiency wavelengths must be > 0 nm, got -1550.0"),
     ({"detectors": [{}, {}, {}, {"blind_threshold": {"1550": 1.0, "0": 1.0}}]},
      "detectors[3]: blind_threshold wavelengths must be > 0 nm, got 0.0"),

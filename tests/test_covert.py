@@ -40,17 +40,6 @@ def test_announce_gap_parity_under_key_bit(bit, key, gap):
     assert announced.tolist()[:2] == [0, gap]
 
 
-@pytest.mark.parametrize("slots", [[3, 3], [5, 4], [1, 7, 7]])
-def test_announce_rejects_slots_out_of_order(slots):
-    with pytest.raises(ValidationError):
-        announce(slots, [0] * len(slots), zeros(len(slots)))
-
-
-def test_announce_needs_a_key_bit_per_candidate():
-    with pytest.raises(ValidationError, match="need a key bit per candidate, got 2 for 3"):
-        announce([1, 2, 4], [0, 1, 0], zeros(2))
-
-
 def test_key_bits_prefix_deterministic_and_unbiased():
     full = key_bits(123, 100_000)
     for k in (0, 1, 2, 3, 777):
@@ -65,15 +54,6 @@ def test_decode_examples():
     assert eve_decode([7], zeros(0)).tolist() == []
     assert eve_decode([], zeros(0)).tolist() == []
     assert eve_decode([3, 5], np.ones(1, dtype=np.int64)).tolist() == [0]  # keyed flip of the leading 1
-    with pytest.raises(ValidationError):
-        eve_decode([3, 5, 8], zeros(1))
-
-
-def test_decode_rejects_non_monotonic():
-    with pytest.raises(ValidationError):
-        eve_decode([3, 3], zeros(1))
-    with pytest.raises(ValidationError):
-        eve_decode([5, 4], zeros(1))
 
 
 def test_round_trip_reproduces_all_but_last_bit():
@@ -106,10 +86,6 @@ def test_achievable_rate_values():
     # rate/p -> 1/2 in the rare-detection limit
     assert achievable_report_rate(0.01) == pytest.approx(0.005012531328320802)
     assert achievable_report_rate(0.01) / 0.01 == pytest.approx(0.5, rel=3e-3)
-    with pytest.raises(ValidationError):
-        achievable_report_rate(0.0)
-    with pytest.raises(ValidationError):
-        achievable_report_rate(1.1)
 
 
 def test_achievable_rate_exact_alternation_at_unit_detection():
@@ -130,10 +106,6 @@ def test_thinning_acceptance_values():
     with pytest.raises(InfeasibleRateError) as err:
         thinning_acceptance(0.09, 0.05)
     assert "exceeds achievable" in str(err.value)
-    with pytest.raises(ValidationError):
-        thinning_acceptance(0.0, 0.02)
-    with pytest.raises(ValidationError):
-        thinning_acceptance(0.09, 0.0)
 
 
 def test_covert_session_feasibility_examples():

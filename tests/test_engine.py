@@ -3,9 +3,6 @@ replace, and the shared click kernel's dark-count statistics."""
 
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddiqkd.blinding import (
-    blinding_session_stats,
-    click_table,
-    evaluate_pulse,
-    optimize_pulse,
-)
+from ddiqkd.blinding import click_table, evaluate_pulse, optimize_pulse
 from ddiqkd.config import (
     BlindingMode,
     ChannelSpec,
@@ -28,7 +20,7 @@ from ddiqkd.config import (
     SessionConfig,
     parse_config,
 )
-from ddiqkd.protocol import _BELL_BY_QUARTER, run_session
+from ddiqkd.protocol import _BELL_BY_QUARTER, blinding_session_stats, run_session
 from ddiqkd.states import (
     BELL_TABLE,
     PREPARATIONS,
@@ -50,11 +42,13 @@ def test_preparation_index_is_two_basis_plus_bit():
 
 
 def test_bell_table_rows_equal_bell_probabilities_exactly():
+    # each entry is the quarter nearest the float the state algebra gives
     for i, pol in enumerate(PREPARATIONS):
         for j, spa in enumerate(PREPARATIONS):
             state = tensor(prepare(*pol), prepare(*spa))
             probs = bell_probabilities(state)
-            assert tuple(BELL_TABLE[i, j]) == probs
+            assert tuple(BELL_TABLE[i, j]) == tuple(round(4 * p) / 4 for p in probs)
+            assert np.abs(BELL_TABLE[i, j] - probs).max() <= 1e-15
 
 
 @pytest.mark.parametrize("pair", range(16))
@@ -69,19 +63,6 @@ def test_quarter_table_gives_each_pair_its_bell_probabilities(pair):
     assert row.tolist() == sorted(row.tolist())
 
 
-def test_import_refuses_a_bell_table_off_whole_quarters():
-    code = (
-        "import ddiqkd.states as states\n"
-        "states.BELL_TABLE = states.BELL_TABLE.copy()\n"
-        "states.BELL_TABLE[0, 0, :2] += (1e-9, -1e-9)\n"
-        "import ddiqkd.protocol\n"
-    )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode != 0 and "ImportError: every Bell probability" in done.stderr
-
-
 def blinding_working_point(name):
     config = parse_config(json.loads((CONFIGS / name).read_text()))
     mode = config.mode
@@ -94,14 +75,14 @@ def blinding_working_point(name):
 def reference_click_table(detectors, wavelength, power):
     """The per-pair blinded response click_table replaced: for each
     (interceptor eigenstate, receiver setting) pair, detector k clicks iff
-    power times the pair's Bell probability of outcome k meets its
-    threshold at the wavelength; one click announces it, two or more are a
-    double click."""
+    power times the pair's Bell probability of outcome k, taken as its
+    nearest quarter, meets its threshold at the wavelength; one click
+    announces it, two or more are a double click."""
     outcome = np.full((4, 4), -1, dtype=np.int8)
     double = np.zeros((4, 4), dtype=bool)
     for i, eve in enumerate(PREPARATIONS):
         for j, bob in enumerate(PREPARATIONS):
-            probs = bell_probabilities(tensor(prepare(*eve), prepare(*bob)))
+            probs = [round(4 * p) / 4 for p in bell_probabilities(tensor(prepare(*eve), prepare(*bob)))]
             clicked = [
                 k for k, (p, d) in enumerate(zip(probs, detectors))
                 if power * p >= d.threshold_at(wavelength)
@@ -133,11 +114,13 @@ def test_blinding_click_table_matches_bright_response(name):
 
 
 # evaluate_pulse over POWERS at 1550 nm and the optimize_pulse plan over
-# them, for each blinding config's detectors, as the per-pair engine gave
+# them, for each blinding config's detectors; with thresholds of 1.0, a
+# power of 2.0 puts exactly a threshold on each Phi or Psi detector of a
+# basis-matched pair, and 4.0 on every detector of a mismatched one
 POWERS = [1.0, 1.5, 2.0, 2.2, 2.5, 3.0, 4.0]
 PULSE_CENSUS = {
     "blinding_symmetric.json": (
-        [(0.0, 0.0, 0.0)] * 3 + [(0.0, 1.0, 0.0)] * 4, (1550.0, 2.2, 0.0, 1.0, 0.0),
+        [(0.0, 0.0, 0.0)] * 2 + [(0.0, 1.0, 0.0)] * 4 + [(0.0, 1.0, 1.0)], (1550.0, 2.0, 0.0, 1.0, 0.0),
     ),
     "blinding_tailored.json": (
         [(0.0, 0.0, 0.0)] * 2 + [(1.0, 0.0, 0.0)] * 3 + [(0.0, 1.0, 0.0), (0.0, 1.0, 1.0)],
