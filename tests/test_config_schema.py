@@ -104,6 +104,27 @@ def test_non_finite_wavelength_key_rejected(key):
     ({"detectors": {"efficiency": {"-1550": 0.2}}}, "detectors: efficiency wavelengths must be > 0 nm, got -1550.0"),
     ({"detectors": [{}, {}, {}, {"blind_threshold": {"1550": 1.0, "0": 1.0}}]},
      "detectors[3]: blind_threshold wavelengths must be > 0 nm, got 0.0"),
+    # the bounds on each factor of the covert unit's detection probability and
+    # on its target rate, which covert's rate functions rely on unchecked
+    ({"channel": {"transmittance": -0.1}}, "channel: transmittance must be in [0,1], got -0.1"),
+    ({"detectors": {"efficiency": 1.5}}, "detectors: efficiency at 1550.0 nm must be in [0,1], got 1.5"),
+    ({"detectors": {"efficiency": -0.2}}, "detectors: efficiency at 1550.0 nm must be in [0,1], got -0.2"),
+    ({"detectors": {"dark_count_prob": 1.5}}, "detectors: dark_count_prob must be in [0,1], got 1.5"),
+    ({"detectors": {"dark_count_prob": -0.1}}, "detectors: dark_count_prob must be in [0,1], got -0.1"),
+    ({"mode": dict(COVERT, eta_true=0)}, "mode: eta_true must be in (0,1], got 0.0"),
+    ({"mode": dict(COVERT, eta_true=1.5)}, "mode: eta_true must be in (0,1], got 1.5"),
+    ({"mode": dict(COVERT, target_report_rate=0)}, "mode: target_report_rate must be > 0, got 0.0"),
+    ({"mode": dict(COVERT, target_report_rate=-0.02)}, "mode: target_report_rate must be > 0, got -0.02"),
+    ({"eta_expected": 1.5}, "config: eta_expected must be in [0,1], got 1.5"),
+    ({"eta_expected": -0.2}, "config: eta_expected must be in [0,1], got -0.2"),
+    ({"basis_choice_prob": 1.5}, "config: basis_choice_prob must be in [0,1], got 1.5"),
+    ({"bob_bit_bias": -0.5}, "config: bob_bit_bias must be in [0,1], got -0.5"),
+    # the bounds analyze's rate check and pulse search rely on unchecked
+    ({"n_slots": 0}, "config: n_slots must be >= 1 and < 2**63, got 0"),
+    ({"alpha": 0}, "config: alpha must be in (0,1), got 0.0"),
+    ({"alpha": 1}, "config: alpha must be in (0,1), got 1.0"),
+    ({"mode": dict(BLINDING, pulse_power=-2.0)}, "mode: pulse_power must be > 0, got -2.0"),
+    ({"signal_wavelength_nm": -1550}, "config: signal_wavelength_nm must be > 0, got -1550.0"),
 ])
 def test_range_error_names_its_path(doc, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -10,8 +10,9 @@ unkeyed, thinned at the acceptance that the session's feasibility gate
 sets. Each session's candidates are checked as drawn and shifted by one
 slot. The shift flips every slot's parity, so each announcement's next
 candidate comes from the other parity's next-candidate array, and one of
-the two copies starts at an even slot and the other at an odd one.
-announce's memory is checked on a 300,000-candidate set.
+the two copies starts at an even slot and the other at an odd one. The
+engine hands announce and eve_decode the slot order and key count they
+rely on unchecked. announce's memory is checked on a 300,000-candidate set.
 """
 
 import json
@@ -26,7 +27,7 @@ from test_covert_bulk import reference_announce
 
 from ddiqkd import protocol
 from ddiqkd.config import DetectorSpec, HonestMode, TrojanProbe, parse_config
-from ddiqkd.covert import announce, key_bits
+from ddiqkd.covert import announce, eve_decode, key_bits
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TRANSMITTANCES = json.loads((CONFIGS / "sweep_transmittance.json").read_text())["parameters"][
@@ -136,6 +137,36 @@ def test_covert_unit_announces_honest_clicks(transmittance, keyed, readout):
     assert len(announced) > transmittance * 1000
     assert (honest_t.reported[announced] >= 0).all()
     assert np.array_equal(covert_t.reported[announced], honest_t.reported[announced])
+
+
+@pytest.mark.parametrize("keyed", [True, False])
+@pytest.mark.parametrize("transmittance", [TRANSMITTANCES[0], TRANSMITTANCES[-1]])
+def test_engine_hands_covert_strictly_increasing_slots_and_one_key_bit_each(
+    transmittance, keyed, monkeypatch
+):
+    # announce and eve_decode do not check their slot order or key count:
+    # the engine hands each one strictly increasing slots and exactly one
+    # key bit per candidate (announce) or per gap (eve_decode)
+    announced, decoded = [], []
+
+    def record_announce(slots, bits, keys):
+        announced.append((slots, keys))
+        return announce(slots, bits, keys)
+
+    def record_decode(slots, keys):
+        decoded.append((slots, keys))
+        return eve_decode(slots, keys)
+
+    monkeypatch.setattr(protocol, "announce", record_announce)
+    monkeypatch.setattr(protocol, "eve_decode", record_decode)
+    _, report = protocol.run_session(session_config(transmittance, keyed))
+    assert report.reported > 10
+    ((announce_slots, announce_keys),) = announced
+    ((decode_slots, decode_keys),) = decoded
+    for slots in (announce_slots, decode_slots):
+        assert (np.diff(slots) > 0).all()
+    assert len(announce_keys) == len(announce_slots)
+    assert len(decode_keys) == len(decode_slots) - 1 == report.reported - 1
 
 
 def test_announce_memory_per_candidate():
