@@ -7,13 +7,13 @@ mode, n_slots, expected announcement rate, alpha), then a fixed column header,
 then one row per slot in slot order. Every row has the same width: the slot
 zero-padded to the digit count of n_slots - 1, seven one-byte cells each after
 a comma (`-` for no outcome), and a newline. The writer and the reader work in
-blocks of 10,000 rows that share one cached frame of slot digits, commas and
-newlines. The reader rejects a file that disagrees with itself, naming the
-line (see read_public_view). The report JSON carries the same metadata plus
-the full serialized config and the session report. `analyze` checks every
-byte of a transcript, but its monitors read only the slot order, the
-announced outcomes and the double clicks, so its verdicts never peek at
-ground truth.
+blocks of 10,000 rows that share one cached template of frame (slot digits,
+commas and newlines) and mask. The reader rejects a file that disagrees with
+itself, naming the line (see read_public_view). The report JSON carries the
+same metadata plus the full serialized config and the session report.
+`analyze` checks every byte of a transcript, but its monitors read only the
+slot order, the announced outcomes and the double clicks, so its verdicts
+never peek at ground truth.
 
 Exit codes: 0 success, 1 usage/parse/validation problems, unwritable
 output paths and an output path that names an input, 2 structurally
@@ -76,42 +76,40 @@ _COMMA, _NEWLINE, _ZERO = ord(","), ord("\n"), ord("0")
 _NO_OUTCOME = (ord("-") - _ZERO) % 256
 
 
+# each one-byte cell's offset from its row's end: the last column's cell is
+# -2, before the newline, and each column before it two bytes further back.
+# Taking out the outcome cell leaves the six 0/1 cells.
+_BIT_CELLS = {name: 2 * (i - len(TRANSCRIPT_COLUMNS)) for i, name in enumerate(TRANSCRIPT_COLUMNS) if i}
+_OUTCOME = _BIT_CELLS.pop("reported_outcome")
+
+
 @functools.lru_cache(maxsize=None)
-def _frame(digits: int) -> np.ndarray:
-    """The bytes every block of rows with this slot width shares: row j's
-    slot ends in the last _LOW_DIGITS digits of j, then the commas, a '0'
-    in each of the six 0/1 cells, and the newline. The higher slot digits
-    and the outcome cell are left 0. One frame is kept per slot width; the
-    reader accepts at most 19 digits."""
+def _template(digits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frame and the AND mask every block of rows with this slot width
+    shares. In the frame, row j's slot ends in the last _LOW_DIGITS digits
+    of j, then come the commas, a '0' in each of the six 0/1 cells, and the
+    newline; the higher slot digits and the outcome cell are left 0. The
+    mask is 0xFE on the six 0/1 cells, which turns '1' into the frame's '0'
+    and keeps every other byte distinct from it; 0x00 on the outcome cell,
+    which the reader checks by arithmetic; 0xFF elsewhere. So (rows & mask)
+    ^ frame is zero outside the high slot digits iff every byte there is
+    right, and holds the high digits as written. The mask is a whole block,
+    since ANDing with a broadcast row makes numpy loop once per row. One
+    template is kept per slot width; the reader accepts at most 19 digits."""
     frame = np.zeros((_BLOCK_ROWS, digits + 15), dtype=np.uint8)
     low = min(digits, _LOW_DIGITS)
     # int16 holds 0..9999 and keeps the temporaries a quarter of int64's size
     places = 10 ** np.arange(low - 1, -1, -1, dtype=np.int16)
     frame[:, digits - low:digits] = np.arange(_BLOCK_ROWS, dtype=np.int16)[:, None] // places % 10 + _ZERO
     frame[:, digits:-1:2] = _COMMA
-    frame[:, digits + 1:-1:2] = _ZERO
-    frame[:, digits + 11] = 0
+    frame[:, list(_BIT_CELLS.values())] = _ZERO
     frame[:, -1] = _NEWLINE
+    mask = np.full_like(frame, 0xFF)
+    mask[:, list(_BIT_CELLS.values())] = 0xFE
+    mask[:, _OUTCOME] = 0
     frame.setflags(write=False)
-    return frame
-
-
-@functools.lru_cache(maxsize=None)
-def _mask(digits: int) -> np.ndarray:
-    """The AND mask of a block of rows with this slot width: 0xFE on the six
-    0/1 cells, which turns '1' into the frame's '0' and keeps every other
-    byte distinct from it; 0x00 on the outcome cell, which the reader checks
-    by arithmetic; 0xFF elsewhere. So (rows & mask) ^ frame is zero outside
-    the high slot digits iff every byte there is right, and holds the high
-    digits as written. The row is tiled out to a whole block, since ANDing
-    with a broadcast row makes numpy loop once per row. One mask is kept
-    per slot width."""
-    row = np.full(digits + 15, 0xFF, dtype=np.uint8)
-    row[digits + 1:-1:2] = 0xFE
-    row[digits + 11] = 0
-    mask = np.tile(row, (_BLOCK_ROWS, 1))
     mask.setflags(write=False)
-    return mask
+    return frame, mask
 
 
 def write_transcript_csv(path: str, transcript: Transcript, meta: Mapping[str, Any]) -> None:
@@ -123,12 +121,9 @@ def write_transcript_csv(path: str, transcript: Transcript, meta: Mapping[str, A
     its high slot digits and the seven cells stored in it."""
     n = transcript.n_slots
     digits = len(str(n - 1))
-    frame, high = _frame(digits), digits - _LOW_DIGITS
-    bits = {
-        digits + 1: transcript.alice_basis, digits + 3: transcript.alice_bit,
-        digits + 5: transcript.bob_basis, digits + 7: transcript.bob_bit,
-        digits + 9: transcript.arrived, digits + 13: transcript.double_click,
-    }
+    frame, high = _template(digits)[0], digits - _LOW_DIGITS
+    # each 0/1 column is the Transcript field of its name
+    bits = {cell: getattr(transcript, name) for name, cell in _BIT_CELLS.items()}
     with open(path, "wb") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}: {value}\n".encode("utf-8"))
@@ -142,7 +137,7 @@ def write_transcript_csv(path: str, transcript: Transcript, meta: Mapping[str, A
                 rows[:, col] |= values[start:stop].view(np.uint8)
             # -1 is 255 in uint8, and 255 + '0' - 2 wraps to '-'
             reported = transcript.reported[start:stop].view(np.uint8)
-            rows[:, digits + 11] = reported + _ZERO - 2 * (reported >> 7)
+            rows[:, _OUTCOME] = reported + _ZERO - 2 * (reported >> 7)
             fh.write(rows)
 
 
@@ -206,10 +201,10 @@ def read_public_view(path: str) -> tuple[MonitorStats, dict[str, str]]:
     metadata key repeats, the format tag is TRANSCRIPT_FORMAT, the header
     is TRANSCRIPT_COLUMNS, and there are exactly n_slots rows, row i being
     what write_transcript_csv writes for slot i. Each block of rows is
-    checked at once: its bytes ANDed with _mask and XORed with the frame
-    and its high slot digits must all be zero, and each outcome byte minus
-    '0' must be below 4 or be '-'. Only a block that fails is walked row by
-    row; anything else raises ValidationError naming the line."""
+    checked at once: its bytes ANDed with _template's mask and XORed with
+    its frame and high slot digits must all be zero, and each outcome byte
+    minus '0' must be below 4 or be '-'. Only a block that fails is walked
+    row by row; anything else raises ValidationError naming the line."""
     meta: dict[str, str] = {}
     try:
         fh = open(path, "rb")
@@ -242,7 +237,7 @@ def read_public_view(path: str) -> tuple[MonitorStats, dict[str, str]]:
             raise ValidationError(f"{path}: metadata n_slots: {n_slots} is not >= 1 and < 2**63")
         digits = len(str(n_slots - 1))
         width = digits + 15
-        frame, mask = _frame(digits), _mask(digits)
+        frame, mask = _template(digits)
         first_line = lineno + 1
         for block, start in enumerate(range(0, n_slots, _BLOCK_ROWS)):
             count = min(_BLOCK_ROWS, n_slots - start)
@@ -259,10 +254,10 @@ def read_public_view(path: str) -> tuple[MonitorStats, dict[str, str]]:
                 # strided columns are copied first, as numpy does arithmetic
                 # far faster on contiguous bytes; on uint8, max() is a much
                 # faster any()
-                outcome = rows[:, digits + 11].copy()
+                outcome = rows[:, _OUTCOME].copy()
                 outcome -= _ZERO
                 announced = outcome < 4
-                double = rows[:, -2].copy() == _ZERO + 1
+                double = rows[:, _BIT_CELLS["double_click"]].copy() == _ZERO + 1
                 valid = (
                     not diff.max() and (announced | (outcome == _NO_OUTCOME)).all()
                     and not (announced & double).any()

@@ -45,7 +45,7 @@ from .blinding import BlindingPlan, click_table, optimize_pulse
 from .config import BlindingMode, CovertAttackMode, HonestMode, InterceptResendMode, SessionConfig
 from .covert import announce, eve_decode, key_bits, thinning_acceptance
 from .errors import ConfigError, InfeasibleRateError
-from .states import BELL_TABLE, XOR_TABLE
+from .states import BELL_TABLE
 
 
 @dataclass
@@ -97,9 +97,6 @@ class SessionReport:
 # at index 4 * p + q: each pair's outcomes take as many of the four quarters
 # as their probabilities hold, in outcome order.
 _BELL_BY_QUARTER = np.repeat(np.tile(np.arange(4, dtype=np.int8), 16), (4 * BELL_TABLE).astype(int).ravel())
-# the outcome-implied XOR in basis b is bit 1 of o << b: o >> 1 in Z, o & 1 in X
-if any((o << b) >> 1 & 1 != XOR_TABLE[b, o] for b in (0, 1) for o in range(4)):
-    raise ImportError("XOR_TABLE must be bit 1 of outcome << basis")
 
 
 def binary_entropy(q: float) -> float:

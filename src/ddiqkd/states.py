@@ -11,6 +11,7 @@ photon its 4-tuple. The pipeline never handles a state; it reads BELL_TABLE
 and XOR_TABLE, which this module builds once at import. BELL_TABLE holds
 each Bell probability as its exact quarter (0, 1/4, 1/2 or 1), not as the
 rounded float bell_probabilities gives, so a threshold ties exactly.
+XOR_TABLE is read off BELL_TABLE's same-basis pairs.
 
 Conventions (fixed here, used everywhere else):
   * bit 0 maps to H (polarization) and to mode a (spatial); the X-basis
@@ -84,17 +85,6 @@ def bell_probabilities(amplitudes: Joint) -> tuple[float, ...]:
     return tuple(z.real * z.real + z.imag * z.imag for z in overlaps)
 
 
-def xor_from_outcome(outcome: BellOutcome, basis: Basis) -> int:
-    """XOR of the two parties' bits implied by a same-basis Bell outcome.
-
-    In Z the Phi outcomes mean equal bits and the Psi outcomes opposite bits;
-    in X the "+" outcomes mean equal bits and the "-" outcomes opposite bits.
-    """
-    if Basis(basis) == Basis.Z:
-        return 0 if outcome in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS) else 1
-    return 0 if outcome in (BellOutcome.PHI_PLUS, BellOutcome.PSI_PLUS) else 1
-
-
 # every BB84 (basis, bit) setting, at its preparation index 2*basis + bit
 PREPARATIONS = tuple((basis, bit) for basis in Basis for bit in (0, 1))
 
@@ -104,7 +94,10 @@ BELL_TABLE = np.rint(4.0 * np.array([
     for pol in PREPARATIONS
 ])) / 4.0
 
-# xor_from_outcome as a lookup, [basis, outcome]
-XOR_TABLE = np.array(
-    [[xor_from_outcome(o, b) for o in BellOutcome] for b in Basis], dtype=np.int8
-)
+# the XOR of the parties' bits that a same-basis outcome implies, [basis,
+# outcome]: the XOR of the bits of the same-basis pairs that can give it. In
+# one basis an outcome comes from equal bits only or from unequal bits only.
+XOR_TABLE = np.array([
+    [max(a ^ c for a in (0, 1) for c in (0, 1) if BELL_TABLE[2 * b + a, 2 * b + c, o]) for o in BellOutcome]
+    for b in Basis
+], dtype=np.int8)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddiqkd.analysis import (
+    DetectabilityReport,
     MonitorStats,
     detectability_report,
     gap_parity_uniformity,
@@ -186,6 +187,17 @@ def test_detectability_report_empty_record():
 def test_alpha_validation():
     with pytest.raises(ValidationError):
         detectability_report(make_stats(100, [1, 3]), 0.02, alpha=0.0)
+
+
+@pytest.mark.parametrize("name", ["gap_parity_p_value", "outcome_p_value"])
+def test_detectability_report_refuses_a_p_value_above_one(name):
+    # the constructor is public, so it checks what it is handed
+    fields = dict(
+        alpha=0.01, gap_parity_chi2=None, gap_parity_p_value=None, rate_z_score=0.0,
+        outcome_chi2=None, outcome_p_value=None, double_click_rate=0.0,
+    )
+    with pytest.raises(ValidationError, match=f"{name} must be in \\[0,1\\], got 1.5"):
+        DetectabilityReport(**{**fields, name: 1.5})
 
 
 def test_monitor_false_positive_rates_near_alpha():

@@ -519,6 +519,15 @@ def test_run_refuses_a_config_inside_out_that_it_would_overwrite(tmp_path, capsy
     assert sorted(p.name for p in out_dir.iterdir()) == [name]
 
 
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_usable_cpus_falls_back_to_cpu_count_without_affinity(monkeypatch, count, cpus):
+    # platforms without sched_getaffinity (macOS, Windows) count every CPU,
+    # and one where even that count is unknown runs serially
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert cli._usable_cpus() == cpus
+
+
 def sweep_bytes(tmp_path, argv, cpus, monkeypatch):
     out = tmp_path / f"sweep-{cpus}.csv"
     if cpus is not None:

@@ -1,6 +1,7 @@
 """The config schema: non-finite numbers and key_seed are rejected with the
 offending path, and parse/serialize invert each other on every mode."""
 
+import dataclasses
 import json
 import re
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddiqkd.cli import main
-from ddiqkd.config import CovertAttackMode, load_config, parse_config, serialize_config
+from ddiqkd.config import CovertAttackMode, _schema, load_config, parse_config, serialize_config
 from ddiqkd.errors import ConfigError, ValidationError
 
 COVERT = {"kind": "covert"}
@@ -129,6 +130,18 @@ def test_non_finite_wavelength_key_rejected(key):
 def test_range_error_names_its_path(doc, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(doc)
+
+
+def test_schema_refuses_a_field_with_no_kind():
+    # a field's kind follows from its annotation text, so a new field whose
+    # annotation no kind covers fails when its class's schema is resolved
+    @dataclasses.dataclass(frozen=True)
+    class Probe:
+        power: "float"
+        phase: "complex"
+
+    with pytest.raises(TypeError, match=re.escape("Probe: no config kind for annotation 'complex'")):
+        _schema(Probe)
 
 
 def test_repeated_wavelength_key_rejected():

@@ -20,16 +20,15 @@ from ddiqkd.config import (
     SessionConfig,
     parse_config,
 )
-from ddiqkd.protocol import _BELL_BY_QUARTER, blinding_session_stats, run_session
+from ddiqkd.protocol import _BELL_BY_QUARTER, _implied_xor, blinding_session_stats, run_session
 from ddiqkd.states import (
     BELL_TABLE,
     PREPARATIONS,
+    XOR_TABLE,
     Basis,
-    BellOutcome,
     bell_probabilities,
     prepare,
     tensor,
-    xor_from_outcome,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -61,6 +60,15 @@ def test_quarter_table_gives_each_pair_its_bell_probabilities(pair):
     assert np.allclose(shares, BELL_TABLE[pair >> 2, pair & 3], rtol=0.0, atol=1e-12)
     # outcomes in order, so the quarters of one outcome are contiguous
     assert row.tolist() == sorted(row.tolist())
+
+
+def test_implied_xor_equals_xor_table_on_every_entry():
+    # the sift kernel's bit arithmetic, not the table, decides each error
+    # and hit, so the two must agree on all eight (basis, outcome) entries
+    basis, outcome = np.divmod(np.arange(8, dtype=np.int8), 4)
+    out = np.empty(8, dtype=np.int8)
+    assert _implied_xor(basis, outcome, out) is out
+    assert out.tolist() == XOR_TABLE[basis, outcome].tolist()
 
 
 def blinding_working_point(name):
@@ -190,7 +198,7 @@ def test_blinding_leak_matches_per_slot_reference():
     slots = t.reported_slots()
     reference = [
         int(t.eve_bit[s])
-        ^ xor_from_outcome(BellOutcome(int(t.reported[s])), Basis(int(t.eve_basis[s])))
+        ^ int(XOR_TABLE[t.eve_basis[s], t.reported[s]])
         for s in slots
     ]
     recovered = dict(zip(slots.tolist(), reference))

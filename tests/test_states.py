@@ -12,7 +12,6 @@ from ddiqkd.states import (
     bell_probabilities,
     prepare,
     tensor,
-    xor_from_outcome,
 )
 
 S = 1.0 / math.sqrt(2.0)
@@ -97,7 +96,7 @@ def test_xor_rule_consistent_with_probabilities():
                 state = tensor(prepare(basis, av), prepare(basis, bv))
                 probs = bell_probabilities(state)
                 for k in BellOutcome:
-                    implied = xor_from_outcome(k, basis)
+                    implied = XOR_TABLE[basis, k]
                     if probs[k] > 0.0:
                         assert implied == (av ^ bv)
                     else:
